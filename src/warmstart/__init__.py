@@ -16,13 +16,24 @@ from .errors import CapExceeded, DimensionMismatch, InvariantViolation
 from .kmedians import (
     CenterSet,
     cost_of_centers,
+    learn_centers,
     learn_centers_local_search,
     learn_centers_subset_erm,
     median_point,
     solve_with_learned_centers,
 )
 from .ledger import CostLedger, DayLedger
-from .metric import L1, L2, LINF, NORMS, Point, distance, origin, search_steps
+from .metric import (
+    L1,
+    L2,
+    LINF,
+    NORMS,
+    Point,
+    distance,
+    distance_matrix,
+    origin,
+    search_steps,
+)
 from .online import (
     kserver_reduction,
     predict_yesterday,
@@ -94,6 +105,7 @@ __all__ = [
     "cost_of_partition",
     "default_corpus",
     "distance",
+    "distance_matrix",
     "enumerate_threshold_trees",
     "erm_partition",
     "gen_adversarial_switch",
@@ -102,6 +114,7 @@ __all__ = [
     "gen_static_clusters",
     "generate",
     "kserver_reduction",
+    "learn_centers",
     "learn_centers_local_search",
     "learn_centers_subset_erm",
     "median_point",

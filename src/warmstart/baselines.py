@@ -187,16 +187,15 @@ def brute_force_best_trajectories(
         if cost < best_cost:
             best_cost = cost
             best_assign = assign
-    witness = _reconstruct_witness(best_assign, candidates, D, H, k, norm, solutions)
+    witness = _reconstruct_witness(best_assign, candidates, D, H, k, solutions)
     return best_cost, witness
 
 
-def _reconstruct_witness(assign, candidates, D, H, k, norm, solutions):
+def _reconstruct_witness(assign, candidates, D, H, k, solutions):
     T = len(solutions)
     predictions: dict[int, Point] = {}
     for traj in range(1, max(assign) + 1):
         days = [t for t in range(T) if assign[t] == traj]
-        n = len(candidates)
         dp = D[0, :] + H[:, days[0]]
         parents = []
         for t in days[1:]:
@@ -225,7 +224,8 @@ class WorkFunctionState:
     Points are the origin plus every distinct seen request, capped at
     WFA_MAX_POINTS distinct requests; configurations are size-k multisets of
     point indices.  Exceeding a cap raises CapExceeded so callers can fall
-    back to a greedy server rule.
+    back to a greedy server rule.  ``dist[a][b]`` caches ``distance`` from point
+    ``a`` to point ``b``; a point's entries are computed once, when it is added.
     """
 
     def __init__(self, k: int, dim: int, norm: str):
@@ -233,15 +233,23 @@ class WorkFunctionState:
             raise CapExceeded(f"work function capped at k<={WFA_MAX_K}")
         self.k = k
         self.norm = norm
-        self.points: list[Point] = [origin(dim)]
+        self.points: list[Point] = []
+        self.dist: list[list[float]] = []
+        self._add_point(origin(dim))
         self.table: dict[tuple[int, ...], float] = {}
         self.config: tuple[int, ...] = tuple([0] * k)  # current server point ids
-        self.history: list[Point] = []
         for cfg in combinations_with_replacement(range(1), k):
             self.table[cfg] = 0.0
 
     def _dist(self, a: int, b: int) -> float:
-        return distance(self.points[a], self.points[b], self.norm)
+        return self.dist[a][b]
+
+    def _add_point(self, p: Point) -> int:
+        for q, row in zip(self.points, self.dist):
+            row.append(distance(q, p, self.norm))
+        self.points.append(p)
+        self.dist.append([distance(p, q, self.norm) for q in self.points])
+        return len(self.points) - 1
 
     def _point_id(self, p: Point) -> int:
         for i, q in enumerate(self.points):
@@ -251,14 +259,14 @@ class WorkFunctionState:
             raise CapExceeded(
                 f"work function capped at {WFA_MAX_POINTS} distinct requests"
             )
-        self.points.append(p)
-        return len(self.points) - 1
+        return self._add_point(p)
 
     def _match_dist(self, a: tuple[int, ...], b: tuple[int, ...]) -> float:
         """Minimum-cost perfect matching between two size-k configurations."""
         best = math.inf
+        dist = self.dist
         for perm in permutations(a):
-            c = sum(self._dist(x, y) for x, y in zip(perm, b))
+            c = sum(dist[x][y] for x, y in zip(perm, b))
             if c < best:
                 best = c
         return best
@@ -334,5 +342,4 @@ def wfa_step(state: WorkFunctionState, request: Point) -> tuple[int, float]:
     cfg[best_idx] = r
     state.config = tuple(cfg)
     state.table = new
-    state.history.append(request)
     return best_idx, best_move

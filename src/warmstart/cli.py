@@ -15,13 +15,9 @@ from pathlib import Path
 
 from .baselines import brute_force_best_trajectories, offline_opt_kserver
 from .errors import CapExceeded, InvariantViolation
-from .kmedians import (
-    cost_of_centers,
-    learn_centers_local_search,
-    learn_centers_subset_erm,
-)
+from .kmedians import cost_of_centers, learn_centers
 from .ledger import CostLedger
-from .metric import Point
+from .metric import NORMS, Point
 from .online import kserver_reduction, predict_yesterday, run_quadratic_decay
 from .oracle import hidden_solution, run_parallel_k
 from .partition import (
@@ -65,6 +61,15 @@ def _load_config(args) -> dict:
 
 
 def _load_scenario(config: dict) -> Scenario:
+    scenario = _read_scenario(config)
+    if scenario.norm not in NORMS:
+        raise UserError(
+            f"unknown norm {scenario.norm!r}; expected one of {', '.join(NORMS)}"
+        )
+    return scenario
+
+
+def _read_scenario(config: dict) -> Scenario:
     spec = config.get("scenario")
     if spec is None:
         raise UserError("no scenario given (use --scenario or the config file)")
@@ -87,6 +92,15 @@ def _load_scenario(config: dict) -> Scenario:
     raise UserError("scenario must be a file path or a generator spec object")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_k(k, what: str) -> None:
+    if not _is_int(k) or k < 1:
+        raise UserError(f"{what} needs an integer k >= 1")
+
+
 def _run_strategy(scenario: Scenario, config: dict) -> CostLedger:
     strategy = config.get("strategy")
     if strategy not in STRATEGIES:
@@ -95,8 +109,9 @@ def _run_strategy(scenario: Scenario, config: dict) -> CostLedger:
         )
     k = config.get("k")
     if strategy in ("kserver-greedy", "kserver-wfa", "parallel-k"):
-        if not isinstance(k, int) or k < 1:
-            raise UserError(f"strategy {strategy} needs an integer k >= 1")
+        _check_k(k, f"strategy {strategy}")
+    if strategy == "parallel-k" and k > scenario.T:
+        raise UserError(f"parallel-k needs k <= T, got k={k} for T={scenario.T}")
     if strategy == "predict-yesterday":
         return predict_yesterday(scenario)
     if strategy == "quadratic-decay":
@@ -108,11 +123,7 @@ def _run_strategy(scenario: Scenario, config: dict) -> CostLedger:
     if strategy == "kserver-wfa":
         return kserver_reduction(scenario, "wfa", k)
     # parallel-k: k fixed predictions learned offline from the solutions.
-    sols = scenario.solution_list()
-    try:
-        C = learn_centers_subset_erm(sols, k, scenario.norm)
-    except CapExceeded:
-        C = learn_centers_local_search(sols, k, scenario.norm)
+    C = learn_centers(scenario.solution_list(), k, scenario.norm)
     from .ledger import DayLedger
 
     days = []
@@ -172,13 +183,17 @@ def cmd_learn(args) -> int:
     scenario = _load_scenario(config)
     learner = config.get("learner", "centers")
     k = config.get("k")
-    if not isinstance(k, int) or k < 1:
-        raise UserError("learn needs an integer k >= 1")
+    _check_k(k, "learn")
     frac = config.get("train_frac", 0.5)
     T = scenario.T
     m = int(T * frac)
     if not (1 <= m < T):
         raise UserError(f"train split of {m} days is invalid for T={T}")
+    if k > m:
+        raise UserError(f"learn needs k <= the {m} training days, got k={k}")
+    depth = config.get("depth", 1)
+    if learner == "partition" and not (_is_int(depth) and depth in (0, 1, 2)):
+        raise UserError(f"partition learning needs depth 0, 1 or 2, got {depth!r}")
     train_days = scenario.days[:m]
     test_days = scenario.days[m:]
     out: dict = {
@@ -191,10 +206,7 @@ def cmd_learn(args) -> int:
     }
     if learner == "centers":
         sols = [hidden_solution(i) for i in train_days]
-        try:
-            C = learn_centers_subset_erm(sols, k, scenario.norm)
-        except CapExceeded:
-            C = learn_centers_local_search(sols, k, scenario.norm)
+        C = learn_centers(sols, k, scenario.norm)
         holdout = [hidden_solution(i) for i in test_days]
         out["centers"] = [list(c.coords) for c in C.centers]
         out["train_cost"] = cost_of_centers(C, sols, scenario.norm)
@@ -202,7 +214,6 @@ def cmd_learn(args) -> int:
     elif learner == "partition":
         train = [LabeledSample(i.features, hidden_solution(i)) for i in train_days]
         test = [LabeledSample(i.features, hidden_solution(i)) for i in test_days]
-        depth = config.get("depth", 1)
         hyps = enumerate_threshold_trees([s.features for s in train], k, depth)
         h, phi, C_h = two_step_learn(hyps, train, k, scenario.norm)
         g = compose(h, phi)

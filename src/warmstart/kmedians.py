@@ -13,8 +13,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
+import numpy as np
+
 from .errors import CapExceeded, DimensionMismatch
-from .metric import L1, L2, LINF, Point, distance, origin
+from .metric import L1, L2, LINF, Point, distance, distance_matrix, mean_left_to_right
 from .oracle import HiddenInstance, run_parallel_k
 
 ENUMERATION_CAP = 10**6
@@ -59,11 +61,22 @@ def cost_of_centers(C: CenterSet, X: Sequence[Point], norm: str) -> float:
     return total / len(X)
 
 
+def _nearest(D: np.ndarray, idxs: Sequence[int]) -> np.ndarray:
+    """Distance from each sample to its closest center among rows ``idxs``
+    of ``D``; infinite when there are none."""
+    if not idxs:
+        return np.full(D.shape[1], math.inf)
+    return D[list(idxs)].min(axis=0)
+
+
 def learn_centers_subset_erm(X: Sequence[Point], k: int, norm: str) -> CenterSet:
     """Exact ERM over all k-subsets of the sample.
 
     Ties are broken toward the lexicographically first subset of sorted
     member indices, which is the order ``itertools.combinations`` yields.
+    Subsets are scored from one distance table: each (k-1)-prefix, in that
+    order, scores all its extensions in one vector step, so the cost is
+    C(m-1, k-1) steps over an m x m table.
     """
     m = len(X)
     if k > m:
@@ -73,14 +86,17 @@ def learn_centers_subset_erm(X: Sequence[Point], k: int, norm: str) -> CenterSet
             f"C({m},{k}) subsets exceed the cap {ENUMERATION_CAP}; "
             "use learn_centers_local_search"
         )
+    D = distance_matrix(X, norm)
     best_cost = math.inf
     best: tuple[int, ...] | None = None
-    for idxs in combinations(range(m), k):
-        C = CenterSet(tuple(X[i] for i in idxs))
-        c = cost_of_centers(C, X, norm)
-        if c < best_cost:
-            best_cost = c
-            best = idxs
+    # The last prefix index is at most m-2, so every prefix has an extension.
+    for prefix in combinations(range(m - 1), k - 1):
+        first = prefix[-1] + 1 if prefix else 0
+        costs = mean_left_to_right(np.minimum(D[first:], _nearest(D, prefix)))
+        j = int(costs.argmin())
+        if costs[j] < best_cost:
+            best_cost = costs[j]
+            best = prefix + (first + j,)
     assert best is not None
     return CenterSet(tuple(X[i] for i in best))
 
@@ -97,23 +113,38 @@ def learn_centers_local_search(
     m = len(X)
     if k > m:
         raise ValueError(f"k={k} exceeds sample size m={m}")
+    D = distance_matrix(X, norm)
     current = list(range(k))
-    cost = cost_of_centers(CenterSet(tuple(X[i] for i in current)), X, norm)
+    cost = float(mean_left_to_right(_nearest(D, current)))
     for _ in range(max_sweeps):
         improved = False
         for slot in range(k):
+            # Accepting a swap changes only this slot, so the other centers,
+            # and with them every trial cost of this slot, stay fixed.  The
+            # costs are scored 64 candidates at a time to keep temporaries small.
+            near = _nearest(D, current[:slot] + current[slot + 1 :])
+            trial_costs = []
+            for lo in range(0, m, 64):
+                rows = np.minimum(D[lo : lo + 64], near)
+                trial_costs += mean_left_to_right(rows).tolist()
             for cand in range(m):
                 if cand in current:
                     continue
-                trial = list(current)
-                trial[slot] = cand
-                c = cost_of_centers(CenterSet(tuple(X[i] for i in trial)), X, norm)
-                if c < cost - 1e-12:
-                    current, cost = trial, c
+                if trial_costs[cand] < cost - 1e-12:
+                    current[slot], cost = cand, trial_costs[cand]
                     improved = True
         if not improved:
             break
     return CenterSet(tuple(X[i] for i in current))
+
+
+def learn_centers(X: Sequence[Point], k: int, norm: str) -> CenterSet:
+    """Exact subset ERM, or single-swap local search when the number of
+    subsets exceeds ``ENUMERATION_CAP``."""
+    try:
+        return learn_centers_subset_erm(X, k, norm)
+    except CapExceeded:
+        return learn_centers_local_search(X, k, norm)
 
 
 def solve_with_learned_centers(
@@ -170,7 +201,3 @@ def _geometric_median(
         if shift < tol:
             break
     return Point(tuple(est))
-
-
-def origin_center(dim: int) -> Point:
-    return origin(dim)

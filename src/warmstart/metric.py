@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import DimensionMismatch
 
@@ -82,6 +84,33 @@ def distance(u: Point, v: Point, norm: str = L2) -> float:
                 best = d
         return best
     raise ValueError(f"unknown norm {norm!r}; expected one of {NORMS}")
+
+
+def distance_matrix(
+    X: Sequence[Point], norm: str, Y: Sequence[Point] | None = None
+) -> np.ndarray:
+    """Float64 table with ``D[i, j] = distance(X[i], Y[j], norm)``; ``Y``
+    defaults to ``X``.
+
+    Rows are filled one at a time by ``distance`` itself, so every entry is
+    bit-identical to the direct call.
+    """
+    cols = X if Y is None else Y
+    D = np.empty((len(X), len(cols)))
+    for i, x in enumerate(X):
+        D[i] = [distance(x, y, norm) for y in cols]
+    return D
+
+
+def mean_left_to_right(rows: np.ndarray) -> np.ndarray:
+    """Means along the last axis, summed strictly left to right like a scalar
+    ``total += x`` loop, so they are the same floats (``np.sum`` and
+    ``np.mean`` add pairwise and can differ in the last bits).
+
+    The sums run in place, so ``rows`` is overwritten: pass a temporary.
+    """
+    np.cumsum(rows, axis=-1, out=rows)
+    return rows[..., -1] / rows.shape[-1]
 
 
 def search_steps(p: Point, s: Point, norm: str = L2) -> int:

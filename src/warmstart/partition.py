@@ -14,14 +14,11 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
+import numpy as np
+
 from .errors import CapExceeded
-from .kmedians import (
-    CenterSet,
-    learn_centers_local_search,
-    learn_centers_subset_erm,
-    median_point,
-)
-from .metric import Point, distance, origin
+from .kmedians import CenterSet, learn_centers, median_point
+from .metric import Point, distance, distance_matrix, mean_left_to_right, origin
 from .oracle import HiddenInstance, open_thread
 
 
@@ -220,6 +217,51 @@ def construct_rotation(
     return tuple(phi)
 
 
+# Hypotheses labelled at once, so that memory does not grow with the class.
+RC_ERM_BLOCK = 1024
+
+
+def _erm_per_rotation(
+    hyps: Sequence[ThresholdTree],
+    C: CenterSet,
+    data: Sequence[LabeledSample],
+    norm: str,
+    rotations: Sequence[Rotation],
+) -> list[tuple[float, ThresholdTree | None]]:
+    """For each rotation phi, the earliest hypothesis h minimizing
+    l_C(phi o h), with that loss.
+
+    Each hypothesis labels the data once; every rotation then gathers from
+    one table of solution-to-center distances, and losses are summed left to
+    right like ``c_loss``, so they are the same floats.
+    """
+    if not hyps:
+        raise ValueError("empty hypothesis class")
+    if not data:
+        raise ValueError("empty data")
+    n, k = len(data), C.k
+    feats = [s.features for s in data]
+    table = distance_matrix([s.solution for s in data], norm, C.centers)
+    # gathers[r][s * k + label - 1] = distance(solution s, C[phi_r(label)])
+    gathers = [table[:, np.subtract(phi, 1)].ravel() for phi in rotations]
+    row_start = np.arange(n) * k - 1
+    best: list[tuple[float, ThresholdTree | None]] = [(math.inf, None)] * len(rotations)
+    for lo in range(0, len(hyps), RC_ERM_BLOCK):
+        block = hyps[lo : lo + RC_ERM_BLOCK]
+        labels = np.fromiter(
+            (h.label(x) for h in block for x in feats), np.intp, len(block) * n
+        ).reshape(len(block), n)
+        if labels.min() < 1 or labels.max() > k:
+            raise ValueError(f"hypothesis labels must lie in 1..{k}")
+        flat = labels + row_start
+        for r, gather in enumerate(gathers):
+            losses = mean_left_to_right(gather[flat])
+            i = int(losses.argmin())
+            if losses[i] < best[r][0]:
+                best[r] = (float(losses[i]), block[i])
+    return best
+
+
 def erm_partition(
     hyps: Sequence[ThresholdTree],
     C: CenterSet,
@@ -230,15 +272,7 @@ def erm_partition(
 
     Ties go to the earliest hypothesis in the given enumeration order.
     """
-    if not hyps:
-        raise ValueError("empty hypothesis class")
-    best = None
-    best_loss = math.inf
-    for h in hyps:
-        loss = c_loss(h, None, C, data, norm)
-        if loss < best_loss:
-            best, best_loss = h, loss
-    return best
+    return _erm_per_rotation(hyps, C, data, norm, [identity_rotation(C.k)])[0][1]
 
 
 def all_rotations(k: int) -> list[Rotation]:
@@ -254,19 +288,21 @@ def rc_erm(
     data: Sequence[LabeledSample],
     norm: str,
 ) -> tuple[ThresholdTree, Rotation]:
-    """ERM over the rotational completion, by k^k calls to the base ERM.
+    """ERM over the rotational completion, by base ERM under each of the k^k
+    rotations.
 
     Uses the identity l_C(phi o h) = l_{phi(C)}(h); ties favor identity, then
-    lexicographically smaller rotations.
+    lexicographically smaller rotations, then the earliest hypothesis.  The
+    class is scored in blocks of ``RC_ERM_BLOCK`` hypotheses.
     """
     k = C.k
     if k > 4:
         raise CapExceeded(f"k^k rotation enumeration infeasible for k={k}")
+    rotations = all_rotations(k)
     best = None
     best_loss = math.inf
-    for phi in all_rotations(k):
-        h = erm_partition(hyps, rotate_centers(C, phi), data, norm)
-        loss = c_loss(h, phi, C, data, norm)
+    per_rotation = _erm_per_rotation(hyps, C, data, norm, rotations)
+    for phi, (loss, h) in zip(rotations, per_rotation):
         if loss < best_loss:
             best, best_loss = (h, phi), loss
     return best
@@ -285,11 +321,7 @@ def two_step_learn(
     per-partition 1-medians for the chosen rotated hypothesis, which never
     increases the empirical objective.
     """
-    solutions = [s.solution for s in train]
-    try:
-        C_hat = learn_centers_subset_erm(solutions, k, norm)
-    except CapExceeded:
-        C_hat = learn_centers_local_search(solutions, k, norm)
+    C_hat = learn_centers([s.solution for s in train], k, norm)
     h, phi = rc_erm(hyps, C_hat, train, norm)
     _, C_h = cost_of_partition(compose(h, phi), train, norm)
     return h, phi, C_h

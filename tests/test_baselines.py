@@ -142,6 +142,16 @@ def test_wfa_work_function_values_stay_sane():
         prev_min = cur_min
 
 
+def test_wfa_cached_distances_are_the_direct_ones():
+    rng = random.Random(89)
+    for norm in NORMS:
+        state = WorkFunctionState(2, 2, norm)
+        for _ in range(6):
+            wfa_step(state, Point.of(float(rng.randint(-3, 3)), rng.uniform(-5, 5)))
+        pts = state.points
+        assert state.dist == [[distance(a, b, norm) for b in pts] for a in pts]
+
+
 def test_wfa_caps():
     with pytest.raises(CapExceeded):
         WorkFunctionState(4, 1, L2)

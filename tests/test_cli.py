@@ -84,6 +84,33 @@ def test_user_errors_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("simulate", {"strategy": "predict-yesterday", "norm": "L3"}),
+        ("simulate", {"strategy": "parallel-k", "k": 25}),
+        ("simulate", {"strategy": "kserver-greedy", "k": True}),
+        ("learn", {"learner": "centers", "k": True}),
+        ("learn", {"learner": "centers", "k": 3}),
+        ("learn", {"learner": "partition", "k": 2, "depth": 3}),
+    ],
+    ids=["unknown-norm", "parallel-k-above-T", "bool-k", "learn-bool-k", "learn-k-above-train", "depth-3"],
+)
+def test_bad_input_exits_one_with_one_line(tmp_path, capsys, command, config):
+    scen = json.loads(
+        gen_drifting_trajectories(61, k=1, drift_per_day=0.5, noise=0.5, T=4, dim=1).to_json_text()
+    )
+    scen["norm"] = config.pop("norm", scen["norm"])
+    p = tmp_path / "scen.json"
+    p.write_text(json.dumps(scen))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": str(p), **config}))
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_learn_centers_and_partition(tmp_path):
     scen = gen_static_clusters(58, k=2, sep=100.0, spread=1.0, T=12, dim=2)
     p = tmp_path / "scen.json"

@@ -1,0 +1,179 @@
+"""The table-driven learners return exactly what the enumerating ones did.
+
+The reference oracles below are the learners as they were written before
+they read one precomputed distance table: they call ``distance`` (through
+``cost_of_centers`` and ``c_loss``) for every candidate.  The fuzz forces
+ties with integer-grid coordinates and duplicate points, so the tie-breaks
+are checked as well as the optimum.
+"""
+
+import math
+import random
+from itertools import combinations
+
+import pytest
+
+from warmstart import partition
+from warmstart.kmedians import (
+    CenterSet,
+    cost_of_centers,
+    learn_centers_local_search,
+    learn_centers_subset_erm,
+)
+from warmstart.metric import NORMS, Point
+from warmstart.partition import (
+    LabeledSample,
+    all_rotations,
+    c_loss,
+    enumerate_threshold_trees,
+    erm_partition,
+    rc_erm,
+    rotate_centers,
+)
+
+
+def ref_subset_erm(X, k, norm):
+    best_cost = math.inf
+    best = None
+    for idxs in combinations(range(len(X)), k):
+        C = CenterSet(tuple(X[i] for i in idxs))
+        c = cost_of_centers(C, X, norm)
+        if c < best_cost:
+            best_cost = c
+            best = idxs
+    return CenterSet(tuple(X[i] for i in best))
+
+
+def ref_local_search(X, k, norm, max_sweeps=100):
+    m = len(X)
+    current = list(range(k))
+    cost = cost_of_centers(CenterSet(tuple(X[i] for i in current)), X, norm)
+    for _ in range(max_sweeps):
+        improved = False
+        for slot in range(k):
+            for cand in range(m):
+                if cand in current:
+                    continue
+                trial = list(current)
+                trial[slot] = cand
+                c = cost_of_centers(CenterSet(tuple(X[i] for i in trial)), X, norm)
+                if c < cost - 1e-12:
+                    current, cost = trial, c
+                    improved = True
+        if not improved:
+            break
+    return CenterSet(tuple(X[i] for i in current))
+
+
+def ref_erm_partition(hyps, C, data, norm):
+    best = None
+    best_loss = math.inf
+    for h in hyps:
+        loss = c_loss(h, None, C, data, norm)
+        if loss < best_loss:
+            best, best_loss = h, loss
+    return best
+
+
+def ref_rc_erm(hyps, C, data, norm):
+    best = None
+    best_loss = math.inf
+    for phi in all_rotations(C.k):
+        h = ref_erm_partition(hyps, rotate_centers(C, phi), data, norm)
+        loss = c_loss(h, phi, C, data, norm)
+        if loss < best_loss:
+            best, best_loss = (h, phi), loss
+    return best
+
+
+def _points(rng, m, dim):
+    """Uniform floats, an integer grid (many equal costs), or repeats drawn
+    from a small pool (duplicate points)."""
+    kind = rng.choice(("float", "grid", "dup"))
+    if kind == "float":
+        return [Point(tuple(rng.uniform(-9, 9) for _ in range(dim))) for _ in range(m)]
+    grid = [Point(tuple(float(rng.randint(-2, 2)) for _ in range(dim))) for _ in range(m)]
+    if kind == "grid":
+        return grid
+    return [rng.choice(grid[: max(1, m // 3)]) for _ in range(m)]
+
+
+@pytest.mark.parametrize("norm", NORMS)
+def test_subset_erm_matches_enumerating_reference(norm):
+    rng = random.Random(f"erm/{norm}")
+    for _ in range(40):
+        m = rng.randint(1, 14)
+        k = rng.randint(1, min(4, m))
+        X = _points(rng, m, rng.randint(1, 3))
+        assert learn_centers_subset_erm(X, k, norm).centers == ref_subset_erm(X, k, norm).centers
+
+
+@pytest.mark.parametrize("norm", NORMS)
+def test_local_search_matches_enumerating_reference(norm):
+    rng = random.Random(f"local/{norm}")
+    for _ in range(25):
+        m = rng.randint(1, 30)
+        k = rng.randint(1, min(4, m))
+        X = _points(rng, m, rng.randint(1, 3))
+        sweeps = rng.choice((1, 2, 100))
+        got = learn_centers_local_search(X, k, norm, max_sweeps=sweeps)
+        assert got.centers == ref_local_search(X, k, norm, max_sweeps=sweeps).centers
+
+
+def _partition_case(rng, norm, depth, k=None):
+    k = k or rng.randint(1, 4 if depth < 2 else 3)
+    n = rng.randint(1, 12 if depth < 2 else 4)
+    dim = rng.randint(1, 2 if depth < 2 else 1)
+    feats = _points(rng, n, dim)
+    sols = _points(rng, n, dim)
+    data = [LabeledSample(f, s) for f, s in zip(feats, sols)]
+    # Centers on solutions, repeated when k > n, tie many hypotheses exactly.
+    centers = _points(rng, k, dim) if rng.random() < 0.5 else [sols[i % n] for i in range(k)]
+    hyps = enumerate_threshold_trees(feats, k, depth)
+    if len(hyps) > 400:  # keep the reference's k^k * |H| * n loop quick
+        hyps = [hyps[i] for i in sorted(rng.sample(range(len(hyps)), 400))]
+    return hyps, CenterSet(tuple(centers)), data
+
+
+@pytest.mark.parametrize("depth", (0, 1, 2))
+@pytest.mark.parametrize("norm", NORMS)
+def test_rc_erm_matches_enumerating_reference(norm, depth):
+    rng = random.Random(f"rc/{norm}/{depth}")
+    for _ in range(12):
+        hyps, C, data = _partition_case(rng, norm, depth)
+        h, phi = rc_erm(hyps, C, data, norm)
+        ref_h, ref_phi = ref_rc_erm(hyps, C, data, norm)
+        assert h is ref_h and phi == ref_phi
+        assert erm_partition(hyps, C, data, norm) is ref_erm_partition(hyps, C, data, norm)
+        rotations = all_rotations(C.k)
+        for rot, (loss, best) in zip(rotations, partition._erm_per_rotation(hyps, C, data, norm, rotations)):
+            assert loss == c_loss(best, rot, C, data, norm)  # bit for bit
+
+
+def test_rc_erm_block_size_does_not_change_the_choice(monkeypatch):
+    rng = random.Random(5)
+    for norm in NORMS:
+        for _ in range(4):
+            hyps = []
+            while len(hyps) <= 3:
+                hyps, C, data = _partition_case(rng, norm, 1, k=3)
+            C = CenterSet((C[0], C[0], C[1]))  # equal centers: ties across blocks
+            whole = rc_erm(hyps, C, data, norm)
+            monkeypatch.setattr(partition, "RC_ERM_BLOCK", 3)
+            blocked = rc_erm(hyps, C, data, norm)
+            monkeypatch.undo()
+            assert blocked[0] is whole[0] and blocked[1] == whole[1]
+            ref_h, ref_phi = ref_rc_erm(hyps, C, data, norm)
+            assert whole[0] is ref_h and whole[1] == ref_phi
+
+
+def test_local_search_keeps_the_acceptance_margin_on_near_ties():
+    # Mirror-image center sets on a symmetric grid have equal costs in exact
+    # arithmetic; summed in another order they differ in the last bits, and
+    # only the 1e-12 margin keeps such a swap from being taken.
+    X = [Point((float(x), float(y))) for x in range(-2, 3) for y in range(-2, 3)]
+    X += [Point((x * 0.1, 0.3 - x * 0.1)) for x in range(4)]
+    for norm in NORMS:
+        for k in (2, 3, 4):
+            got = learn_centers_local_search(X, k, norm)
+            assert got.centers == ref_local_search(X, k, norm).centers

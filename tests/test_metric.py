@@ -10,6 +10,7 @@ from warmstart.metric import (
     NORMS,
     Point,
     distance,
+    distance_matrix,
     origin,
     pairwise_max_distance,
     search_steps,
@@ -84,3 +85,18 @@ def test_origin_and_pairwise_max():
     pts = [Point.of(0.0), Point.of(4.0), Point.of(-3.0)]
     assert pairwise_max_distance(pts, L1) == 7.0
     assert pairwise_max_distance([], L2) == 0.0
+
+
+def test_distance_matrix_is_bit_identical_to_distance():
+    import random
+
+    rng = random.Random(13)
+    for norm in NORMS:
+        dim = rng.randint(1, 4)
+        X = [Point(tuple(rng.uniform(-9, 9) for _ in range(dim))) for _ in range(7)]
+        Y = X[:2] + [Point(tuple(rng.uniform(-1e6, 1e6) for _ in range(dim)))]
+        D = distance_matrix(X, norm)
+        R = distance_matrix(X, norm, Y)
+        assert D.shape == (7, 7) and R.shape == (7, 3)
+        assert D.tolist() == [[distance(x, y, norm) for y in X] for x in X]
+        assert R.tolist() == [[distance(x, y, norm) for y in Y] for x in X]
