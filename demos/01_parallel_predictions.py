@@ -2,8 +2,8 @@
 
 A warm-started solver initialized at prediction p finds the hidden solution
 s after max(1, ceil(d(p, s))) unit steps.  With k candidate predictions run
-round-robin, the total work stays within k steps of k times the best
-prediction's cost -- without knowing which prediction is best.
+round-robin, the total work is exactly k times the best prediction's cost
+-- without knowing which prediction is best.
 """
 
 from warmstart import HiddenInstance, Point, origin, run_parallel_k_detail, search_steps
@@ -22,4 +22,4 @@ k = len(preds)
 print(f"\nround-robin over k={k} predictions:")
 print(f"  solved by prediction #{winner} after {sweeps} sweeps")
 print(f"  total radius paid: {total}")
-print(f"  guarantee: {total} <= k * best + k = {k * best + k}")
+print(f"  guarantee: {total} == k * best = {k * best}")

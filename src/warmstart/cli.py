@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from .errors import CapExceeded, InvariantViolation
 from .kmedians import cost_of_centers, learn_centers
 from .ledger import CostLedger
 from .metric import NORMS, Point
-from .online import kserver_reduction, predict_yesterday, run_quadratic_decay
+from .online import NEEDS_K, STRATEGIES, predict_yesterday, run_quadratic_decay
 from .oracle import hidden_solution, run_parallel_k
 from .partition import (
     LabeledSample,
@@ -28,15 +29,6 @@ from .partition import (
     two_step_learn,
 )
 from .scenarios import Scenario, generate, planted_baseline
-
-STRATEGIES = (
-    "predict-yesterday",
-    "quadratic-decay",
-    "harmonic-decay",
-    "kserver-greedy",
-    "kserver-wfa",
-    "parallel-k",
-)
 
 
 class UserError(Exception):
@@ -53,10 +45,18 @@ def _load_config(args) -> dict:
             config = json.loads(path.read_text())
         except json.JSONDecodeError as e:
             raise UserError(f"config file is not valid JSON: {e}") from e
+        if not isinstance(config, dict):
+            raise UserError("config file must hold a JSON object")
     for key in ("scenario", "strategy", "k", "seed", "out"):
         v = getattr(args, key, None)
         if v is not None:
             config[key] = v
+    ks = config.get("baseline_ks", [1])
+    if not (isinstance(ks, list) and all(_is_int(k) and k >= 1 for k in ks)):
+        raise UserError(f"baseline_ks must be a list of integers >= 1, got {ks!r}")
+    frac = config.get("train_frac", 0.5)
+    if not (isinstance(frac, (int, float)) and not isinstance(frac, bool) and math.isfinite(frac)):
+        raise UserError(f"train_frac must be a number, got {frac!r}")
     return config
 
 
@@ -66,6 +66,16 @@ def _load_scenario(config: dict) -> Scenario:
         raise UserError(
             f"unknown norm {scenario.norm!r}; expected one of {', '.join(NORMS)}"
         )
+    if not scenario.days:
+        raise UserError("scenario has no days")
+    if [inst.day for inst in scenario.days] != list(range(1, scenario.T + 1)):
+        raise UserError(f"scenario days must be numbered 1..{scenario.T} in order")
+    for inst in scenario.days:
+        if inst.features.dim != scenario.dim or inst.dim != scenario.dim:
+            raise UserError(
+                f"day {inst.day} has a feature or solution whose length is not "
+                f"the scenario dim {scenario.dim}"
+            )
     return scenario
 
 
@@ -82,9 +92,14 @@ def _read_scenario(config: dict) -> Scenario:
         except (json.JSONDecodeError, KeyError, ValueError) as e:
             raise UserError(f"bad scenario file {path}: {e}") from e
     if isinstance(spec, dict):
-        params = dict(spec.get("params", {}))
+        params = spec.get("params", {})
+        if not isinstance(params, dict):
+            raise UserError("bad scenario spec: params must be an object")
+        params = dict(params)
         if "seed" in config and "seed" not in params:
             params["seed"] = config["seed"]
+        if "dim" in params and not (_is_int(params["dim"]) and params["dim"] >= 1):
+            raise UserError("bad scenario spec: dim must be an integer >= 1")
         try:
             return generate(spec["generator"], **params)
         except (KeyError, TypeError, ValueError) as e:
@@ -108,42 +123,11 @@ def _run_strategy(scenario: Scenario, config: dict) -> CostLedger:
             f"unknown strategy {strategy!r}; expected one of {', '.join(STRATEGIES)}"
         )
     k = config.get("k")
-    if strategy in ("kserver-greedy", "kserver-wfa", "parallel-k"):
+    if strategy in NEEDS_K:
         _check_k(k, f"strategy {strategy}")
     if strategy == "parallel-k" and k > scenario.T:
         raise UserError(f"parallel-k needs k <= T, got k={k} for T={scenario.T}")
-    if strategy == "predict-yesterday":
-        return predict_yesterday(scenario)
-    if strategy == "quadratic-decay":
-        return run_quadratic_decay(scenario, mode="quadratic")
-    if strategy == "harmonic-decay":
-        return run_quadratic_decay(scenario, mode="harmonic")
-    if strategy == "kserver-greedy":
-        return kserver_reduction(scenario, "greedy", k)
-    if strategy == "kserver-wfa":
-        return kserver_reduction(scenario, "wfa", k)
-    # parallel-k: k fixed predictions learned offline from the solutions.
-    C = learn_centers(scenario.solution_list(), k, scenario.norm)
-    from .ledger import DayLedger
-
-    days = []
-    for inst in scenario.days:
-        _, total = run_parallel_k(inst, list(C.centers))
-        days.append(
-            DayLedger(
-                day=inst.day,
-                radius_searched=total,
-                overhead_work=0,
-                virtual_radius=max(1, total // k),
-                solver_thread=0,
-            )
-        )
-    return CostLedger(
-        scenario=scenario.name,
-        strategy="parallel-k",
-        params={"k": k},
-        days=days,
-    )
+    return STRATEGIES[strategy](scenario, k)
 
 
 def _attach_baselines(ledger: CostLedger, scenario: Scenario, config: dict) -> None:
@@ -322,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_run_flags(p):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--scenario", help="scenario JSON file")
-        p.add_argument("--strategy", choices=STRATEGIES)
+        p.add_argument("--strategy", choices=list(STRATEGIES))
         p.add_argument("--k", type=int)
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output path (default: stdout)")
@@ -350,7 +334,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UserError as e:
+    except (UserError, CapExceeded) as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
     except (InvariantViolation, AssertionError) as e:

@@ -1,9 +1,10 @@
 """Online search strategies over day sequences of hidden solutions.
 
-Three families: predict-yesterday (single thread from the previous day's
+Four families: predict-yesterday (single thread from the previous day's
 solution), rate-decay search from all past solutions with subsumption
-pruning (quadratic or harmonic rate schedules), and a reduction that tracks
-k server positions with equal-rate parallel search.
+pruning (quadratic or harmonic rate schedules), a reduction that tracks
+k server positions with equal-rate parallel search, and parallel search from
+k fixed learned predictions.  ``STRATEGIES`` names them all.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvariantViolation
+from .kmedians import learn_centers
 from .ledger import CostLedger, DayLedger
 from .metric import Point, distance, origin
 from .oracle import (
@@ -195,24 +197,45 @@ def predict_yesterday(scenario) -> CostLedger:
     days = []
     prev_day = ORIGIN_DAY
     for inst in scenario.days:
-        thread = open_thread(inst, prev)
-        while not thread.step():
-            pass
+        prev, radius, _, _ = run_parallel_k_detail(inst, [prev])
         days.append(
             DayLedger(
                 day=inst.day,
-                radius_searched=thread.radius,
+                radius_searched=radius,
                 overhead_work=0,
-                virtual_radius=thread.radius,
+                virtual_radius=radius,
                 solver_thread=prev_day,
             )
         )
-        prev = thread.result()
         prev_day = inst.day
     return CostLedger(
         scenario=scenario.name,
         strategy="predict-yesterday",
         params={},
+        days=days,
+    )
+
+
+def parallel_k(scenario, k: int) -> CostLedger:
+    """Search each day in parallel from k fixed predictions: the k-medians
+    centers learned offline from all of the scenario's solutions."""
+    C = learn_centers(scenario.solution_list(), k, scenario.norm)
+    days = []
+    for inst in scenario.days:
+        _, total, _, sweeps = run_parallel_k_detail(inst, list(C.centers))
+        days.append(
+            DayLedger(
+                day=inst.day,
+                radius_searched=total,
+                overhead_work=0,
+                virtual_radius=sweeps,
+                solver_thread=0,
+            )
+        )
+    return CostLedger(
+        scenario=scenario.name,
+        strategy="parallel-k",
+        params={"k": k},
         days=days,
     )
 
@@ -224,7 +247,7 @@ def kserver_reduction(scenario, server_alg: str, k: int) -> CostLedger:
     chosen k-server algorithm (greedy nearest server, or the work-function
     algorithm), which moves exactly one server onto it.  If the work-function
     table outgrows its cap the run falls back to greedy for the remaining
-    days.
+    days, and ``params["wfa_fallback_day"]`` records the day it did.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -240,6 +263,7 @@ def kserver_reduction(scenario, server_alg: str, k: int) -> CostLedger:
         if server_alg == "wfa"
         else None
     )
+    params = {"k": k, "server_alg": server_alg}
     days = []
     for inst in scenario.days:
         solution, total, winner, sweeps = run_parallel_k_detail(inst, servers)
@@ -257,6 +281,7 @@ def kserver_reduction(scenario, server_alg: str, k: int) -> CostLedger:
                 idx, _ = baselines.wfa_step(wfa_state, solution)
             except CapExceeded:
                 wfa_state = None
+                params["wfa_fallback_day"] = inst.day
                 idx = _greedy_move(servers, solution, norm)
         else:
             idx = _greedy_move(servers, solution, norm)
@@ -264,7 +289,7 @@ def kserver_reduction(scenario, server_alg: str, k: int) -> CostLedger:
     return CostLedger(
         scenario=scenario.name,
         strategy=f"kserver-{server_alg}",
-        params={"k": k, "server_alg": server_alg},
+        params=params,
         days=days,
     )
 
@@ -276,3 +301,19 @@ def _greedy_move(servers: list[Point], request: Point, norm: str) -> int:
         if d < best_d:
             best, best_d = j, d
     return best
+
+
+# Strategy name -> fn(scenario, k) -> CostLedger.  The entries look up this
+# module's functions when called, so a wrapper installed on one of them (as
+# bench/tracing.py does) also sees the calls made through the registry.
+STRATEGIES = {
+    "predict-yesterday": lambda scenario, k: predict_yesterday(scenario),
+    "quadratic-decay": lambda scenario, k: run_quadratic_decay(scenario, "quadratic"),
+    "harmonic-decay": lambda scenario, k: run_quadratic_decay(scenario, "harmonic"),
+    "kserver-greedy": lambda scenario, k: kserver_reduction(scenario, "greedy", k),
+    "kserver-wfa": lambda scenario, k: kserver_reduction(scenario, "wfa", k),
+    "parallel-k": lambda scenario, k: parallel_k(scenario, k),
+}
+
+# The strategies that take k; the others ignore it.
+NEEDS_K = {"kserver-greedy", "kserver-wfa", "parallel-k"}

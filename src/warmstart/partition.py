@@ -19,7 +19,7 @@ import numpy as np
 from .errors import CapExceeded
 from .kmedians import CenterSet, learn_centers, median_point
 from .metric import Point, distance, distance_matrix, mean_left_to_right, origin
-from .oracle import HiddenInstance, open_thread
+from .oracle import HiddenInstance, run_parallel_k_detail
 
 
 @dataclass(frozen=True)
@@ -336,7 +336,5 @@ def predict_and_solve(
     parallelism is involved.
     """
     label = phi[h.label(inst.features) - 1]
-    thread = open_thread(inst, C_h[label - 1])
-    while not thread.step():
-        pass
-    return thread.result(), h.eval_work + thread.radius
+    solution, radius, _, _ = run_parallel_k_detail(inst, [C_h[label - 1]])
+    return solution, h.eval_work + radius

@@ -1,9 +1,11 @@
+import argparse
 import json
 
 import pytest
 
-from warmstart.cli import main
+from warmstart.cli import build_parser, main
 from warmstart.ledger import CostLedger
+from warmstart.online import NEEDS_K, STRATEGIES
 from warmstart.scenarios import gen_drifting_trajectories, gen_static_clusters
 
 
@@ -84,27 +86,73 @@ def test_user_errors_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+GENERATED = {
+    "generator": "drifting_trajectories",
+    "params": {"k": 1, "drift_per_day": 0.5, "noise": 0.5, "T": 12, "dim": 1, "seed": 5},
+}
+
+
 @pytest.mark.parametrize(
-    "command, config",
+    "command, config, patch",
     [
-        ("simulate", {"strategy": "predict-yesterday", "norm": "L3"}),
-        ("simulate", {"strategy": "parallel-k", "k": 25}),
-        ("simulate", {"strategy": "kserver-greedy", "k": True}),
-        ("learn", {"learner": "centers", "k": True}),
-        ("learn", {"learner": "centers", "k": 3}),
-        ("learn", {"learner": "partition", "k": 2, "depth": 3}),
+        ("simulate", {"strategy": "predict-yesterday"}, (["norm"], "L3")),
+        ("simulate", {"strategy": "parallel-k", "k": 25}, None),
+        ("simulate", {"strategy": "kserver-greedy", "k": True}, None),
+        ("learn", {"learner": "centers", "k": True}, None),
+        ("learn", {"learner": "centers", "k": 3}, None),
+        ("learn", {"learner": "partition", "k": 2, "depth": 3}, None),
+        ("simulate", {"strategy": "kserver-wfa", "k": 4}, None),
+        ("learn", {"learner": "partition", "k": 5, "scenario": GENERATED}, None),
+        ("simulate", ["predict-yesterday"], None),
+        ("simulate", {"strategy": "predict-yesterday"}, (["days"], [])),
+        ("simulate", {"strategy": "predict-yesterday"}, (["days", 1, "day"], 1)),
+        ("learn", {"learner": "partition", "k": 1}, (["days", 0, "features"], [0.0, 0.0])),
+        ("simulate", {"strategy": "predict-yesterday"}, (["days", 2, "solution"], [1.0, 2.0])),
+        ("simulate", {"strategy": "predict-yesterday", "baseline_ks": [0]}, None),
+        ("simulate", {"strategy": "predict-yesterday", "baseline_ks": "x"}, None),
+        ("learn", {"learner": "centers", "k": 1, "train_frac": "x"}, None),
+        (
+            "simulate",
+            {"strategy": "predict-yesterday", "scenario": dict(GENERATED, params=dict(GENERATED["params"], dim=0))},
+            None,
+        ),
+        ("simulate", {"strategy": "predict-yesterday", "scenario": dict(GENERATED, params="x")}, None),
     ],
-    ids=["unknown-norm", "parallel-k-above-T", "bool-k", "learn-bool-k", "learn-k-above-train", "depth-3"],
+    ids=[
+        "unknown-norm",
+        "parallel-k-above-T",
+        "bool-k",
+        "learn-bool-k",
+        "learn-k-above-train",
+        "depth-3",
+        "wfa-k-above-cap",
+        "partition-k-above-cap",
+        "config-not-object",
+        "no-days",
+        "duplicate-day",
+        "feature-length",
+        "solution-length",
+        "baseline-ks-zero",
+        "baseline-ks-string",
+        "train-frac-string",
+        "generator-dim-0",
+        "generator-params-not-object",
+    ],
 )
-def test_bad_input_exits_one_with_one_line(tmp_path, capsys, command, config):
+def test_bad_input_exits_one_with_one_line(tmp_path, capsys, command, config, patch):
     scen = json.loads(
         gen_drifting_trajectories(61, k=1, drift_per_day=0.5, noise=0.5, T=4, dim=1).to_json_text()
     )
-    scen["norm"] = config.pop("norm", scen["norm"])
+    if patch is not None:  # (key path into the scenario JSON, new value)
+        path, value = patch
+        target = scen
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
     p = tmp_path / "scen.json"
     p.write_text(json.dumps(scen))
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"scenario": str(p), **config}))
+    cfg.write_text(json.dumps({"scenario": str(p), **config} if isinstance(config, dict) else config))
     capsys.readouterr()
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out.json")]) == 1
     err = capsys.readouterr().err
@@ -192,3 +240,21 @@ def test_parallel_k_strategy(scen_file, tmp_path):
     lg = CostLedger.from_json_text(out.read_text())
     assert lg.strategy == "parallel-k"
     assert lg.params == {"k": 2}
+
+
+@pytest.mark.parametrize("strategy", list(STRATEGIES))
+def test_every_registered_strategy_runs(scen_file, tmp_path, strategy):
+    out = tmp_path / "ledger.json"
+    argv = ["simulate", "--scenario", str(scen_file), "--strategy", strategy, "--out", str(out)]
+    if strategy in NEEDS_K:
+        argv += ["--k", "2"]
+    assert main(argv) == 0
+    assert CostLedger.from_json_text(out.read_text()).strategy == strategy
+
+
+def test_strategy_choices_are_the_registry():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name in ("simulate", "learn"):
+        flag = next(a for a in commands.choices[name]._actions if "--strategy" in a.option_strings)
+        assert list(flag.choices) == list(STRATEGIES)

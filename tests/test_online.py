@@ -139,3 +139,21 @@ def test_invalid_strategy_arguments():
         kserver_reduction(scen, "lru", 2)
     with pytest.raises(ValueError):
         predict_yesterday(Scenario("empty", 0, 1, L2, [], {}, 0.0))
+
+
+def test_wfa_fallback_day_is_recorded():
+    from warmstart.baselines import WFA_MAX_POINTS
+
+    # 14 distinct solutions, one repeated: the work-function table holds
+    # WFA_MAX_POINTS = 12 distinct requests, so the 13th sends it to greedy.
+    sols = [1.0, 2.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0]
+    first_seen = {}
+    for day, s in enumerate(sols, start=1):
+        first_seen.setdefault(s, day)
+    assert len(first_seen) == 14
+    cap_day = sorted(first_seen.values())[WFA_MAX_POINTS]
+    assert cap_day == 14
+    lg = kserver_reduction(_scen(sols), "wfa", 2)
+    assert lg.params == {"k": 2, "server_alg": "wfa", "wfa_fallback_day": cap_day}
+    short = kserver_reduction(_scen(sols[:5]), "wfa", 2)
+    assert short.params == {"k": 2, "server_alg": "wfa"}

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from warmstart.metric import L2, NORMS, Point, search_steps
+from warmstart.metric import L2, NORMS, Point, distance, search_steps
 from warmstart.oracle import (
     HiddenInstance,
     hidden_solution,
@@ -28,6 +28,52 @@ def independent_round_robin(needed: list[int]):
     winner = needed.index(sweeps)
     total = sweeps * len(needed)
     return total, winner, sweeps
+
+
+def stepped_round_robin(inst, preds):
+    """Reference: the round-robin loop itself, one SearchThread per
+    prediction stepped a unit at a time, in list order, sweep by sweep."""
+    if not preds:
+        raise ValueError("need at least one prediction")
+    threads = [open_thread(inst, p) for p in preds]
+    sweeps = 0
+    while True:
+        sweeps += 1
+        winner = None
+        for idx, t in enumerate(threads):
+            if t.step() and winner is None:
+                winner = idx
+        if winner is not None:
+            total = sum(t.radius for t in threads)
+            return threads[winner].result(), total, winner, sweeps
+
+
+def _grid_point(rng, dim):
+    return Point(tuple(float(rng.randint(-3, 3)) for _ in range(dim)))
+
+
+def test_closed_form_matches_stepped_round_robin():
+    # Integer grids make ties, integer distances at the ceil boundary, zero
+    # distances (the one-step floor) and duplicate predictions common.
+    rng = random.Random(17)
+    seen = {"tie": 0, "zero": 0, "duplicate": 0, "integer": 0}
+    for norm in NORMS:
+        for dim in (1, 2, 3):
+            for k in range(1, 7):
+                for _ in range(60):
+                    sol = _grid_point(rng, dim)
+                    preds = [_grid_point(rng, dim) for _ in range(k)]
+                    inst = HiddenInstance(1, Point((0.0,) * dim), sol, norm)
+                    assert run_parallel_k_detail(inst, preds) == stepped_round_robin(inst, preds)
+                    needed = [search_steps(p, sol, norm) for p in preds]
+                    seen["tie"] += needed.count(min(needed)) > 1
+                    seen["zero"] += sol in preds
+                    seen["duplicate"] += len(set(preds)) < k
+                    seen["integer"] += any(
+                        needed[i] > 1 and float(needed[i]) == distance(p, sol, norm)
+                        for i, p in enumerate(preds)
+                    )
+    assert all(n >= 50 for n in seen.values()), seen
 
 
 def test_single_thread_steps_and_result_guard():
