@@ -25,7 +25,7 @@ sols = [
 print("solutions:", [round(s[0], 2) for s in sols])
 
 for k in (1, 2, 3):
-    server = offline_opt_kserver(sols, k, "L1")
+    server = offline_opt_kserver(sols, [k], "L1")[0]
     traj, witness = brute_force_best_trajectories(sols, k, "L1")
     print(
         f"k={k}: kserver optimum {server:7.2f}   "
@@ -41,4 +41,4 @@ for t, s in enumerate(sols, 1):
     moved += move
     print(f"  day {t}: request {s[0]:7.2f} -> server {idx} moves {move:6.2f}")
 print(f"total online movement: {moved:.2f}  "
-      f"vs offline optimum {offline_opt_kserver(sols, 2, 'L1'):.2f}")
+      f"vs offline optimum {offline_opt_kserver(sols, [2], 'L1')[0]:.2f}")

@@ -7,14 +7,13 @@ set, and the work-function k-server algorithm used by the online reduction.
 
 from __future__ import annotations
 
-import heapq
 import math
 from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
-from .errors import CapExceeded
-from .metric import Point, distance, origin
+from .errors import CapExceeded, InvariantViolation
+from .metric import Point, distance, distance_matrix, origin
 from .trajectories import TrajectorySet
 
 TRAJ_MAX_T = 8
@@ -25,102 +24,98 @@ WFA_MAX_POINTS = 12
 _EPS = 1e-9
 
 
-class _MinCostFlow:
-    """Successive shortest paths with Johnson potentials.
+def offline_opt_kserver(solutions: list[Point], ks: list[int], norm: str) -> list[float]:
+    """Exact minimum total movement to serve the requests in order with k
+    servers, for each k in ``ks`` (costs returned in the same order).
 
-    Nodes must be numbered in topological order of the original arcs so the
-    initial potentials can come from one forward DP pass; afterwards every
-    augmentation runs Dijkstra on reduced costs.
-    """
+    All servers start at the origin.  Min-cost flow by successive shortest
+    paths with Johnson potentials on the acyclic request network: the
+    source feeds K = min(max(ks), T) interchangeable server nodes, each
+    request is an (in, out) node pair whose serving arc carries a large
+    negative reward M (added back at the end) so that every request is
+    forced into the flow, and every node may leave for the sink.  Each
+    augmentation adds one server, so the cost for k is the running total
+    after the k-th augmentation; more than T servers cannot help, so k > T
+    reads the total after T.
 
-    def __init__(self, n: int):
-        self.n = n
-        self.graph: list[list[list]] = [[] for _ in range(n)]
-
-    def add_edge(self, u: int, v: int, cap: int, cost: float) -> None:
-        self.graph[u].append([v, cap, cost, len(self.graph[v])])
-        self.graph[v].append([u, 0, -cost, len(self.graph[u]) - 1])
-
-    def solve(self, s: int, t: int, flow: int) -> float:
-        potential = [math.inf] * self.n
-        potential[s] = 0.0
-        for u in range(self.n):  # forward DP over the topological order
-            if potential[u] == math.inf:
-                continue
-            for v, cap, cost, _ in self.graph[u]:
-                if cap > 0 and potential[u] + cost < potential[v]:
-                    potential[v] = potential[u] + cost
-        total = 0.0
-        for _ in range(flow):
-            dist = [math.inf] * self.n
-            dist[s] = 0.0
-            prev_edge: list[tuple[int, int] | None] = [None] * self.n
-            heap = [(0.0, s)]
-            while heap:
-                d, u = heapq.heappop(heap)
-                if d > dist[u] + _EPS:
-                    continue
-                for ei, (v, cap, cost, _) in enumerate(self.graph[u]):
-                    if cap <= 0:
-                        continue
-                    nd = d + cost + potential[u] - potential[v]
-                    if nd < dist[v] - _EPS:
-                        dist[v] = nd
-                        prev_edge[v] = (u, ei)
-                        heapq.heappush(heap, (nd, v))
-            if dist[t] == math.inf:
-                raise RuntimeError("flow network infeasible")
-            for u in range(self.n):
-                if dist[u] < math.inf:
-                    potential[u] += dist[u]
-            v = t
-            while v != s:
-                u, ei = prev_edge[v]
-                edge = self.graph[u][ei]
-                edge[1] -= 1
-                self.graph[v][edge[3]][1] += 1
-                total += edge[2]
-                v = u
-        return total
-
-
-def offline_opt_kserver(solutions: list[Point], k: int, norm: str) -> float:
-    """Exact minimum total movement to serve the requests in order.
-
-    All k servers start at the origin.  Serving arcs carry a large negative
-    reward so every request is forced into the optimal flow; the reward is
-    added back at the end.
+    The residual network is a dense table (``cap`` int8, ``cost`` float64,
+    ``cost[v, u] = -cost[u, v]``) over nodes numbered in topological order:
+    source, servers, in/out per request, sink.  Each Dijkstra step settles
+    the pending node with the least (distance, id) and relaxes all of its
+    arcs at once.
     """
     T = len(solutions)
-    if T < 1 or k < 1:
+    if T < 1 or any(k < 1 for k in ks):
         raise ValueError("need T >= 1 and k >= 1")
-    o = origin(solutions[0].dim)
-    from_origin = [distance(o, s, norm) for s in solutions]
-    chain = from_origin[0] + sum(
-        distance(solutions[i - 1], solutions[i], norm) for i in range(1, T)
-    )
+    K = min(max(ks, default=0), T)
+    D = distance_matrix([origin(solutions[0].dim)] + list(solutions), norm)
+    from_origin = D[0, 1:]
+    chain = float(from_origin[0]) + sum(D[i, i + 1].item() for i in range(1, T))
     M = chain + 1.0
-    # node ids: source, k server nodes, (in_i, out_i) per request, sink
-    source = 0
-    server = lambda j: 1 + j
-    node_in = lambda i: 1 + k + 2 * i
-    node_out = lambda i: 1 + k + 2 * i + 1
-    sink = 1 + k + 2 * T
-    net = _MinCostFlow(sink + 1)
-    for j in range(k):
-        net.add_edge(source, server(j), 1, 0.0)
-        net.add_edge(server(j), sink, 1, 0.0)
-        for i in range(T):
-            net.add_edge(server(j), node_in(i), 1, from_origin[i])
-    for i in range(T):
-        net.add_edge(node_in(i), node_out(i), 1, -M)
-        net.add_edge(node_out(i), sink, 1, 0.0)
-        for j in range(i + 1, T):
-            net.add_edge(
-                node_out(i), node_in(j), 1, distance(solutions[i], solutions[j], norm)
+
+    n = 2 * T + K + 2
+    source, sink = 0, n - 1
+    servers = np.arange(1, K + 1)
+    node_in = np.arange(K + 1, sink, 2)
+    node_out = node_in + 1
+    cap = np.zeros((n, n), dtype=np.int8)
+    cost = np.zeros((n, n))
+
+    def arcs(u, v, c):
+        cap[u, v] = 1
+        cost[u, v] = c
+        cost[v, u] = -c
+
+    arcs(source, servers, 0.0)
+    arcs(servers, sink, 0.0)
+    arcs(servers[:, None], node_in[None, :], from_origin[None, :])
+    arcs(node_in, node_out, -M)
+    arcs(node_out, sink, 0.0)
+    i, j = np.triu_indices(T, 1)
+    arcs(node_out[i], node_in[j], D[1:, 1:][i, j])
+
+    pot = np.full(n, math.inf)
+    pot[source] = 0.0
+    for u in range(n):  # forward DP over the topological order
+        cand = pot[u] + cost[u]
+        better = (cap[u] > 0) & (cand < pot)
+        pot[better] = cand[better]
+
+    totals = [0.0]
+    total = 0.0
+    for _ in range(K):
+        dist = np.full(n, math.inf)
+        dist[source] = 0.0
+        pending = dist.copy()  # dist of the nodes waiting to be settled, inf elsewhere
+        prev = np.zeros(n, dtype=np.intp)
+        while True:
+            u = int(pending.argmin())
+            d = pending[u]
+            if d == math.inf:
+                break
+            pending[u] = math.inf
+            nd = ((d + cost[u]) + pot[u]) - pot
+            better = (cap[u] > 0) & (nd < dist - _EPS)
+            dist[better] = pending[better] = nd[better]
+            prev[better] = u
+        reached = dist < math.inf
+        pot[reached] += dist[reached]
+        v = sink
+        for _ in range(n):  # a shortest path has fewer than n arcs
+            u = prev[v]
+            cap[u, v] -= 1
+            cap[v, u] += 1
+            total += cost[u, v].item()
+            v = u
+            if v == source:
+                break
+        else:
+            raise InvariantViolation(
+                "min-cost flow: rounding error beyond the tie margin left a cycle "
+                "in the shortest-path tree"
             )
-    cost = net.solve(source, sink, k)
-    return cost + T * M
+        totals.append(total)
+    return [totals[min(k, T)] + T * M for k in ks]
 
 
 def _canonical_assignments(T: int, k: int):
@@ -162,12 +157,8 @@ def brute_force_best_trajectories(
             seen.add(s.coords)
             candidates.append(s)
     n = len(candidates)
-    D = np.array(
-        [[distance(a, b, norm) for b in candidates] for a in candidates]
-    )
-    H = np.array(
-        [[distance(c, s, norm) for s in solutions] for c in candidates]
-    )
+    D = distance_matrix(candidates, norm)
+    H = distance_matrix(candidates, norm, solutions)
 
     def traj_min_cost(days: list[int]) -> float:
         dp = D[0, :] + H[:, days[0]]

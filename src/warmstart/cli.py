@@ -28,7 +28,7 @@ from .partition import (
     enumerate_threshold_trees,
     two_step_learn,
 )
-from .scenarios import Scenario, generate, planted_baseline
+from .scenarios import Scenario, generate, planted_baseline, traj_from_jsonable
 
 
 class UserError(Exception):
@@ -76,6 +76,18 @@ def _load_scenario(config: dict) -> Scenario:
                 f"day {inst.day} has a feature or solution whose length is not "
                 f"the scenario dim {scenario.dim}"
             )
+    if not isinstance(scenario.meta, dict):
+        raise UserError("scenario meta must be an object")
+    if "planted" in scenario.meta:
+        try:
+            planted = traj_from_jsonable(scenario.meta["planted"])
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
+            raise UserError(f"bad planted trajectory in scenario meta: {e!r}") from e
+        if planted.T > scenario.T or any(p.dim != scenario.dim for p in planted.predictions.values()):
+            raise UserError(
+                f"the planted trajectory must cover only days 1..{scenario.T} "
+                f"in dimension {scenario.dim}"
+            )
     return scenario
 
 
@@ -118,7 +130,7 @@ def _check_k(k, what: str) -> None:
 
 def _run_strategy(scenario: Scenario, config: dict) -> CostLedger:
     strategy = config.get("strategy")
-    if strategy not in STRATEGIES:
+    if not isinstance(strategy, str) or strategy not in STRATEGIES:
         raise UserError(
             f"unknown strategy {strategy!r}; expected one of {', '.join(STRATEGIES)}"
         )
@@ -134,16 +146,15 @@ def _attach_baselines(ledger: CostLedger, scenario: Scenario, config: dict) -> N
     sols = scenario.solution_list()
     ledger.attach_baseline("planted", planted_baseline(scenario))
     ks = config.get("baseline_ks", [1])
-    for k in ks:
+    server_costs = offline_opt_kserver(sols, ks, scenario.norm)
+    for k, server_cost in zip(ks, server_costs):
         try:
             cost, _ = brute_force_best_trajectories(sols, k, scenario.norm)
         except CapExceeded:
             cost = None
         name = "opt_1_traj" if k == 1 else f"opt_{k}_traj_restricted"
         ledger.attach_baseline(name, cost)
-        ledger.attach_baseline(
-            f"opt_kserver_k{k}", offline_opt_kserver(sols, k, scenario.norm)
-        )
+        ledger.attach_baseline(f"opt_kserver_k{k}", server_cost)
 
 
 def _write(path_str: str | None, text: str) -> None:

@@ -92,14 +92,37 @@ def distance_matrix(
     """Float64 table with ``D[i, j] = distance(X[i], Y[j], norm)``; ``Y``
     defaults to ``X``.
 
-    Rows are filled one at a time by ``distance`` itself, so every entry is
-    bit-identical to the direct call.
+    The table is accumulated one coordinate column at a time, in the same
+    order and with the same operations as ``distance``, so every entry is
+    bit-identical to the direct call.  One temporary of the table's shape is
+    reused for every column.
     """
     cols = X if Y is None else Y
-    D = np.empty((len(X), len(cols)))
-    for i, x in enumerate(X):
-        D[i] = [distance(x, y, norm) for y in cols]
-    return D
+    acc = np.zeros((len(X), len(cols)))
+    if acc.size == 0:
+        return acc
+    dims = sorted({p.dim for p in X} | {p.dim for p in cols})
+    if len(dims) > 1:
+        raise DimensionMismatch(f"dimension mismatch: {dims[0]} vs {dims[1]}")
+    if norm not in NORMS:
+        raise ValueError(f"unknown norm {norm!r}; expected one of {NORMS}")
+    A = np.array([p.coords for p in X])
+    B = A if Y is None else np.array([p.coords for p in cols])
+    tmp = np.empty_like(acc)
+    for c in range(A.shape[1]):
+        np.subtract(A[:, c, None], B[None, :, c], out=tmp)
+        if norm == L2:
+            np.multiply(tmp, tmp, out=tmp)
+            acc += tmp
+        else:
+            np.abs(tmp, out=tmp)
+            if norm == L1:
+                acc += tmp
+            else:
+                np.maximum(acc, tmp, out=acc)
+    if norm == L2:
+        np.sqrt(acc, out=acc)
+    return acc
 
 
 def mean_left_to_right(rows: np.ndarray) -> np.ndarray:
@@ -124,10 +147,6 @@ def search_steps(p: Point, s: Point, norm: str = L2) -> int:
 
 def pairwise_max_distance(points: Iterable[Point], norm: str) -> float:
     pts = list(points)
-    best = 0.0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = distance(pts[i], pts[j], norm)
-            if d > best:
-                best = d
-    return best
+    if len(pts) < 2:
+        return 0.0
+    return float(distance_matrix(pts, norm).max())

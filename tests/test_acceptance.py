@@ -196,7 +196,7 @@ def test_criterion_07_trajectory_kserver_sandwich():
         norm = rng.choice(NORMS)
         sols = [_rand_point(rng, dim, 20.0) for _ in range(T)]
         traj, _ = ws.brute_force_best_trajectories(sols, k, norm)
-        server = ws.offline_opt_kserver(sols, k, norm)
+        server = ws.offline_opt_kserver(sols, [k], norm)[0]
         assert traj <= server + 1e-9
         assert server <= 2 * traj + 1e-9
     _ok(7)

@@ -1,15 +1,18 @@
+import heapq
+import math
 import random
 from itertools import product
 
 import pytest
 
 from warmstart.baselines import (
+    _EPS,
     WorkFunctionState,
     brute_force_best_trajectories,
     offline_opt_kserver,
     wfa_step,
 )
-from warmstart.errors import CapExceeded
+from warmstart.errors import CapExceeded, InvariantViolation
 from warmstart.metric import L1, L2, NORMS, Point, distance, origin
 from warmstart.trajectories import trajectory_cost
 
@@ -32,6 +35,91 @@ def independent_kserver_opt(solutions, k, norm):
     return best
 
 
+class _MinCostFlow:
+    """Reference: the adjacency-list successive-shortest-paths solver that
+    ``offline_opt_kserver`` replaced, one network and one solve per k."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.graph: list[list[list]] = [[] for _ in range(n)]
+
+    def add_edge(self, u: int, v: int, cap: int, cost: float) -> None:
+        self.graph[u].append([v, cap, cost, len(self.graph[v])])
+        self.graph[v].append([u, 0, -cost, len(self.graph[u]) - 1])
+
+    def solve(self, s: int, t: int, flow: int) -> float:
+        potential = [math.inf] * self.n
+        potential[s] = 0.0
+        for u in range(self.n):  # forward DP over the topological order
+            if potential[u] == math.inf:
+                continue
+            for v, cap, cost, _ in self.graph[u]:
+                if cap > 0 and potential[u] + cost < potential[v]:
+                    potential[v] = potential[u] + cost
+        total = 0.0
+        for _ in range(flow):
+            dist = [math.inf] * self.n
+            dist[s] = 0.0
+            prev_edge: list[tuple[int, int] | None] = [None] * self.n
+            heap = [(0.0, s)]
+            while heap:
+                d, u = heapq.heappop(heap)
+                if d > dist[u] + _EPS:
+                    continue
+                for ei, (v, cap, cost, _) in enumerate(self.graph[u]):
+                    if cap <= 0:
+                        continue
+                    nd = d + cost + potential[u] - potential[v]
+                    if nd < dist[v] - _EPS:
+                        dist[v] = nd
+                        prev_edge[v] = (u, ei)
+                        heapq.heappush(heap, (nd, v))
+            if dist[t] == math.inf:
+                raise RuntimeError("flow network infeasible")
+            for u in range(self.n):
+                if dist[u] < math.inf:
+                    potential[u] += dist[u]
+            v = t
+            while v != s:
+                u, ei = prev_edge[v]
+                edge = self.graph[u][ei]
+                edge[1] -= 1
+                self.graph[v][edge[3]][1] += 1
+                total += edge[2]
+                v = u
+        return total
+
+
+def reference_offline_opt_kserver(solutions, k, norm):
+    """Reference: build the k-server network arc by arc and solve k units."""
+    T = len(solutions)
+    o = origin(solutions[0].dim)
+    from_origin = [distance(o, s, norm) for s in solutions]
+    chain = from_origin[0] + sum(
+        distance(solutions[i - 1], solutions[i], norm) for i in range(1, T)
+    )
+    M = chain + 1.0
+    source = 0
+    server = lambda j: 1 + j
+    node_in = lambda i: 1 + k + 2 * i
+    node_out = lambda i: 1 + k + 2 * i + 1
+    sink = 1 + k + 2 * T
+    net = _MinCostFlow(sink + 1)
+    for j in range(k):
+        net.add_edge(source, server(j), 1, 0.0)
+        net.add_edge(server(j), sink, 1, 0.0)
+        for i in range(T):
+            net.add_edge(server(j), node_in(i), 1, from_origin[i])
+    for i in range(T):
+        net.add_edge(node_in(i), node_out(i), 1, -M)
+        net.add_edge(node_out(i), sink, 1, 0.0)
+        for j in range(i + 1, T):
+            net.add_edge(
+                node_out(i), node_in(j), 1, distance(solutions[i], solutions[j], norm)
+            )
+    return net.solve(source, sink, k) + T * M
+
+
 def _rand_points(rng, T, dim, spread=15.0):
     return [
         Point(tuple(rng.uniform(-spread, spread) for _ in range(dim)))
@@ -47,7 +135,7 @@ def test_flow_optimum_matches_exhaustive():
         dim = rng.randint(1, 3)
         norm = rng.choice(NORMS)
         sols = _rand_points(rng, T, dim)
-        got = offline_opt_kserver(sols, k, norm)
+        got = offline_opt_kserver(sols, [k], norm)[0]
         exp = independent_kserver_opt(sols, k, norm)
         assert got == pytest.approx(exp, abs=1e-6)
 
@@ -55,14 +143,14 @@ def test_flow_optimum_matches_exhaustive():
 def test_flow_optimum_hand_example():
     # two far requests, two servers: each server takes one
     sols = [Point.of(10.0), Point.of(-10.0)]
-    assert offline_opt_kserver(sols, 2, L1) == pytest.approx(20.0)
-    assert offline_opt_kserver(sols, 1, L1) == pytest.approx(30.0)
+    assert offline_opt_kserver(sols, [2], L1)[0] == pytest.approx(20.0)
+    assert offline_opt_kserver(sols, [1], L1)[0] == pytest.approx(30.0)
 
 
 def test_extra_servers_never_hurt():
     rng = random.Random(53)
     sols = _rand_points(rng, 5, 2)
-    costs = [offline_opt_kserver(sols, k, L2) for k in (1, 2, 3, 4)]
+    costs = [offline_opt_kserver(sols, [k], L2)[0] for k in (1, 2, 3, 4)]
     assert costs == sorted(costs, reverse=True)
 
 
@@ -105,7 +193,7 @@ def test_sandwich_against_kserver_opt():
         norm = rng.choice(NORMS)
         sols = _rand_points(rng, T, 2)
         traj, _ = brute_force_best_trajectories(sols, k, norm)
-        server = offline_opt_kserver(sols, k, norm)
+        server = offline_opt_kserver(sols, [k], norm)[0]
         assert traj <= server + 1e-9
         assert server <= 2 * traj + 1e-9
 
@@ -159,3 +247,54 @@ def test_wfa_caps():
     with pytest.raises(CapExceeded):
         for i in range(20):
             wfa_step(state, Point.of(float(i + 1)))
+
+
+def _grid_points(rng, T, dim, half, step):
+    return [
+        Point(tuple(step * rng.randint(-half, half) for _ in range(dim)))
+        for _ in range(T)
+    ]
+
+
+def test_flow_matches_reference_solver_bit_for_bit():
+    # Grid points make ties and duplicate points common.  A step of 0.1 is
+    # not a binary fraction, so sums of L1 and Linf distances round too and
+    # two tied paths can give different bits: the solver must pick the
+    # reference's path, not just an optimal one.
+    rng = random.Random(97)
+    for case in range(100):
+        norm = NORMS[case % 3]
+        T = rng.randint(1, 25)
+        dim = rng.randint(1, 3)
+        step = 0.1 if case % 5 else 1.0
+        sols = _grid_points(rng, T, dim, rng.choice((1, 2, 3, 5)), step)
+        ks = list(range(1, T + 4))
+        got = offline_opt_kserver(sols, ks, norm)
+        exp = [reference_offline_opt_kserver(sols, k, norm) for k in ks]
+        assert [repr(c) for c in got] == [repr(c) for c in exp], (case, norm, sols)
+
+
+def test_more_servers_than_requests_cost_the_same_as_t():
+    rng = random.Random(101)
+    for case in range(30):
+        T = rng.randint(1, 12)
+        sols = _grid_points(rng, T, rng.randint(1, 3), 3, 0.1)
+        norm = NORMS[case % 3]
+        costs = offline_opt_kserver(sols, list(range(T, T + 11)), norm)
+        assert [repr(c) for c in costs] == [repr(costs[0])] * 11
+        assert repr(reference_offline_opt_kserver(sols, T + 10, norm)) == repr(costs[0])
+
+
+def test_rounding_beyond_the_tie_margin_fails_loudly():
+    # At coordinates near 1e7 the potentials reach about 3e9, where one ulp
+    # exceeds _EPS; on this input the shortest-path tree of the fourth
+    # augmentation gets a cycle.  The solver raises instead of looping.
+    e = 10**7
+    sols = [
+        Point.of(-2 * e, 2 * e, -2 * e), Point.of(2 * e, 0, e), Point.of(-e, -e, 0),
+        Point.of(e, -e, e), Point.of(-2 * e, -2 * e, 2 * e), Point.of(-e, -2 * e, 0),
+        Point.of(-e, 0, -e), Point.of(-2 * e, -2 * e, -2 * e), Point.of(2 * e, -e, -e),
+    ]
+    assert len(offline_opt_kserver(sols, [1, 2, 3], L2)) == 3
+    with pytest.raises(InvariantViolation):
+        offline_opt_kserver(sols, [4], L2)

@@ -1,7 +1,13 @@
 import argparse
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from warmstart.cli import build_parser, main
 from warmstart.ledger import CostLedger
@@ -92,6 +98,14 @@ GENERATED = {
 }
 
 
+# A planted trajectory for days 1..5, one day more than the scenario below.
+PLANTED_5_DAYS = {
+    "k": 1,
+    "assignment": {str(t): 1 for t in range(1, 6)},
+    "predictions": {str(t): [0.0] for t in range(1, 6)},
+}
+
+
 @pytest.mark.parametrize(
     "command, config, patch",
     [
@@ -117,6 +131,10 @@ GENERATED = {
             None,
         ),
         ("simulate", {"strategy": "predict-yesterday", "scenario": dict(GENERATED, params="x")}, None),
+        ("simulate", {"strategy": ["predict-yesterday"]}, None),
+        ("simulate", {"strategy": "predict-yesterday"}, (["meta"], 5)),
+        ("simulate", {"strategy": "predict-yesterday"}, (["meta", "planted"], PLANTED_5_DAYS)),
+        ("simulate", {"strategy": "predict-yesterday"}, (["meta", "planted", "predictions", "1"], [0.0, 0.0])),
     ],
     ids=[
         "unknown-norm",
@@ -137,6 +155,10 @@ GENERATED = {
         "train-frac-string",
         "generator-dim-0",
         "generator-params-not-object",
+        "strategy-not-string",
+        "meta-not-object",
+        "planted-beyond-T",
+        "planted-dim",
     ],
 )
 def test_bad_input_exits_one_with_one_line(tmp_path, capsys, command, config, patch):
@@ -258,3 +280,82 @@ def test_strategy_choices_are_the_registry():
     for name in ("simulate", "learn"):
         flag = next(a for a in commands.choices[name]._actions if "--strategy" in a.option_strings)
         assert list(flag.choices) == list(STRATEGIES)
+
+
+def test_huge_baseline_k_is_as_cheap_as_k_equal_t(tmp_path):
+    scen = gen_drifting_trajectories(62, k=1, drift_per_day=0.5, noise=0.5, T=3, dim=1)
+    p = tmp_path / "scen.json"
+    p.write_text(scen.to_json_text())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps({"scenario": str(p), "strategy": "predict-yesterday", "baseline_ks": [10**9, 3]})
+    )
+    out = tmp_path / "ledger.json"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    baselines = CostLedger.from_json_text(out.read_text()).baselines
+    assert repr(baselines[f"opt_kserver_k{10**9}"]) == repr(baselines["opt_kserver_k3"])
+    assert baselines[f"opt_{10**9}_traj_restricted"] is None
+
+
+_ABSENT = object()
+_JSON_VALUE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 10),
+    st.floats(allow_nan=True),
+    st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+_ANY_VALUE = st.one_of(st.just(_ABSENT), _JSON_VALUE)
+# Each input field: (valid values, mutated values).  An example mutates a
+# few fields of a valid tiny config and scenario.
+_FIELDS = {
+    "strategy": (st.sampled_from(list(STRATEGIES)), _ANY_VALUE),
+    "k": (st.integers(1, 4), st.one_of(st.integers(-2, 9), _ANY_VALUE)),
+    "baseline_ks": (
+        st.lists(st.sampled_from([1, 2, 3, 6, 10**9]), max_size=3),
+        st.one_of(st.lists(st.one_of(st.integers(-1, 12), _JSON_VALUE), min_size=1, max_size=3), _ANY_VALUE),
+    ),
+    "learner": (st.sampled_from(["centers", "partition"]), _ANY_VALUE),
+    "depth": (st.integers(0, 2), st.one_of(st.integers(-1, 4), _ANY_VALUE)),
+    "train_frac": (st.sampled_from([0.4, 0.6, 0.8]), st.one_of(st.floats(-1.0, 2.0), _ANY_VALUE)),
+    "norm": (st.sampled_from(["L1", "L2", "Linf"]), st.one_of(st.sampled_from(["L3", "l2", ""]), _ANY_VALUE)),
+    "keep": (st.just([True] * 5), st.lists(st.booleans(), min_size=5, max_size=5)),
+    "day_numbers": (st.just([1, 2, 3, 4, 5]), st.lists(st.integers(-1, 6), min_size=5, max_size=5)),
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(["simulate", "learn"]),
+    mutated=st.sets(st.sampled_from(sorted(_FIELDS)), max_size=2),
+    data=st.data(),
+)
+def test_mutated_inputs_exit_zero_or_one(command, mutated, data):
+    v = {name: data.draw(pair[name in mutated], label=name) for name, pair in _FIELDS.items()}
+    scen = json.loads(
+        gen_drifting_trajectories(63, k=2, drift_per_day=0.5, noise=0.5, T=5, dim=2).to_json_text()
+    )
+    if v["norm"] is _ABSENT:
+        del scen["norm"]
+    else:
+        scen["norm"] = v["norm"]
+    for day, number in zip(scen["days"], v["day_numbers"]):
+        day["day"] = number
+    scen["days"] = [day for day, kept in zip(scen["days"], v["keep"]) if kept]
+    config = {
+        key: v[key]
+        for key in ("strategy", "k", "baseline_ks", "learner", "depth", "train_frac")
+        if v[key] is not _ABSENT
+    }
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "scen.json"
+        p.write_text(json.dumps(scen))
+        cfg = Path(d) / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": str(p), **config}))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main([command, "--config", str(cfg), "--out", str(Path(d) / "out.json")])
+    assert rc in (0, 1)
+    if rc == 1:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -81,22 +81,54 @@ def test_search_steps_matches_ceiling_of_distance():
 
 
 def test_origin_and_pairwise_max():
+    import random
+
     assert origin(3) == Point.of(0.0, 0.0, 0.0)
     pts = [Point.of(0.0), Point.of(4.0), Point.of(-3.0)]
     assert pairwise_max_distance(pts, L1) == 7.0
     assert pairwise_max_distance([], L2) == 0.0
+    assert pairwise_max_distance(pts[:1], L2) == 0.0
+    rng = random.Random(17)
+    for norm in NORMS:
+        pts = [Point.of(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(9)]
+        best = max(distance(p, q, norm) for p in pts for q in pts)
+        assert repr(pairwise_max_distance(pts, norm)) == repr(best)
 
 
 def test_distance_matrix_is_bit_identical_to_distance():
     import random
 
     rng = random.Random(13)
-    for norm in NORMS:
-        dim = rng.randint(1, 4)
-        X = [Point(tuple(rng.uniform(-9, 9) for _ in range(dim))) for _ in range(7)]
-        Y = X[:2] + [Point(tuple(rng.uniform(-1e6, 1e6) for _ in range(dim)))]
+
+    def coord():
+        sign = rng.choice((1.0, -1.0))
+        if rng.random() < 0.1:
+            return sign * 0.0
+        return sign * rng.uniform(1, 10) * 10.0 ** rng.randint(-8, 8)
+
+    for case in range(180):
+        norm = NORMS[case % 3]
+        dim = 1 + case % 6
+        X = [Point(tuple(coord() for _ in range(dim))) for _ in range(rng.randint(1, 7))]
+        X.append(Point((0.0,) * dim))
+        X.append(Point((-0.0,) * dim))
+        Y = X[:2] + [Point(tuple(coord() for _ in range(dim)))]
         D = distance_matrix(X, norm)
         R = distance_matrix(X, norm, Y)
-        assert D.shape == (7, 7) and R.shape == (7, 3)
-        assert D.tolist() == [[distance(x, y, norm) for y in X] for x in X]
-        assert R.tolist() == [[distance(x, y, norm) for y in Y] for x in X]
+        assert D.shape == (len(X), len(X)) and R.shape == (len(X), 3)
+        assert [list(map(repr, row)) for row in D.tolist()] == [
+            [repr(distance(x, y, norm)) for y in X] for x in X
+        ]
+        assert [list(map(repr, row)) for row in R.tolist()] == [
+            [repr(distance(x, y, norm)) for y in Y] for x in X
+        ]
+    a, b = Point.of(1.0), Point.of(1.0, 2.0)
+    with pytest.raises(DimensionMismatch):
+        distance_matrix([a, b], L2)
+    with pytest.raises(DimensionMismatch):
+        distance_matrix([a], L1, [b])
+    with pytest.raises(ValueError):
+        distance_matrix([a], "L3")
+    assert distance_matrix([], L2).shape == (0, 0)
+    assert distance_matrix([], L2, [a, a]).shape == (0, 2)
+    assert distance_matrix([a, a], LINF, []).shape == (2, 0)
