@@ -24,7 +24,7 @@ for i in range(8):
     data.append(LabeledSample(Point.of(100.0 + i), Point.of(200.0 + i * 0.1)))
 
 hyps = enumerate_threshold_trees([s.features for s in data], k=2, depth=1)
-h, phi, centers = two_step_learn(hyps, data, k=2, norm="L1")
+h, phi, centers, _ = two_step_learn(hyps, data, k=2, norm="L1")
 g = compose(h, phi)
 
 print(f"hypothesis class size: {len(hyps)}")

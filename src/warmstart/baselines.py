@@ -8,7 +8,7 @@ set, and the work-function k-server algorithm used by the online reduction.
 from __future__ import annotations
 
 import math
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -212,11 +212,17 @@ def _reconstruct_witness(assign, candidates, D, H, k, solutions):
 class WorkFunctionState:
     """Work-function table over configurations of k points.
 
-    Points are the origin plus every distinct seen request, capped at
-    WFA_MAX_POINTS distinct requests; configurations are size-k multisets of
-    point indices.  Exceeding a cap raises CapExceeded so callers can fall
-    back to a greedy server rule.  ``dist[a][b]`` caches ``distance`` from point
-    ``a`` to point ``b``; a point's entries are computed once, when it is added.
+    Points are the origin plus every distinct seen request; configurations
+    are size-k multisets of point indices, kept as sorted tuples.  ``table``
+    holds the current work function on every configuration of the points
+    seen so far: a new point's configurations get their values when the
+    point is added (``_extend_table``), and ``wfa_step`` advances it by one
+    request.
+    The caps (k <= WFA_MAX_K, at most WFA_MAX_POINTS distinct requests)
+    bound the table's size; exceeding one raises CapExceeded so callers can
+    fall back to a greedy server rule.  ``dist[a][b]`` caches ``distance``
+    from point ``a`` to point ``b``; a point's entries are computed once,
+    when it is added.
     """
 
     def __init__(self, k: int, dim: int, norm: str):
@@ -224,23 +230,11 @@ class WorkFunctionState:
             raise CapExceeded(f"work function capped at k<={WFA_MAX_K}")
         self.k = k
         self.norm = norm
-        self.points: list[Point] = []
-        self.dist: list[list[float]] = []
-        self._add_point(origin(dim))
-        self.table: dict[tuple[int, ...], float] = {}
-        self.config: tuple[int, ...] = tuple([0] * k)  # current server point ids
-        for cfg in combinations_with_replacement(range(1), k):
-            self.table[cfg] = 0.0
-
-    def _dist(self, a: int, b: int) -> float:
-        return self.dist[a][b]
-
-    def _add_point(self, p: Point) -> int:
-        for q, row in zip(self.points, self.dist):
-            row.append(distance(q, p, self.norm))
-        self.points.append(p)
-        self.dist.append([distance(p, q, self.norm) for q in self.points])
-        return len(self.points) - 1
+        o = origin(dim)
+        self.points: list[Point] = [o]
+        self.dist: list[list[float]] = [[distance(o, o, norm)]]
+        self.config: tuple[int, ...] = (0,) * k  # current server point ids
+        self.table: dict[tuple[int, ...], float] = {self.config: 0.0}
 
     def _point_id(self, p: Point) -> int:
         for i, q in enumerate(self.points):
@@ -250,87 +244,66 @@ class WorkFunctionState:
             raise CapExceeded(
                 f"work function capped at {WFA_MAX_POINTS} distinct requests"
             )
-        return self._add_point(p)
-
-    def _match_dist(self, a: tuple[int, ...], b: tuple[int, ...]) -> float:
-        """Minimum-cost perfect matching between two size-k configurations."""
-        best = math.inf
-        dist = self.dist
-        for perm in permutations(a):
-            c = sum(dist[x][y] for x, y in zip(perm, b))
-            if c < best:
-                best = c
-        return best
+        for q, row in zip(self.points, self.dist):
+            row.append(distance(q, p, self.norm))
+        self.points.append(p)
+        self.dist.append([distance(p, q, self.norm) for q in self.points])
+        self._extend_table()
+        return len(self.points) - 1
 
     def _extend_table(self) -> None:
-        """Extend the current work function to configurations that mention a
-        newly seen point, via the Lipschitz identity
-        w(X) = min_Y [w(Y) + matching_distance(Y, X)]."""
-        fresh = [
-            cfg
-            for cfg in combinations_with_replacement(range(len(self.points)), self.k)
-            if cfg not in self.table
-        ]
-        if not fresh:
-            return
-        old_items = list(self.table.items())
-        for cfg in fresh:
-            self.table[cfg] = min(
-                w + self._match_dist(y_cfg, cfg) for y_cfg, w in old_items
-            )
+        """Give the work function values on the configurations that hold the
+        newest point p, by the one-point rule w(X) = min_y w(X - p + y) + d(y, p)
+        over the old points y.
+
+        A work function is 1-Lipschitz under matching distance, so this
+        equals the minimum over every old configuration Y of w(Y) plus the
+        matching distance from Y to X.  Configurations holding p once are
+        filled first, then twice, and so on, so X - p + y is already in the
+        table.
+        """
+        p = len(self.points) - 1
+        dist, table = self.dist, self.table
+        for m in range(1, self.k + 1):
+            for rest in combinations_with_replacement(range(p), self.k - m):
+                cfg = rest + (p,) * m
+                table[cfg] = min(
+                    table[_replace(cfg, p, y)] + dist[y][p] for y in range(p)
+                )
+
+
+def _replace(cfg: tuple[int, ...], x: int, y: int) -> tuple[int, ...]:
+    """The configuration ``cfg`` with one server moved from point x to y."""
+    rest = list(cfg)
+    rest.remove(x)
+    return tuple(sorted(rest + [y]))
 
 
 def wfa_step(state: WorkFunctionState, request: Point) -> tuple[int, float]:
     """Advance the work function by one request and pick the server to move.
 
-    Standard rule: move the server minimizing w_t(config with that server on
-    the request) plus its own movement; ties break to the lowest server
-    index.  Returns (server index, movement cost) and updates the state.
+    A configuration X that holds the request r keeps its value,
+    w_t(X) = w_{t-1}(X); any other takes w_t(X) = min_x w_t(X - x + r) + d(x, r)
+    over its points x.  Standard rule: move the server minimizing w_t(config
+    with that server on the request) plus its own movement; ties break to
+    the lowest server index.  Returns (server index, movement cost) and
+    updates the state.
     """
     r = state._point_id(request)
-    state._extend_table()
-    k = state.k
-    npts = len(state.points)
-    old = state.table
-    new: dict[tuple[int, ...], float] = {}
-    with_r = [
-        cfg
-        for cfg in combinations_with_replacement(range(npts), k)
-        if r in cfg
-    ]
-    for cfg in with_r:
-        rest = list(cfg)
-        rest.remove(r)
-        best = math.inf
-        for y in range(npts):
-            prev_cfg = tuple(sorted(rest + [y]))
-            v = old[prev_cfg] + state._dist(y, r)
-            if v < best:
-                best = v
-        new[cfg] = best
-    for cfg in combinations_with_replacement(range(npts), k):
-        if cfg in new:
-            continue
-        best = math.inf
-        for x in set(cfg):
-            rest = list(cfg)
-            rest.remove(x)
-            v = new[tuple(sorted(rest + [r]))] + state._dist(x, r)
-            if v < best:
-                best = v
-        new[cfg] = best
+    dist, table = state.dist, state.table
+    for cfg in table:
+        if r not in cfg:
+            table[cfg] = min(
+                table[_replace(cfg, x, r)] + dist[x][r] for x in set(cfg)
+            )
     # choose the server to move from the current configuration
     best_idx, best_val, best_move = 0, math.inf, 0.0
-    for idx in range(k):
-        rest = list(state.config)
-        x = rest.pop(idx)
-        cfg = tuple(sorted(rest + [r]))
-        move = state._dist(x, r)
-        v = new[cfg] + move
+    for idx, x in enumerate(state.config):
+        move = dist[x][r]
+        v = table[_replace(state.config, x, r)] + move
         if v < best_val - _EPS:
             best_idx, best_val, best_move = idx, v, move
     cfg = list(state.config)
     cfg[best_idx] = r
     state.config = tuple(cfg)
-    state.table = new
     return best_idx, best_move

@@ -201,7 +201,7 @@ def cmd_learn(args) -> int:
     }
     if learner == "centers":
         sols = [hidden_solution(i) for i in train_days]
-        C = learn_centers(sols, k, scenario.norm)
+        C, out["centers_method"] = learn_centers(sols, k, scenario.norm)
         holdout = [hidden_solution(i) for i in test_days]
         out["centers"] = [list(c.coords) for c in C.centers]
         out["train_cost"] = cost_of_centers(C, sols, scenario.norm)
@@ -210,7 +210,7 @@ def cmd_learn(args) -> int:
         train = [LabeledSample(i.features, hidden_solution(i)) for i in train_days]
         test = [LabeledSample(i.features, hidden_solution(i)) for i in test_days]
         hyps = enumerate_threshold_trees([s.features for s in train], k, depth)
-        h, phi, C_h = two_step_learn(hyps, train, k, scenario.norm)
+        h, phi, C_h, out["centers_method"] = two_step_learn(hyps, train, k, scenario.norm)
         g = compose(h, phi)
         out["hypothesis"] = {
             "feature_indices": list(h.feature_indices),

@@ -138,13 +138,14 @@ def learn_centers_local_search(
     return CenterSet(tuple(X[i] for i in current))
 
 
-def learn_centers(X: Sequence[Point], k: int, norm: str) -> CenterSet:
+def learn_centers(X: Sequence[Point], k: int, norm: str) -> tuple[CenterSet, str]:
     """Exact subset ERM, or single-swap local search when the number of
-    subsets exceeds ``ENUMERATION_CAP``."""
+    subsets exceeds ``ENUMERATION_CAP``.  Returns the centers and the method
+    that found them: ``"subset-erm"`` or ``"local-search"``."""
     try:
-        return learn_centers_subset_erm(X, k, norm)
+        return learn_centers_subset_erm(X, k, norm), "subset-erm"
     except CapExceeded:
-        return learn_centers_local_search(X, k, norm)
+        return learn_centers_local_search(X, k, norm), "local-search"
 
 
 def solve_with_learned_centers(

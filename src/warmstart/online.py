@@ -219,7 +219,7 @@ def predict_yesterday(scenario) -> CostLedger:
 def parallel_k(scenario, k: int) -> CostLedger:
     """Search each day in parallel from k fixed predictions: the k-medians
     centers learned offline from all of the scenario's solutions."""
-    C = learn_centers(scenario.solution_list(), k, scenario.norm)
+    C, _ = learn_centers(scenario.solution_list(), k, scenario.norm)
     days = []
     for inst in scenario.days:
         _, total, _, sweeps = run_parallel_k_detail(inst, list(C.centers))
@@ -248,6 +248,12 @@ def kserver_reduction(scenario, server_alg: str, k: int) -> CostLedger:
     algorithm), which moves exactly one server onto it.  If the work-function
     table outgrows its cap the run falls back to greedy for the remaining
     days, and ``params["wfa_fallback_day"]`` records the day it did.
+
+    Only the first min(k, T) servers are tracked, so a huge k costs what
+    k = T costs.  Servers still at the origin tie with each other, and ties
+    go to the lowest index in both the search and the move, so before day t
+    only the first t - 1 servers can have moved.  Every server searches for
+    the day's ``sweeps``, so the day's radius is ``k * sweeps``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -257,7 +263,7 @@ def kserver_reduction(scenario, server_alg: str, k: int) -> CostLedger:
     from .errors import CapExceeded
 
     norm = scenario.norm
-    servers = [origin(scenario.dim) for _ in range(k)]
+    servers = [origin(scenario.dim)] * min(k, scenario.T)
     wfa_state = (
         baselines.WorkFunctionState(k, scenario.dim, norm)
         if server_alg == "wfa"
@@ -266,11 +272,11 @@ def kserver_reduction(scenario, server_alg: str, k: int) -> CostLedger:
     params = {"k": k, "server_alg": server_alg}
     days = []
     for inst in scenario.days:
-        solution, total, winner, sweeps = run_parallel_k_detail(inst, servers)
+        solution, _, winner, sweeps = run_parallel_k_detail(inst, servers)
         days.append(
             DayLedger(
                 day=inst.day,
-                radius_searched=total,
+                radius_searched=k * sweeps,
                 overhead_work=0,
                 virtual_radius=sweeps,
                 solver_thread=winner + 1,

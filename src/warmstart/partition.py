@@ -313,18 +313,19 @@ def two_step_learn(
     train: Sequence[LabeledSample],
     k: int,
     norm: str,
-) -> tuple[ThresholdTree, Rotation, CenterSet]:
+) -> tuple[ThresholdTree, Rotation, CenterSet, str]:
     """Learn centers from solutions, then the best rotated hypothesis.
 
     Step 1 clusters the training solutions into k centers; step 2 runs
     rotation-complete ERM against those centers; step 3 recomputes the
     per-partition 1-medians for the chosen rotated hypothesis, which never
-    increases the empirical objective.
+    increases the empirical objective.  The last value returned is the
+    method step 1 used (see ``learn_centers``).
     """
-    C_hat = learn_centers([s.solution for s in train], k, norm)
+    C_hat, centers_method = learn_centers([s.solution for s in train], k, norm)
     h, phi = rc_erm(hyps, C_hat, train, norm)
     _, C_h = cost_of_partition(compose(h, phi), train, norm)
-    return h, phi, C_h
+    return h, phi, C_h, centers_method
 
 
 def predict_and_solve(

@@ -1,12 +1,14 @@
 import heapq
 import math
 import random
-from itertools import product
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
 from warmstart.baselines import (
     _EPS,
+    WFA_MAX_K,
+    WFA_MAX_POINTS,
     WorkFunctionState,
     brute_force_best_trajectories,
     offline_opt_kserver,
@@ -118,6 +120,103 @@ def reference_offline_opt_kserver(solutions, k, norm):
                 node_out(i), node_in(j), 1, distance(solutions[i], solutions[j], norm)
             )
     return net.solve(source, sink, k) + T * M
+
+
+class ReferenceWorkFunction:
+    """Reference: the work-function table that extends itself to a new
+    point's configurations by the minimum over every old configuration and
+    every k! matching, and recomputes the configurations that hold the
+    request on each step."""
+
+    def __init__(self, k, dim, norm):
+        if k > WFA_MAX_K:
+            raise CapExceeded(f"work function capped at k<={WFA_MAX_K}")
+        self.k = k
+        self.norm = norm
+        self.points = []
+        self.dist = []
+        self._add_point(origin(dim))
+        self.table = {}
+        self.config = tuple([0] * k)
+        for cfg in combinations_with_replacement(range(1), k):
+            self.table[cfg] = 0.0
+
+    def _add_point(self, p):
+        for q, row in zip(self.points, self.dist):
+            row.append(distance(q, p, self.norm))
+        self.points.append(p)
+        self.dist.append([distance(p, q, self.norm) for q in self.points])
+        return len(self.points) - 1
+
+    def _point_id(self, p):
+        for i, q in enumerate(self.points):
+            if q.coords == p.coords:
+                return i
+        if len(self.points) - 1 >= WFA_MAX_POINTS:
+            raise CapExceeded(f"work function capped at {WFA_MAX_POINTS} distinct requests")
+        return self._add_point(p)
+
+    def _match_dist(self, a, b):
+        best = math.inf
+        for perm in permutations(a):
+            c = sum(self.dist[x][y] for x, y in zip(perm, b))
+            if c < best:
+                best = c
+        return best
+
+    def _extend_table(self):
+        fresh = [
+            cfg
+            for cfg in combinations_with_replacement(range(len(self.points)), self.k)
+            if cfg not in self.table
+        ]
+        if not fresh:
+            return
+        old_items = list(self.table.items())
+        for cfg in fresh:
+            self.table[cfg] = min(w + self._match_dist(y_cfg, cfg) for y_cfg, w in old_items)
+
+    def step(self, request):
+        r = self._point_id(request)
+        self._extend_table()
+        k = self.k
+        npts = len(self.points)
+        old = self.table
+        new = {}
+        with_r = [cfg for cfg in combinations_with_replacement(range(npts), k) if r in cfg]
+        for cfg in with_r:
+            rest = list(cfg)
+            rest.remove(r)
+            best = math.inf
+            for y in range(npts):
+                v = old[tuple(sorted(rest + [y]))] + self.dist[y][r]
+                if v < best:
+                    best = v
+            new[cfg] = best
+        for cfg in combinations_with_replacement(range(npts), k):
+            if cfg in new:
+                continue
+            best = math.inf
+            for x in set(cfg):
+                rest = list(cfg)
+                rest.remove(x)
+                v = new[tuple(sorted(rest + [r]))] + self.dist[x][r]
+                if v < best:
+                    best = v
+            new[cfg] = best
+        best_idx, best_val, best_move = 0, math.inf, 0.0
+        for idx in range(k):
+            rest = list(self.config)
+            x = rest.pop(idx)
+            move = self.dist[x][r]
+            v = new[tuple(sorted(rest + [r]))] + move
+            if v < best_val - _EPS:
+                best_idx, best_val, best_move = idx, v, move
+        cfg = list(self.config)
+        cfg[best_idx] = r
+        self.config = tuple(cfg)
+        self.table = new
+        return best_idx, best_move
 
 
 def _rand_points(rng, T, dim, spread=15.0):
@@ -298,3 +397,58 @@ def test_rounding_beyond_the_tie_margin_fails_loudly():
     assert len(offline_opt_kserver(sols, [1, 2, 3], L2)) == 3
     with pytest.raises(InvariantViolation):
         offline_opt_kserver(sols, [4], L2)
+
+
+def _run_wfa(step, requests):
+    """(index, move) per request up to the first CapExceeded, and the index
+    of the request that raised it (None if none did)."""
+    moves = []
+    for t, r in enumerate(requests):
+        try:
+            moves.append(step(r))
+        except CapExceeded:
+            return moves, t
+    return moves, None
+
+
+def _check_wfa_against_reference(k, dim, norm, requests):
+    """Assert the same moves, the same capped request and final tables
+    within 1e-15 relative; return the index of the capped request."""
+    state = WorkFunctionState(k, dim, norm)
+    ref = ReferenceWorkFunction(k, dim, norm)
+    got = _run_wfa(lambda r: wfa_step(state, r), requests)
+    exp = _run_wfa(ref.step, requests)
+    assert got == exp, (norm, k, requests)
+    assert state.table.keys() == ref.table.keys()
+    for cfg, w in ref.table.items():
+        assert math.isclose(state.table[cfg], w, rel_tol=1e-15, abs_tol=0.0), (norm, k, requests, cfg)
+    return exp[1]
+
+
+def test_wfa_matches_matching_reference():
+    # Half the cases lie on a small integer grid, so tied server choices and
+    # repeated requests are common; the others are uniform, and those with
+    # more than 12 distinct requests run into the cap.  The reference's
+    # table extension costs about n^6 steps for k = 3 and n points, so k = 3
+    # requests repeat a pool of at most 7 points (the next test covers the
+    # cap at k = 3).
+    rng = random.Random(103)
+    capped = 0
+    for case in range(1000):
+        norm = NORMS[case % 3]
+        dim = rng.randint(1, 3)
+        k = rng.randint(1, 3)
+        T = rng.randint(1, 16)
+        n = T if k < 3 else rng.randint(1, 7)
+        if case % 2:
+            pool = _grid_points(rng, n, dim, rng.choice((1, 2, 3)), 1.0)
+        else:
+            pool = _rand_points(rng, n, dim)
+        reqs = pool if k < 3 else [rng.choice(pool) for _ in range(T)]
+        capped += _check_wfa_against_reference(k, dim, norm, reqs) is not None
+    assert capped >= 50
+
+
+def test_wfa_matches_matching_reference_at_the_cap_with_three_servers():
+    reqs = _rand_points(random.Random(107), 14, 2)
+    assert _check_wfa_against_reference(3, 2, L2, reqs) == WFA_MAX_POINTS

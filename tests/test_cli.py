@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from warmstart import kmedians
 from warmstart.cli import build_parser, main
 from warmstart.ledger import CostLedger
 from warmstart.online import NEEDS_K, STRATEGIES
@@ -297,6 +298,43 @@ def test_huge_baseline_k_is_as_cheap_as_k_equal_t(tmp_path):
     assert baselines[f"opt_{10**9}_traj_restricted"] is None
 
 
+
+def test_huge_k_for_the_kserver_strategies(scen_file, tmp_path, capsys):
+    out = tmp_path / "ledger.json"
+    args = ["simulate", "--scenario", str(scen_file), "--k", str(10**9), "--out", str(out)]
+    assert main(args + ["--strategy", "kserver-greedy"]) == 0
+    days = CostLedger.from_json_text(out.read_text()).days
+    assert [d.radius_searched for d in days] == [10**9 * d.virtual_radius for d in days]
+    capsys.readouterr()
+    assert main(args + ["--strategy", "kserver-wfa"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("learner", ["centers", "partition"])
+def test_learn_records_the_centers_method(tmp_path, monkeypatch, learner):
+    # 6 training days and k = 2 give C(6, 2) = 15 subsets: a cap of 15 still
+    # enumerates them, a cap of 14 sends learn_centers to local search.  On
+    # this scenario the two learners list the same centers in different orders.
+    scen = gen_static_clusters(65, k=2, sep=100.0, spread=1.0, T=12, dim=2)
+    p = tmp_path / "scen.json"
+    p.write_text(scen.to_json_text())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": str(p), "learner": learner, "k": 2}))
+    out = tmp_path / "art.json"
+    train = scen.solution_list()[:6]
+    for cap, method, learn in (
+        (15, "subset-erm", kmedians.learn_centers_subset_erm),
+        (14, "local-search", kmedians.learn_centers_local_search),
+    ):
+        monkeypatch.setattr(kmedians, "ENUMERATION_CAP", cap)
+        assert main(["learn", "--config", str(cfg), "--out", str(out)]) == 0
+        art = json.loads(out.read_text())
+        assert art["centers_method"] == method
+        if learner == "centers":
+            assert art["centers"] == [list(c.coords) for c in learn(train, 2, scen.norm)]
+
+
 _ABSENT = object()
 _JSON_VALUE = st.one_of(
     st.none(),
@@ -311,7 +349,7 @@ _ANY_VALUE = st.one_of(st.just(_ABSENT), _JSON_VALUE)
 # few fields of a valid tiny config and scenario.
 _FIELDS = {
     "strategy": (st.sampled_from(list(STRATEGIES)), _ANY_VALUE),
-    "k": (st.integers(1, 4), st.one_of(st.integers(-2, 9), _ANY_VALUE)),
+    "k": (st.one_of(st.integers(1, 4), st.just(10**9)), st.one_of(st.integers(-2, 9), _ANY_VALUE)),
     "baseline_ks": (
         st.lists(st.sampled_from([1, 2, 3, 6, 10**9]), max_size=3),
         st.one_of(st.lists(st.one_of(st.integers(-1, 12), _JSON_VALUE), min_size=1, max_size=3), _ANY_VALUE),

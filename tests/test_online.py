@@ -3,7 +3,10 @@ import random
 
 import pytest
 
-from warmstart.metric import L2, Point, origin
+from warmstart.baselines import WorkFunctionState, wfa_step
+from warmstart.errors import CapExceeded
+from warmstart.ledger import CostLedger, DayLedger
+from warmstart.metric import L2, NORMS, Point, distance, origin
 from warmstart.online import (
     ORIGIN_DAY,
     ThreadEntry,
@@ -14,7 +17,7 @@ from warmstart.online import (
     run_quadratic_decay,
     subsume_check,
 )
-from warmstart.oracle import HiddenInstance
+from warmstart.oracle import HiddenInstance, run_parallel_k_detail
 from warmstart.scenarios import Scenario, gen_adversarial_switch, gen_drifting_trajectories
 
 
@@ -157,3 +160,45 @@ def test_wfa_fallback_day_is_recorded():
     assert lg.params == {"k": 2, "server_alg": "wfa", "wfa_fallback_day": cap_day}
     short = kserver_reduction(_scen(sols[:5]), "wfa", 2)
     assert short.params == {"k": 2, "server_alg": "wfa"}
+
+
+def reference_kserver_reduction(scenario, server_alg, k):
+    """Reference: the k-server reduction over a list of all k servers."""
+    servers = [origin(scenario.dim) for _ in range(k)]
+    wfa_state = WorkFunctionState(k, scenario.dim, scenario.norm) if server_alg == "wfa" else None
+    params = {"k": k, "server_alg": server_alg}
+    days = []
+    for inst in scenario.days:
+        solution, total, winner, sweeps = run_parallel_k_detail(inst, servers)
+        days.append(DayLedger(inst.day, total, 0, sweeps, winner + 1))
+        idx = None
+        if wfa_state is not None:
+            try:
+                idx, _ = wfa_step(wfa_state, solution)
+            except CapExceeded:
+                wfa_state = None
+                params["wfa_fallback_day"] = inst.day
+        if idx is None:
+            dists = [distance(s, solution, scenario.norm) for s in servers]
+            idx = dists.index(min(dists))
+        servers[idx] = solution
+    return CostLedger(scenario.name, f"kserver-{server_alg}", params, days)
+
+
+def test_kserver_reduction_matches_the_full_server_list():
+    # Grid solutions that often sit on the origin or repeat, so servers tie;
+    # k runs past T, where servers that never move are no longer tracked.
+    rng = random.Random(311)
+    for case in range(150):
+        norm = NORMS[case % 3]
+        dim = rng.randint(1, 3)
+        T = rng.randint(1, 12)
+        half = rng.choice((1, 2, 4))
+        sols = [Point(tuple(float(rng.randint(-half, half)) for _ in range(dim))) for _ in range(T)]
+        days = [HiddenInstance(t + 1, origin(dim), s, norm) for t, s in enumerate(sols)]
+        scen = Scenario("grid", case, dim, norm, days, {}, 0.0)
+        for alg, ks in (("greedy", range(1, T + 4)), ("wfa", range(1, 4))):
+            for k in ks:
+                got = kserver_reduction(scen, alg, k).to_json_text()
+                assert got == reference_kserver_reduction(scen, alg, k).to_json_text(), (alg, k, sols)
+
