@@ -41,7 +41,7 @@ def required_steps(inst: HiddenInstance, p: Point) -> int:
 
 
 class SearchThread:
-    """One running copy of the warm-start solver, advanced one step at a time."""
+    """One running copy of the warm-start solver, advanced by unit steps."""
 
     def __init__(self, inst: HiddenInstance, origin: Point):
         if origin.dim != inst.dim:
@@ -62,6 +62,14 @@ class SearchThread:
         if self.completed:
             raise RuntimeError("cannot step a completed thread")
         self.radius += 1
+        return self.completed
+
+    def advance(self, n: int) -> bool:
+        """Take ``n`` unit steps at once; returns the completed flag.  Refuses
+        to step past completion."""
+        if n < 0 or self.radius + n > self._needed:
+            raise RuntimeError(f"cannot advance {n} steps from radius {self.radius}")
+        self.radius += n
         return self.completed
 
     def result(self) -> Point:

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -12,8 +13,10 @@ from hypothesis import strategies as st
 from warmstart import kmedians
 from warmstart.cli import build_parser, main
 from warmstart.ledger import CostLedger
+from warmstart.metric import origin, search_steps
 from warmstart.online import NEEDS_K, STRATEGIES
-from warmstart.scenarios import gen_drifting_trajectories, gen_static_clusters
+from warmstart.oracle import hidden_solution
+from warmstart.scenarios import gen_adversarial_switch, gen_drifting_trajectories, gen_static_clusters
 
 
 @pytest.fixture
@@ -397,3 +400,25 @@ def test_mutated_inputs_exit_zero_or_one(command, mutated, data):
     assert rc in (0, 1)
     if rc == 1:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize("strategy", ["quadratic-decay", "harmonic-decay"])
+def test_decay_over_a_billion_unit_jump_finishes(strategy, tmp_path):
+    # Three phases 1e9 apart: a tick-by-tick scheduler would run about 1e9
+    # ticks per switch; the event-driven one jumps between events.
+    scen = gen_adversarial_switch(11, phases=3, T=6, dim=2, jump=1e9)
+    scen_file = tmp_path / "scen.json"
+    scen_file.write_text(scen.to_json_text())
+    out = tmp_path / "ledger.json"
+    start = time.perf_counter()
+    rc = main(["simulate", "--scenario", str(scen_file), "--strategy", strategy, "--out", str(out)])
+    assert rc == 0 and time.perf_counter() - start < 2.0
+    days = CostLedger.from_json_text(out.read_text()).days
+    sols = [origin(2)] + [hidden_solution(inst) for inst in scen.days]
+    needed = search_steps(sols[0], sols[1], scen.norm)
+    assert needed >= 10**9
+    assert days[0].radius_searched == days[0].overhead_work == needed
+    for t, day in enumerate(days, start=1):
+        solver = search_steps(sols[day.solver_thread], sols[t], scen.norm)
+        yesterday = search_steps(sols[t - 1], sols[t], scen.norm)
+        assert solver <= day.virtual_radius <= yesterday <= day.radius_searched

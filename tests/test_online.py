@@ -3,21 +3,24 @@ import random
 
 import pytest
 
+from warmstart import kmedians, online
 from warmstart.baselines import WorkFunctionState, wfa_step
-from warmstart.errors import CapExceeded
+from warmstart.errors import CapExceeded, InvariantViolation
 from warmstart.ledger import CostLedger, DayLedger
 from warmstart.metric import L2, NORMS, Point, distance, origin
 from warmstart.online import (
     ORIGIN_DAY,
     ThreadEntry,
+    _assert_subsuming_identity,
     kserver_reduction,
+    parallel_k,
     predict_yesterday,
     quadratic_decay_day,
     rate,
     run_quadratic_decay,
     subsume_check,
 )
-from warmstart.oracle import HiddenInstance, run_parallel_k_detail
+from warmstart.oracle import HiddenInstance, hidden_solution, required_steps, run_parallel_k_detail
 from warmstart.scenarios import Scenario, gen_adversarial_switch, gen_drifting_trajectories
 
 
@@ -202,3 +205,187 @@ def test_kserver_reduction_matches_the_full_server_list():
                 got = kserver_reduction(scen, alg, k).to_json_text()
                 assert got == reference_kserver_reduction(scen, alg, k).to_json_text(), (alg, k, sols)
 
+
+def reference_quadratic_decay_day(history, inst, mode="quadratic", trace=None):
+    """Reference: the decay day stepped one virtual tick at a time, every
+    rank checked on every tick and every thread moved one unit step at a
+    time.  Rates are looked up per rank instead of recomputed per tick, and
+    a thread is its radius: it completes when the radius reaches its needed
+    steps."""
+    rates = [rate(i, mode) for i in range(1, len(history) + 2)]
+    norm = inst.norm
+    sources = [(day, sol) for day, sol in zip(range(len(history), 0, -1), reversed(history))]
+    sources.append((ORIGIN_DAY, origin(inst.dim)))
+    active = [ThreadEntry(day, src, None) for day, src in sources]
+    needed = {id(e): required_steps(inst, e.source) for e in active}
+    dead = []
+    overhead = 0
+    V = 0
+    solver = None
+    while solver is None:
+        V += 1
+        i = 1
+        while i <= len(active):
+            r = rates[i - 1]
+            if math.floor(V * r) <= math.floor((V - 1) * r):
+                i += 1
+                continue
+            entry = active[i - 1]
+            overhead += i
+            entry.radius += 1
+            done = entry.radius >= needed[id(entry)]
+            for j in dead:
+                if j.ultimate_subsumer() is entry:
+                    j.shadow_radius += 1
+                    if j.shadow_radius >= needed[id(j)] and entry.radius < needed[id(entry)]:
+                        raise InvariantViolation("subsumed thread virtually completed")
+            if done:
+                solver = entry
+                break
+            for rank_j in range(1, i):
+                overhead += 1
+                faster = active[rank_j - 1]
+                if subsume_check(entry, faster, norm):
+                    overhead += 1
+                    entry.alive = False
+                    entry.subsumed_by = faster
+                    entry.shadow_radius = entry.radius
+                    active.pop(i - 1)
+                    dead.append(entry)
+                    _assert_subsuming_identity(dead, norm)
+                    if trace is not None:
+                        trace.append(("kill", V, entry.source_day, faster.source_day))
+                    break
+            i += 1
+    _assert_subsuming_identity(dead, norm)
+    total_radius = sum(e.radius for e in active) + sum(e.radius for e in dead)
+    day = DayLedger(inst.day, total_radius, overhead, active[0].radius, solver.source_day)
+    if trace is not None:
+        trace.append(("solve", V, solver.source_day))
+    return hidden_solution(inst), day
+
+
+def _fuzz_solutions(rng, case):
+    """One fuzzed day sequence: (kind, dim, norm, solutions)."""
+    norm = NORMS[case % 3]
+    dim = 1 + case // 3 % 3
+    kind = ("grid", "uniform", "switch", "grid", "uniform")[case % 5]
+    T = rng.randint(60, 80) if case % 200 == 3 else rng.randint(1, rng.choice((8, 8, 30)))
+
+    def near(center, spread):
+        return Point(tuple(c + rng.uniform(-spread, spread) for c in center))
+
+    if kind == "grid":
+        half = rng.choice((1, 2, 3))
+        return kind, dim, norm, [
+            Point(tuple(float(rng.randint(-half, half)) for _ in range(dim))) for _ in range(T)
+        ]
+    if kind == "uniform":
+        return kind, dim, norm, [near((0.0,) * dim, rng.choice((2.0, 5.0, 12.0))) for _ in range(T)]
+    # Clustered switches: a far jump costs the reference one tick per unit
+    # of distance, so the longer the jumps, the fewer the days.
+    jump = 10 ** rng.uniform(1, 4 if case % 4 == 0 else 2.5)
+    T = min(T, 20 if jump < 100 else 6 if jump < 1000 else 3)
+    centers = [tuple(jump * rng.randint(-1, 1) for _ in range(dim)) for _ in range(rng.randint(2, 4))]
+    c = 0
+    sols = []
+    for _ in range(T):
+        if rng.random() < 0.3:
+            c = rng.randrange(len(centers))
+        sols.append(near(centers[c], rng.choice((0.0, 1.0, 3.0))))
+    return kind, dim, norm, sols
+
+
+def test_decay_matches_the_tick_by_tick_reference(monkeypatch):
+    # Every day's solution, DayLedger and kill/solve trace must equal the
+    # reference's, through both the one-day call and the whole-scenario run,
+    # and the kill-gap bisection must only ever see gaps that never decrease.
+    searched = []
+    first_kill = online._first_kill
+
+    def checked_first_kill(slow_f, slow_r, fast_f, fast_r, lead, d, M):
+        gaps = [
+            lead + online._steps_by(online._tick_of(slow_f + m, slow_r), fast_r) - fast_f - m
+            for m in range(1, M + 1)
+        ]
+        assert gaps == sorted(gaps), (slow_r, fast_r, gaps)
+        searched.append(M)
+        return first_kill(slow_f, slow_r, fast_f, fast_r, lead, d, M)
+
+    monkeypatch.setattr(online, "_first_kill", checked_first_kill)
+    rng = random.Random(2024)
+    kills = ranks = 0
+    for case in range(1000):
+        kind, dim, norm, sols = _fuzz_solutions(rng, case)
+        days = [HiddenInstance(t + 1, origin(dim), s, norm) for t, s in enumerate(sols)]
+        scen = Scenario(kind, case, dim, norm, days, {}, 0.0)
+        for mode in ("quadratic", "harmonic"):
+            history, ref_days = [], []
+            for inst in days:
+                want_trace, got_trace = [], []
+                want = reference_quadratic_decay_day(history, inst, mode, want_trace)
+                got = quadratic_decay_day(history, inst, mode, got_trace)
+                assert got == want and got_trace == want_trace, (case, mode, inst.day)
+                kills += len(want_trace) - 1
+                history.append(want[0])
+                ref_days.append(want[1])
+            if case % 4 == 1:  # every kind, as kinds cycle every 5 cases
+                assert run_quadratic_decay(scen, mode).days == ref_days, (case, mode)
+        ranks = max(ranks, len(sols))
+    assert kills > 3000 and ranks >= 60 and len(searched) > 10000, (kills, ranks, len(searched))
+
+
+def test_step_tick_is_the_first_tick_reaching_the_count():
+    # The c-th step falls on the first tick t with F(t) >= c.  With the
+    # scheduler's own rates ceil(c / r) is that tick in all but about one
+    # case in 16 million; quadratic rank 335's 15,627th step is one, and
+    # rational rates hit the float boundary often.
+    rng = random.Random(5)
+    cases = [(15627, rate(335))]
+    cases += [(rng.randint(1, 10**6), rate(i, mode)) for i in range(1, 80) for mode in ("quadratic", "harmonic")]
+    cases += [(rng.randint(1, 10**4), rng.randint(1, 999) / rng.randint(1000, 10**5)) for _ in range(3000)]
+    for c, r in cases:
+        t = online._tick_of(c, r)
+        assert online._steps_by(t, r) >= c > online._steps_by(t - 1, r), (c, r, t)
+    assert online._tick_of(15627, rate(335)) != math.ceil(15627 / rate(335))
+    assert online._tick_of(7, rate(2, "harmonic")) == 7
+    # The scheduler stops scanning at the first unstarted rank that cannot
+    # step yet, which needs first-step ticks that never fall with rank.
+    for mode in ("quadratic", "harmonic"):
+        rates, first = online._rank_table(3000, mode)
+        assert first == sorted(first) and first[:2] == [1, 1 if mode == "harmonic" else 2]
+
+
+def test_harmonic_rank_two_steps_every_tick():
+    # 1 / (2 ln^2 2) > 1, and a thread steps at most once per tick, so
+    # harmonic rank 2 keeps pace with rank 1: with no kill both radii equal
+    # the day's ticks.  Quadratic rank 2 runs at about half speed.
+    assert rate(2, "harmonic") > 1 > rate(2, "quadratic")
+    inst = HiddenInstance(2, origin(1), Point.of(10.0), L2)
+    trace = []
+    _, day = quadratic_decay_day([Point.of(100.0)], inst, "harmonic", trace)
+    assert trace == [("solve", 10, ORIGIN_DAY)]
+    assert day.virtual_radius == 10 and day.radius_searched == 2 * 10
+    _, day = quadratic_decay_day([Point.of(100.0)], inst, "quadratic")
+    assert (day.virtual_radius, day.radius_searched) == (20, 20 + 10)
+
+
+def test_parallel_k_records_a_local_search_fallback(monkeypatch):
+    # C(6, 2) = 15 subsets: within a cap of 15 subset ERM runs and the
+    # params are only k; under a cap of 14 the centers come from local search.
+    scen = _scen([0.0, 1.0, 2.0, 40.0, 41.0, 43.0])
+    monkeypatch.setattr(kmedians, "ENUMERATION_CAP", 15)
+    assert parallel_k(scen, 2).params == {"k": 2}
+    monkeypatch.setattr(kmedians, "ENUMERATION_CAP", 14)
+    lg = parallel_k(scen, 2)
+    assert lg.params == {"k": 2, "centers_method": "local-search"}
+    centers = kmedians.learn_centers_local_search(scen.solution_list(), 2, L2).centers
+    assert [d.radius_searched for d in lg.days] == [
+        run_parallel_k_detail(inst, list(centers))[1] for inst in scen.days
+    ]
+
+
+def test_parallel_k_params_stay_k_under_the_cap():
+    for k in (1, 2, 3):
+        for scen in (_scen([1.0, 5.0, 9.0, 2.0]), gen_adversarial_switch(7, phases=3, T=9, dim=2)):
+            assert parallel_k(scen, k).params == {"k": k}

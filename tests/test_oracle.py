@@ -89,6 +89,24 @@ def test_single_thread_steps_and_result_guard():
         t.step()
 
 
+def test_advance_takes_many_steps_but_never_past_completion():
+    inst = _inst(Point.of(7.0))
+    t = open_thread(inst, Point.of(0.0))
+    assert not t.advance(0) and not t.advance(4)
+    assert t.radius == 4
+    with pytest.raises(RuntimeError):
+        t.advance(4)
+    with pytest.raises(RuntimeError):
+        t.advance(-1)
+    assert t.radius == 4
+    with pytest.raises(RuntimeError):
+        t.result()
+    assert t.advance(3)
+    assert t.result() == Point.of(7.0)
+    with pytest.raises(RuntimeError):
+        t.advance(1)
+
+
 def test_exact_prediction_pays_one_step():
     inst = _inst(Point.of(3.0, 4.0))
     t = open_thread(inst, Point.of(3.0, 4.0))
