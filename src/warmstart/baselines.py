@@ -7,6 +7,7 @@ set, and the work-function k-server algorithm used by the online reduction.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import combinations_with_replacement
 
@@ -134,6 +135,26 @@ def _canonical_assignments(T: int, k: int):
     yield from rec((), 0)
 
 
+@functools.cache
+def _assignment_masks(T: int, k: int) -> np.ndarray:
+    """One row per canonical assignment of T days to k labels, in
+    ``_canonical_assignments`` order: column j holds the day bitmask of
+    label j + 1 (bit t set when day t + 1 has that label, 0 if unused).
+
+    Cached per (T, k), which the brute force's caps bound to 24 tables; the
+    array is read-only because every caller shares it.
+    """
+    rows = []
+    for assign in _canonical_assignments(T, k):
+        row = [0] * k
+        for t, lab in enumerate(assign):
+            row[lab - 1] |= 1 << t
+        rows.append(row)
+    masks = np.array(rows, dtype=np.intp)
+    masks.flags.writeable = False
+    return masks
+
+
 def brute_force_best_trajectories(
     solutions: list[Point], k: int, norm: str
 ) -> tuple[float, TrajectorySet]:
@@ -143,6 +164,15 @@ def brute_force_best_trajectories(
     This restricted optimum upper-bounds the unrestricted one and contains
     every zero-hit (k-server style) schedule.  Enumeration caps: T <= 8,
     k <= 3.
+
+    ``V[m]`` is one trajectory's DP over the days in bitmask m: its least
+    cost ending at each candidate.  All subsets whose last day is t extend
+    the subsets of earlier days in one step, with the same adds and mins as
+    a DP run day by day over that subset, so ``C[m]`` is the same float.
+    Each canonical assignment costs ``C[m1] + C[m2] + ...`` summed left to
+    right, and the first least one wins.  Costs are nonnegative, so this is
+    the pick of an enumeration that stops summing an assignment once it
+    reaches the best so far.
     """
     T = len(solutions)
     if T > TRAJ_MAX_T or k > TRAJ_MAX_K:
@@ -156,30 +186,27 @@ def brute_force_best_trajectories(
         if s.coords not in seen:
             seen.add(s.coords)
             candidates.append(s)
-    n = len(candidates)
     D = distance_matrix(candidates, norm)
     H = distance_matrix(candidates, norm, solutions)
 
-    def traj_min_cost(days: list[int]) -> float:
-        dp = D[0, :] + H[:, days[0]]
-        for t in days[1:]:
-            dp = (dp[:, None] + D).min(axis=0) + H[:, t]
-        return float(dp.min())
+    V = np.empty((1 << T, len(candidates)))
+    for t in range(T):
+        lo = 1 << t
+        V[lo] = D[0] + H[:, t]
+        V[lo + 1 : 2 * lo] = (V[1:lo][:, :, None] + D).min(axis=1) + H[:, t]
+    C = V.min(axis=1)
+    C[0] = 0.0  # an unused label
 
-    best_cost = math.inf
-    best_assign: tuple[int, ...] | None = None
-    for assign in _canonical_assignments(T, k):
-        cost = 0.0
-        for traj in range(1, max(assign) + 1):
-            days = [t for t in range(T) if assign[t] == traj]
-            cost += traj_min_cost(days)
-            if cost >= best_cost:
-                break
-        if cost < best_cost:
-            best_cost = cost
-            best_assign = assign
+    masks = _assignment_masks(T, k)
+    totals = C[masks[:, 0]]
+    for j in range(1, k):
+        totals = totals + C[masks[:, j]]
+    best = int(totals.argmin())
+    best_assign = tuple(
+        1 + next(j for j in range(k) if masks[best, j] >> t & 1) for t in range(T)
+    )
     witness = _reconstruct_witness(best_assign, candidates, D, H, k, solutions)
-    return best_cost, witness
+    return float(totals[best]), witness
 
 
 def _reconstruct_witness(assign, candidates, D, H, k, solutions):

@@ -9,6 +9,7 @@ same config.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -340,10 +341,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: ``parse_args`` keeps no state in it, so every
+    ``main`` call reuses it instead of building its own."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (UserError, CapExceeded) as e:
         sys.stderr.write(f"error: {e}\n")

@@ -1,14 +1,17 @@
 """Deterministic scenario generators and the scenario file format.
 
-All randomness flows through numpy's Philox counter-based bit generator
-keyed on the scenario seed, so regenerating with the same parameters is
-byte-identical and portable.  Serialized scenarios are versioned JSON with
-sorted keys and full-precision floats.
+All randomness flows through one Philox4x64-10 counter-based stream keyed
+on the scenario seed, so regenerating with the same parameters is
+byte-identical and portable.  The stream is the package's own (``_Philox``)
+and draws the same numbers as numpy's Philox bit generator, without loading
+``numpy.random``.  Serialized scenarios are versioned JSON with sorted keys
+and full-precision floats.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,8 +106,74 @@ def traj_from_jsonable(d: dict) -> TrajectorySet:
     )
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed))
+_MASK64 = (1 << 64) - 1
+_PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+
+
+class _Philox:
+    """A Philox4x64-10 stream whose ``uniform`` and ``integers`` return, bit
+    for bit, what ``numpy.random.Generator(numpy.random.Philox(key=key))``
+    returns for the same calls in the same order.
+
+    The 256-bit counter starts at 0 and is incremented before each block of
+    four 64-bit words, which are handed out in order.  A double is
+    ``(word >> 11) * 2**-53``.  ``integers`` takes 32-bit halves of a word,
+    low half first, and keeps the high half for its next draw; ``uniform``
+    always takes a whole new word.
+    """
+
+    def __init__(self, key: int):
+        key = operator.index(key)
+        if not 0 <= key < 1 << 128:
+            raise ValueError("key must be positive and less than 2**128.")
+        self._key = (key & _MASK64, key >> 64)
+        self._counter = 0
+        self._words: list[int] = []  # the rest of the current block, last word first
+        self._high_half: int | None = None
+
+    def _next64(self) -> int:
+        if not self._words:
+            self._counter = (self._counter + 1) & ((1 << 256) - 1)
+            c = self._counter
+            c0, c1, c2, c3 = c & _MASK64, (c >> 64) & _MASK64, (c >> 128) & _MASK64, c >> 192
+            k0, k1 = self._key
+            for _ in range(10):
+                p0, p1 = _PHILOX_M0 * c0, _PHILOX_M1 * c2
+                c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _MASK64, (p0 >> 64) ^ c3 ^ k1, p0 & _MASK64
+                k0, k1 = (k0 + _PHILOX_W0) & _MASK64, (k1 + _PHILOX_W1) & _MASK64
+            self._words = [c3, c2, c1, c0]
+        return self._words.pop()
+
+    def _next32(self) -> int:
+        if self._high_half is not None:
+            half, self._high_half = self._high_half, None
+            return half
+        word = self._next64()
+        self._high_half = word >> 32
+        return word & 0xFFFFFFFF
+
+    def uniform(self, low: float, high: float, size: int) -> np.ndarray:
+        """``size`` draws of ``low + (high - low) * u`` with u in [0, 1).  A
+        non-finite span gives non-finite draws, which ``Point`` rejects."""
+        span = high - low
+        return np.array([low + span * ((self._next64() >> 11) * 2.0**-53) for _ in range(size)])
+
+    def integers(self, high: int) -> int:
+        """A draw from 0..high-1, for 1 <= high <= 2**63, by Lemire's
+        multiply-and-reject: 32-bit draws while high <= 2**32, 64-bit ones
+        above."""
+        high = operator.index(high)
+        if high < 1:
+            raise ValueError("high <= 0")
+        if high == 1:
+            return 0
+        bits, draw = (32, self._next32) if high <= 1 << 32 else (64, self._next64)
+        threshold = (1 << bits) % high
+        m = draw() * high
+        while m & ((1 << bits) - 1) < threshold:
+            m = draw() * high
+        return m >> bits
 
 
 def _uniform_point(rng, center: np.ndarray, radius: float) -> np.ndarray:
@@ -141,7 +210,7 @@ def gen_static_clusters(
     the solution closely, so threshold partitions can succeed."""
     if sep <= 0 or spread < 0:
         raise ValueError("need sep > 0 and spread >= 0")
-    rng = _rng(seed)
+    rng = _Philox(seed)
     centers = np.zeros((k, dim))
     for j in range(k):
         centers[j, 0] = (j + 1) * sep
@@ -177,7 +246,7 @@ def gen_drifting_trajectories(
     set and its cost are planted in the metadata as the scenario baseline."""
     if drift_per_day < 0 or noise < 0:
         raise ValueError("need nonnegative drift and noise")
-    rng = _rng(seed)
+    rng = _Philox(seed)
     pos = np.zeros((k, dim))
     for j in range(k):
         pos[j] = rng.uniform(0.0, 10.0, dim)
@@ -228,7 +297,7 @@ def gen_planted_lower_bound(
     are constant (uninformative), exhibiting the parallel-search lower bound."""
     if sep <= 1:
         raise ValueError("need sep >> 1")
-    rng = _rng(seed)
+    rng = _Philox(seed)
     planted = np.zeros((k, dim))
     for j in range(k):
         planted[j, 0] = (j + 1) * sep
@@ -263,7 +332,7 @@ def gen_adversarial_switch(
     in a recency-ordered thread list, stressing rank promotion."""
     if phases < 1 or T < phases:
         raise ValueError("need 1 <= phases <= T")
-    rng = _rng(seed)
+    rng = _Philox(seed)
     days = []
     for t in range(1, T + 1):
         p = min(phases - 1, (t - 1) * phases // T)

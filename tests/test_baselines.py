@@ -7,15 +7,19 @@ import pytest
 
 from warmstart.baselines import (
     _EPS,
+    TRAJ_MAX_K,
+    TRAJ_MAX_T,
     WFA_MAX_K,
     WFA_MAX_POINTS,
     WorkFunctionState,
+    _canonical_assignments,
+    _reconstruct_witness,
     brute_force_best_trajectories,
     offline_opt_kserver,
     wfa_step,
 )
 from warmstart.errors import CapExceeded, InvariantViolation
-from warmstart.metric import L1, L2, NORMS, Point, distance, origin
+from warmstart.metric import L1, L2, NORMS, Point, distance, distance_matrix, origin
 from warmstart.trajectories import trajectory_cost
 
 
@@ -282,6 +286,62 @@ def test_trajectories_cap():
         brute_force_best_trajectories(sols, 1, L2)
     with pytest.raises(CapExceeded):
         brute_force_best_trajectories(sols[:4], 4, L2)
+
+
+def reference_best_trajectories(solutions, k, norm):
+    """The enumerating brute force: every canonical assignment sums the
+    one-trajectory DP of its labels' days in label order, and stops summing
+    once it reaches the best cost so far.  Each day subset's DP is memoized,
+    which changes no value."""
+    T = len(solutions)
+    candidates = [origin(solutions[0].dim)]
+    for s in solutions:
+        if s.coords not in {c.coords for c in candidates}:
+            candidates.append(s)
+    D = distance_matrix(candidates, norm)
+    H = distance_matrix(candidates, norm, solutions)
+    memo = {}
+
+    def traj_min_cost(days):
+        if days not in memo:
+            dp = D[0, :] + H[:, days[0]]
+            for t in days[1:]:
+                dp = (dp[:, None] + D).min(axis=0) + H[:, t]
+            memo[days] = float(dp.min())
+        return memo[days]
+
+    best_cost = math.inf
+    best_assign = None
+    for assign in _canonical_assignments(T, k):
+        cost = 0.0
+        for traj in range(1, max(assign) + 1):
+            cost += traj_min_cost(tuple(t for t in range(T) if assign[t] == traj))
+            if cost >= best_cost:
+                break
+        if cost < best_cost:
+            best_cost = cost
+            best_assign = assign
+    return best_cost, _reconstruct_witness(best_assign, candidates, D, H, k, solutions)
+
+
+def test_brute_force_matches_the_enumerating_reference():
+    # Half the cases sit on a small integer grid, where ties between
+    # assignments and repeated solutions are common, so the first-best rule
+    # and the candidate order both show.
+    rng = random.Random(83)
+    for case in range(1200):
+        T = rng.randint(1, TRAJ_MAX_T)
+        k = rng.randint(1, TRAJ_MAX_K)
+        norm = rng.choice(NORMS)
+        dim = rng.randint(1, 3)
+        if case % 2:
+            sols = _grid_points(rng, T, dim, rng.randint(1, 3), 1.0)
+        else:
+            sols = _rand_points(rng, T, dim, spread=rng.choice([1.0, 15.0, 1e4]))
+        cost, witness = brute_force_best_trajectories(sols, k, norm)
+        ref_cost, ref_witness = reference_best_trajectories(sols, k, norm)
+        assert repr(cost) == repr(ref_cost), (case, T, k, norm)
+        assert witness == ref_witness, (case, T, k, norm)
 
 
 def test_sandwich_against_kserver_opt():

@@ -96,6 +96,14 @@ def test_user_errors_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_consecutive_calls_share_no_parse_state(scen_file, tmp_path, capsys):
+    argv = ["simulate", "--scenario", str(scen_file), "--strategy", "kserver-greedy"]
+    assert main(argv + ["--k", "2", "--out", str(tmp_path / "a.json")]) == 0
+    capsys.readouterr()
+    assert main(argv) == 1  # the first call's --k 2 is not carried over
+    assert "needs an integer k >= 1" in capsys.readouterr().err
+
+
 GENERATED = {
     "generator": "drifting_trajectories",
     "params": {"k": 1, "drift_per_day": 0.5, "noise": 0.5, "T": 12, "dim": 1, "seed": 5},
@@ -135,6 +143,27 @@ PLANTED_5_DAYS = {
             None,
         ),
         ("simulate", {"strategy": "predict-yesterday", "scenario": dict(GENERATED, params="x")}, None),
+        (
+            "simulate",
+            {"strategy": "predict-yesterday", "scenario": dict(GENERATED, params=dict(GENERATED["params"], noise=1e308))},
+            None,
+        ),
+        (
+            "simulate",
+            {"strategy": "predict-yesterday", "scenario": dict(GENERATED, params=dict(GENERATED["params"], seed=None))},
+            None,
+        ),
+        (
+            "simulate",
+            {
+                "strategy": "predict-yesterday",
+                "scenario": {
+                    "generator": "static_clusters",
+                    "params": {"k": 0, "sep": 10.0, "spread": 1.0, "T": 3, "dim": 1, "seed": 1},
+                },
+            },
+            None,
+        ),
         ("simulate", {"strategy": ["predict-yesterday"]}, None),
         ("simulate", {"strategy": "predict-yesterday"}, (["meta"], 5)),
         ("simulate", {"strategy": "predict-yesterday"}, (["meta", "planted"], PLANTED_5_DAYS)),
@@ -159,6 +188,9 @@ PLANTED_5_DAYS = {
         "train-frac-string",
         "generator-dim-0",
         "generator-params-not-object",
+        "generator-draws-overflow",
+        "generator-seed-null",
+        "generator-k-0",
         "strategy-not-string",
         "meta-not-object",
         "planted-beyond-T",

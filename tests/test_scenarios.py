@@ -1,10 +1,16 @@
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from warmstart.metric import NORMS, distance
 from warmstart.scenarios import (
     Scenario,
+    _Philox,
     default_corpus,
     gen_adversarial_switch,
     gen_drifting_trajectories,
@@ -122,3 +128,43 @@ def test_default_corpus_shape():
     assert len(set(names)) == len(names)
     for s in corpus:
         assert s.T >= 10
+
+
+def test_stream_draws_what_numpy_philox_draws():
+    # Random interleavings of the two draws, so the kept high half of a
+    # 32-bit draw must survive whole-word draws; bounds cover the k = 1
+    # no-draw case, the 32-bit path up to 2**32 and the 64-bit one above.
+    rng = random.Random(89)
+    for _ in range(1500):
+        key = rng.choice([rng.randrange(1 << 128), rng.randrange(1000), (1 << 128) - 1, 1 << 64])
+        ours, theirs = _Philox(key), np.random.Generator(np.random.Philox(key=key))
+        for _ in range(rng.randint(0, 30)):
+            if rng.random() < 0.5:
+                low = rng.uniform(-1e3, 1e3)
+                high = low + rng.choice([0.0, rng.uniform(0.0, 10.0), rng.uniform(0.0, 1e6)])
+                size = rng.randint(0, 4)
+                assert ours.uniform(low, high, size).tobytes() == theirs.uniform(low, high, size).tobytes()
+            else:
+                high = rng.choice(
+                    [1, 2, 3, rng.randint(1, 100), rng.randint(1, (1 << 32) + 1), 1 << 32, rng.randint(1, 1 << 63)]
+                )
+                assert ours.integers(high) == theirs.integers(high)
+
+
+def test_stream_takes_only_an_integer_key_below_2_to_the_128():
+    for key in (-1, 1 << 128):
+        with pytest.raises(ValueError):
+            _Philox(key)
+    for key in (None, 1.5, "3"):  # numpy coerces these, or draws OS entropy for None
+        with pytest.raises(TypeError):
+            _Philox(key)
+
+
+def test_generating_the_corpus_leaves_numpy_random_unloaded():
+    code = "import sys, warmstart; warmstart.default_corpus(); print('numpy.random' in sys.modules)"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
