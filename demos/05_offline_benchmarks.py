@@ -1,9 +1,10 @@
 """Exact offline benchmarks: k-server optimum and best k trajectories.
 
 The offline k-server optimum (minimum total movement serving every day's
-solution) is computed exactly by min-cost flow.  The best k-trajectory cost
-(hit + movement, predictions restricted to past solutions and the origin) is
-computed by brute force at desk scale.  The two sandwich each other within a
+solution) is computed exactly: by a dynamic program over where the servers
+stand for k <= 3, by min-cost flow beyond.  The best k-trajectory cost (hit +
+movement, predictions restricted to past solutions and the origin) is one DP
+over the days for k = 1 and a brute force at desk scale for k >= 2.  The two sandwich each other within a
 factor of two.
 """
 

@@ -1,8 +1,10 @@
 """Exact offline benchmarks.
 
-Offline optimal k-server cost via minimum-cost flow on the acyclic request
-network, brute-force optimal k-trajectory cost over a restricted candidate
-set, and the work-function k-server algorithm used by the online reduction.
+Offline optimal k-server cost (a DP over server positions for k <= 3,
+minimum-cost flow on the acyclic request network beyond), optimal
+k-trajectory cost over a restricted candidate set (one DP over the days for
+k = 1, brute force for k >= 2), and the work-function k-server algorithm
+used by the online reduction.
 """
 
 from __future__ import annotations
@@ -29,15 +31,72 @@ def offline_opt_kserver(solutions: list[Point], ks: list[int], norm: str) -> lis
     """Exact minimum total movement to serve the requests in order with k
     servers, for each k in ``ks`` (costs returned in the same order).
 
-    All servers start at the origin.  Min-cost flow by successive shortest
-    paths with Johnson potentials on the acyclic request network: the
-    source feeds K = min(max(ks), T) interchangeable server nodes, each
-    request is an (in, out) node pair whose serving arc carries a large
-    negative reward M (added back at the end) so that every request is
-    forced into the flow, and every node may leave for the sink.  Each
+    All servers start at the origin, and more than T servers cannot help, so
+    k reads the cost of k' = min(k, T) servers.  Every k' <= 3 comes from a
+    dynamic program (``_kserver_dp``) whose value is the least left-to-right
+    float sum of per-request movement over all schedules; the entries with
+    k' >= 4 share one min-cost flow solve (``_kserver_flow``).  Both read one
+    distance table over the origin and the requests.
+    """
+    T = len(solutions)
+    if T < 1 or any(k < 1 for k in ks):
+        raise ValueError("need T >= 1 and k >= 1")
+    D = distance_matrix([origin(solutions[0].dim)] + list(solutions), norm)
+    cost = {kk: _kserver_dp(D, kk) for kk in {min(k, T) for k in ks} if kk <= 3}
+    flow_ks = [k for k in ks if min(k, T) > 3]
+    if flow_ks:
+        cost.update(zip((min(k, T) for k in flow_ks), _kserver_flow(D, flow_ks)))
+    return [cost[min(k, T)] for k in ks]
+
+
+def _kserver_dp(D: np.ndarray, k: int) -> float:
+    """The offline k-server optimum for k <= 3 and k <= T servers, where
+    ``D`` is the distance table over the origin (index 0) and the requests
+    (index t for request t).
+
+    After request t one server stands on it; the state is where the other
+    k - 1 stand: request indices below t, the origin being 0.  ``V`` holds
+    the least cost of each state.  Request t + 1 is served either by the
+    server on t (every state adds ``D[t, t + 1]``) or by another one, which
+    leaves the server on t among the others at the least cost ``moved``.
+    k = 3 keeps a symmetric table over the two other servers (entries i = j > 0
+    cannot occur and stay inf).  IEEE addition is monotone, so the least of
+    ``V + d`` is the least sum over every schedule, summed left to right in
+    request order, and the value does not depend on ties.
+    """
+    T = len(D) - 1
+    if k == 1:
+        return float(np.cumsum(D.diagonal(1))[-1])  # cumsum adds left to right
+    if k == 2:
+        V = np.empty(T)
+        V[0] = D[0, 1]
+        for t in range(1, T):
+            moved = (V[:t] + D[:t, t + 1]).min()
+            V[:t] += D[t, t + 1]
+            V[t] = moved
+        return float(V.min())
+    V = np.full((T, T), math.inf)
+    V[0, 0] = D[0, 1]
+    for t in range(1, T):
+        moved = (V[:t, :t] + D[:t, t + 1, None]).min(axis=0)
+        V[:t, :t] += D[t, t + 1]
+        V[:t, t] = moved
+        V[t, :t] = moved
+    return float(V.min())
+
+
+def _kserver_flow(D: np.ndarray, ks: list[int]) -> list[float]:
+    """The offline k-server optimum for each k in ``ks`` by min-cost flow
+    over the distance table ``D`` of ``offline_opt_kserver``.
+
+    Successive shortest paths with Johnson potentials on the acyclic request
+    network: the source feeds K = min(max(ks), T) interchangeable server
+    nodes, each request is an (in, out) node pair whose serving arc carries
+    a large negative reward M (added back at the end) so that every request
+    is forced into the flow, and every node may leave for the sink.  Each
     augmentation adds one server, so the cost for k is the running total
-    after the k-th augmentation; more than T servers cannot help, so k > T
-    reads the total after T.
+    after the k-th augmentation.  The reward leaves rounding noise of the
+    order of one ulp of T * M in the low bits.
 
     The residual network is a dense table (``cap`` int8, ``cost`` float64,
     ``cost[v, u] = -cost[u, v]``) over nodes numbered in topological order:
@@ -45,11 +104,8 @@ def offline_opt_kserver(solutions: list[Point], ks: list[int], norm: str) -> lis
     the pending node with the least (distance, id) and relaxes all of its
     arcs at once.
     """
-    T = len(solutions)
-    if T < 1 or any(k < 1 for k in ks):
-        raise ValueError("need T >= 1 and k >= 1")
-    K = min(max(ks, default=0), T)
-    D = distance_matrix([origin(solutions[0].dim)] + list(solutions), norm)
+    T = len(D) - 1
+    K = min(max(ks), T)
     from_origin = D[0, 1:]
     chain = float(from_origin[0]) + sum(D[i, i + 1].item() for i in range(1, T))
     M = chain + 1.0
@@ -162,8 +218,9 @@ def brute_force_best_trajectories(
     {origin} union {solutions}.
 
     This restricted optimum upper-bounds the unrestricted one and contains
-    every zero-hit (k-server style) schedule.  Enumeration caps: T <= 8,
-    k <= 3.
+    every zero-hit (k-server style) schedule.  k = 1 has one assignment, so
+    it is one run of the one-trajectory DP over all days, at any T.  k >= 2
+    enumerates assignments, capped at T <= 8, k <= 3.
 
     ``V[m]`` is one trajectory's DP over the days in bitmask m: its least
     cost ending at each candidate.  All subsets whose last day is t extend
@@ -175,8 +232,8 @@ def brute_force_best_trajectories(
     reaches the best so far.
     """
     T = len(solutions)
-    if T > TRAJ_MAX_T or k > TRAJ_MAX_K:
-        raise CapExceeded(f"brute force capped at T<={TRAJ_MAX_T}, k<={TRAJ_MAX_K}")
+    if k > 1 and (T > TRAJ_MAX_T or k > TRAJ_MAX_K):
+        raise CapExceeded(f"brute force capped at T<={TRAJ_MAX_T}, k<={TRAJ_MAX_K} for k>=2")
     if T < 1 or k < 1:
         raise ValueError("need T >= 1 and k >= 1")
     o = origin(solutions[0].dim)
@@ -188,6 +245,14 @@ def brute_force_best_trajectories(
             candidates.append(s)
     D = distance_matrix(candidates, norm)
     H = distance_matrix(candidates, norm, solutions)
+    if k == 1:
+        cost, choices = _one_trajectory(range(T), D, H)
+        witness = TrajectorySet(
+            k=1,
+            assignment=dict.fromkeys(range(1, T + 1), 1),
+            predictions={t + 1: candidates[c] for t, c in enumerate(choices)},
+        )
+        return cost, witness
 
     V = np.empty((1 << T, len(candidates)))
     for t in range(T):
@@ -209,24 +274,41 @@ def brute_force_best_trajectories(
     return float(totals[best]), witness
 
 
+def _one_trajectory(days, D: np.ndarray, H: np.ndarray) -> tuple[float, list[int]]:
+    """One trajectory's least cost over ``days`` (hit ``H[c, t]`` plus
+    movement ``D``, from the origin, candidate 0) and the candidate it
+    predicts on each of those days; ties go to the lowest candidate.
+
+    ``D`` is a distance table, so it is symmetric to the bit and row j of
+    ``D + dp`` holds ``dp[i] + D[i, j]`` over i: each day is one contiguous
+    argmin per row, and the least entry is read at its argmin.
+    """
+    days = list(days)
+    cols = np.arange(len(D))
+    step = np.empty_like(D)
+    dp = D[0] + H[:, days[0]]
+    parents = []
+    for t in days[1:]:
+        np.add(D, dp, out=step)
+        parent = step.argmin(axis=1)
+        dp = step[cols, parent] + H[:, t]
+        parents.append(parent)
+    c = int(dp.argmin())
+    cost = float(dp[c])
+    choices = [c]
+    for parent in reversed(parents):
+        c = int(parent[c])
+        choices.append(c)
+    choices.reverse()
+    return cost, choices
+
+
 def _reconstruct_witness(assign, candidates, D, H, k, solutions):
     T = len(solutions)
     predictions: dict[int, Point] = {}
     for traj in range(1, max(assign) + 1):
         days = [t for t in range(T) if assign[t] == traj]
-        dp = D[0, :] + H[:, days[0]]
-        parents = []
-        for t in days[1:]:
-            step = dp[:, None] + D
-            parent = step.argmin(axis=0)
-            dp = step.min(axis=0) + H[:, t]
-            parents.append(parent)
-        c = int(dp.argmin())
-        choices = [c]
-        for parent in reversed(parents):
-            c = int(parent[c])
-            choices.append(c)
-        choices.reverse()
+        _, choices = _one_trajectory(days, D, H)
         for day, ci in zip(days, choices):
             predictions[day + 1] = candidates[ci]
     return TrajectorySet(

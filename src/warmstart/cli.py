@@ -15,11 +15,13 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .baselines import brute_force_best_trajectories, offline_opt_kserver
 from .errors import CapExceeded, InvariantViolation
 from .kmedians import cost_of_centers, learn_centers
 from .ledger import CostLedger
-from .metric import NORMS, Point
+from .metric import NORMS, Point, origin, pairwise_max_distance
 from .online import NEEDS_K, STRATEGIES, predict_yesterday, run_quadratic_decay
 from .oracle import hidden_solution, run_parallel_k
 from .partition import (
@@ -77,6 +79,10 @@ def _load_scenario(config: dict) -> Scenario:
                 f"day {inst.day} has a feature or solution whose length is not "
                 f"the scenario dim {scenario.dim}"
             )
+    with np.errstate(over="ignore"):
+        d_max = pairwise_max_distance([origin(scenario.dim)] + scenario.solution_list(), scenario.norm)
+    if not math.isfinite(d_max):
+        raise UserError("scenario coordinates are too large: a distance overflows to inf")
     if not isinstance(scenario.meta, dict):
         raise UserError("scenario meta must be an object")
     if "planted" in scenario.meta:
@@ -266,7 +272,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    from .metric import L2, origin
+    from .metric import L2
     from .oracle import HiddenInstance
 
     checks = 0

@@ -244,6 +244,8 @@ def gen_drifting_trajectories(
     days emit from the trajectories round-robin, with solutions within
     ``noise`` of the emitting trajectory's position.  The latent trajectory
     set and its cost are planted in the metadata as the scenario baseline."""
+    if k < 1:
+        raise ValueError("need k >= 1")
     if drift_per_day < 0 or noise < 0:
         raise ValueError("need nonnegative drift and noise")
     rng = _Philox(seed)

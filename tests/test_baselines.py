@@ -1,7 +1,7 @@
 import heapq
 import math
 import random
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
@@ -13,32 +13,67 @@ from warmstart.baselines import (
     WFA_MAX_POINTS,
     WorkFunctionState,
     _canonical_assignments,
-    _reconstruct_witness,
     brute_force_best_trajectories,
     offline_opt_kserver,
     wfa_step,
 )
 from warmstart.errors import CapExceeded, InvariantViolation
 from warmstart.metric import L1, L2, NORMS, Point, distance, distance_matrix, origin
-from warmstart.trajectories import trajectory_cost
+from warmstart.trajectories import TrajectorySet, trajectory_cost
 
 
 def independent_kserver_opt(solutions, k, norm):
     """Reference: enumerate every assignment of requests to servers.
 
     With k servers starting at the origin and each serving its requests in
-    arrival order, the cheapest assignment is the offline optimum.
+    arrival order, the cheapest assignment is the offline optimum.  The
+    servers are interchangeable, so only assignments whose servers are first
+    used in order 0, 1, 2, ... are listed: relabeling one makes the same
+    moves in the same order.  Each assignment's movement is summed left to
+    right in request order, from a table of ``distance`` values (index 0 is
+    the origin, t is request t); assignments that share a prefix share its
+    partial sum.
     """
-    o = origin(solutions[0].dim)
-    best = float("inf")
-    for assign in product(range(k), repeat=len(solutions)):
-        pos = [o] * k
-        cost = 0.0
-        for req, j in zip(solutions, assign):
-            cost += distance(pos[j], req, norm)
-            pos[j] = req
-        best = min(best, cost)
-    return best
+    points = [origin(solutions[0].dim)] + list(solutions)
+    dist = [[distance(a, b, norm) for b in points] for a in points]
+    T = len(solutions)
+
+    def walk(t, pos, cost):  # pos: where each server used so far stands
+        if t > T:
+            return cost
+        best = math.inf
+        for j in range(min(len(pos) + 1, k)):
+            moved = cost + dist[pos[j] if j < len(pos) else 0][t]
+            best = min(best, walk(t + 1, pos[:j] + (t,) + pos[j + 1 :], moved))
+        return best
+
+    return walk(1, (), 0.0)
+
+
+def configuration_kserver_opt(solutions, k, norm):
+    """Reference: enumerate schedules request by request, keeping for each
+    multiset of server positions only the least cost so far.
+
+    Two partial schedules at the same positions go on with the same moves,
+    and IEEE addition is monotone, so the one dropped never ends strictly
+    below the one kept: the value is ``independent_kserver_opt``'s, at
+    horizons where k^T assignments are too many to list.
+    """
+    points = [origin(solutions[0].dim)] + list(solutions)
+    dist = [[distance(a, b, norm) for b in points] for a in points]
+    best = {(0,) * k: 0.0}
+    for t in range(1, len(points)):
+        reached = {}
+        for cfg, cost in best.items():
+            for x in set(cfg):
+                c = cost + dist[x][t]
+                rest = list(cfg)
+                rest.remove(x)
+                after = tuple(sorted(rest + [t]))
+                if c < reached.get(after, math.inf):
+                    reached[after] = c
+        best = reached
+    return min(best.values())
 
 
 class _MinCostFlow:
@@ -281,11 +316,14 @@ def test_trajectories_k1_stationary_beats_chasing():
 
 
 def test_trajectories_cap():
+    # The caps bound the assignments of k >= 2; k = 1 has one at any T.
     sols = [Point.of(float(i)) for i in range(9)]
     with pytest.raises(CapExceeded):
-        brute_force_best_trajectories(sols, 1, L2)
+        brute_force_best_trajectories(sols, 2, L2)
     with pytest.raises(CapExceeded):
         brute_force_best_trajectories(sols[:4], 4, L2)
+    cost, _ = brute_force_best_trajectories(sols, 1, L2)
+    assert isinstance(cost, float)
 
 
 def reference_best_trajectories(solutions, k, norm):
@@ -321,7 +359,36 @@ def reference_best_trajectories(solutions, k, norm):
         if cost < best_cost:
             best_cost = cost
             best_assign = assign
-    return best_cost, _reconstruct_witness(best_assign, candidates, D, H, k, solutions)
+    return best_cost, reference_witness(best_assign, candidates, D, H, k, solutions)
+
+
+def reference_witness(assign, candidates, D, H, k, solutions):
+    """Each label's one-trajectory DP over its days, run forward with the
+    first argmin over the previous day's candidates as parent, and walked
+    back from the first least candidate of its last day."""
+    T = len(solutions)
+    predictions = {}
+    for traj in range(1, max(assign) + 1):
+        days = [t for t in range(T) if assign[t] == traj]
+        dp = D[0, :] + H[:, days[0]]
+        parents = []
+        for t in days[1:]:
+            step = dp[:, None] + D
+            parents.append(step.argmin(axis=0))
+            dp = step.min(axis=0) + H[:, t]
+        c = int(dp.argmin())
+        choices = [c]
+        for parent in reversed(parents):
+            c = int(parent[c])
+            choices.append(c)
+        choices.reverse()
+        for day, ci in zip(days, choices):
+            predictions[day + 1] = candidates[ci]
+    return TrajectorySet(
+        k=k,
+        assignment={t + 1: assign[t] for t in range(T)},
+        predictions=predictions,
+    )
 
 
 def test_brute_force_matches_the_enumerating_reference():
@@ -342,6 +409,32 @@ def test_brute_force_matches_the_enumerating_reference():
         ref_cost, ref_witness = reference_best_trajectories(sols, k, norm)
         assert repr(cost) == repr(ref_cost), (case, T, k, norm)
         assert witness == ref_witness, (case, T, k, norm)
+
+
+def test_one_trajectory_beyond_the_cap_is_the_plain_dp():
+    # k = 1 runs at any T: its value is a plain day-by-day DP over all days,
+    # and its witness is that DP walked back.
+    rng = random.Random(89)
+    for case in range(60):
+        T = rng.randint(TRAJ_MAX_T + 1, 60)
+        norm = NORMS[case % 3]
+        dim = rng.randint(1, 3)
+        if case % 2:
+            sols = _grid_points(rng, T, dim, rng.randint(1, 5), rng.choice((0.1, 1.0)))
+        else:
+            sols = _rand_points(rng, T, dim, spread=rng.choice([1.0, 15.0, 1e4]))
+        candidates = [origin(dim)]
+        for s in sols:
+            if s not in candidates:
+                candidates.append(s)
+        D = distance_matrix(candidates, norm)
+        H = distance_matrix(candidates, norm, sols)
+        dp = D[0] + H[:, 0]
+        for t in range(1, T):
+            dp = (dp[:, None] + D).min(axis=0) + H[:, t]
+        cost, witness = brute_force_best_trajectories(sols, 1, norm)
+        assert repr(cost) == repr(float(dp.min())), (case, T, norm)
+        assert witness == reference_witness((1,) * T, candidates, D, H, 1, sols), (case, T, norm)
 
 
 def test_sandwich_against_kserver_opt():
@@ -418,8 +511,10 @@ def _grid_points(rng, T, dim, half, step):
 def test_flow_matches_reference_solver_bit_for_bit():
     # Grid points make ties and duplicate points common.  A step of 0.1 is
     # not a binary fraction, so sums of L1 and Linf distances round too and
-    # two tied paths can give different bits: the solver must pick the
-    # reference's path, not just an optimal one.
+    # two tied paths can give different bits.  Entries with min(k, T) <= 3
+    # come from the DP and must be the least left-to-right sum over every
+    # schedule; the others come from the flow and must take the reference
+    # flow's path, not just an optimal one.
     rng = random.Random(97)
     for case in range(100):
         norm = NORMS[case % 3]
@@ -429,7 +524,12 @@ def test_flow_matches_reference_solver_bit_for_bit():
         sols = _grid_points(rng, T, dim, rng.choice((1, 2, 3, 5)), step)
         ks = list(range(1, T + 4))
         got = offline_opt_kserver(sols, ks, norm)
-        exp = [reference_offline_opt_kserver(sols, k, norm) for k in ks]
+        exp = [
+            configuration_kserver_opt(sols, k, norm)
+            if min(k, T) <= 3
+            else reference_offline_opt_kserver(sols, k, norm)
+            for k in ks
+        ]
         assert [repr(c) for c in got] == [repr(c) for c in exp], (case, norm, sols)
 
 
@@ -441,7 +541,40 @@ def test_more_servers_than_requests_cost_the_same_as_t():
         norm = NORMS[case % 3]
         costs = offline_opt_kserver(sols, list(range(T, T + 11)), norm)
         assert [repr(c) for c in costs] == [repr(costs[0])] * 11
-        assert repr(reference_offline_opt_kserver(sols, T + 10, norm)) == repr(costs[0])
+        if T <= 3:
+            ref = independent_kserver_opt(sols, T + 10, norm)
+        else:
+            ref = reference_offline_opt_kserver(sols, T + 10, norm)
+        assert repr(ref) == repr(costs[0])
+
+
+def test_kserver_dp_is_the_least_schedule_sum_bit_for_bit():
+    # Every entry with min(k, T) <= 3 must be exactly the least left-to-right
+    # float sum over all k^T assignments.  Grids of step 0.1 round in every
+    # sum and tie often; uniform points reach coordinates of 1e8.  The
+    # k >= 4 entry runs the flow when T >= 4: it carries the big-M noise, so
+    # it is checked to 1e-12 relative.
+    rng = random.Random(109)
+    flow_checked = 0
+    for case in range(1500):
+        norm = NORMS[case % 3]
+        T = rng.randint(1, 8)
+        dim = rng.randint(1, 3)
+        if case % 2:
+            sols = _grid_points(rng, T, dim, rng.randint(1, 5), rng.choice((0.1, 1.0)))
+        else:
+            sols = _rand_points(rng, T, dim, spread=rng.choice([1.0, 15.0, 1e4, 1e8]))
+        ks = [1, 2, 3, rng.randint(4, 10)]
+        for k, c in zip(ks, offline_opt_kserver(sols, ks, norm)):
+            if min(k, T) <= 3:
+                exp = independent_kserver_opt(sols, k, norm)
+                assert repr(c) == repr(exp), (case, k, norm, sols)
+                assert repr(configuration_kserver_opt(sols, k, norm)) == repr(exp)
+            else:
+                exp = configuration_kserver_opt(sols, k, norm)
+                assert math.isclose(c, exp, rel_tol=1e-12), (case, k, norm, sols)
+                flow_checked += 1
+    assert flow_checked >= 500
 
 
 def test_rounding_beyond_the_tie_margin_fails_loudly():

@@ -76,13 +76,17 @@ def test_baseline_cap_marks_unavailable(tmp_path):
     scen = gen_drifting_trajectories(56, k=1, drift_per_day=0.5, noise=0.5, T=12, dim=1)
     p = tmp_path / "scen.json"
     p.write_text(scen.to_json_text())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": str(p), "strategy": "predict-yesterday", "baseline_ks": [1, 2]}))
     out = tmp_path / "ledger.json"
-    rc = main(["simulate", "--scenario", str(p), "--strategy", "predict-yesterday", "--out", str(out)])
-    assert rc == 0
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     lg = CostLedger.from_json_text(out.read_text())
-    # T=12 exceeds the brute-force trajectory cap, so the baseline is marked
-    assert lg.baselines["opt_1_traj"] is None
-    assert "opt_1_traj" not in lg.ratios
+    # T=12 exceeds the brute-force trajectory cap for k >= 2, so that
+    # baseline is marked; k = 1 has no cap
+    assert lg.baselines["opt_2_traj_restricted"] is None
+    assert "opt_2_traj_restricted" not in lg.ratios
+    assert isinstance(lg.baselines["opt_1_traj"], float)
+    assert "opt_1_traj" in lg.ratios
 
 
 def test_user_errors_exit_one(tmp_path, capsys):
@@ -116,6 +120,11 @@ PLANTED_5_DAYS = {
     "assignment": {str(t): 1 for t in range(1, 6)},
     "predictions": {str(t): [0.0] for t in range(1, 6)},
 }
+
+# Three days whose distances from each other overflow to inf.
+OVERFLOWING_DAYS = [
+    {"day": t, "features": [0.0], "solution": [x]} for t, x in ((1, 1e308), (2, -1e308), (3, 1e308))
+]
 
 
 @pytest.mark.parametrize(
@@ -164,6 +173,16 @@ PLANTED_5_DAYS = {
             },
             None,
         ),
+        (
+            "simulate",
+            {"strategy": "predict-yesterday", "scenario": dict(GENERATED, params=dict(GENERATED["params"], k=0))},
+            None,
+        ),
+        (
+            "simulate",
+            {"strategy": "predict-yesterday"},
+            [(["norm"], "L1"), (["meta"], {}), (["days"], OVERFLOWING_DAYS)],
+        ),
         ("simulate", {"strategy": ["predict-yesterday"]}, None),
         ("simulate", {"strategy": "predict-yesterday"}, (["meta"], 5)),
         ("simulate", {"strategy": "predict-yesterday"}, (["meta", "planted"], PLANTED_5_DAYS)),
@@ -191,6 +210,8 @@ PLANTED_5_DAYS = {
         "generator-draws-overflow",
         "generator-seed-null",
         "generator-k-0",
+        "drifting-k-0",
+        "distances-overflow",
         "strategy-not-string",
         "meta-not-object",
         "planted-beyond-T",
@@ -201,8 +222,10 @@ def test_bad_input_exits_one_with_one_line(tmp_path, capsys, command, config, pa
     scen = json.loads(
         gen_drifting_trajectories(61, k=1, drift_per_day=0.5, noise=0.5, T=4, dim=1).to_json_text()
     )
-    if patch is not None:  # (key path into the scenario JSON, new value)
-        path, value = patch
+    # patch: (key path into the scenario JSON, new value), or a list of them
+    if isinstance(patch, tuple):
+        patch = [patch]
+    for path, value in patch or []:
         target = scen
         for key in path[:-1]:
             target = target[key]
@@ -260,16 +283,22 @@ def test_report_joins_ledgers_with_na_cells(scen_file, tmp_path):
     assert len(lines) == 3
     header = lines[0].split(",")
     assert header[:5] == ["scenario", "strategy", "radius", "overhead", "wall_estimate"]
-    # T=8 is within the trajectory cap here, so no NA for opt_1_traj;
-    # but rerun on a long scenario to get NA cells
+    # T=8 is within the trajectory cap here, so no NA cells; rerun on a
+    # long scenario, where the k = 2 trajectory baseline is over its cap
     long_scen = gen_drifting_trajectories(60, k=1, drift_per_day=0.5, noise=0.5, T=12, dim=1)
     lp = tmp_path / "long.json"
     lp.write_text(long_scen.to_json_text())
+    lcfg = tmp_path / "long_cfg.json"
+    lcfg.write_text(json.dumps({"scenario": str(lp), "strategy": "predict-yesterday", "baseline_ks": [1, 2]}))
     lout = tmp_path / "long_ledger.json"
-    assert main(["simulate", "--scenario", str(lp), "--strategy", "predict-yesterday", "--out", str(lout)]) == 0
+    assert main(["simulate", "--config", str(lcfg), "--out", str(lout)]) == 0
     report2 = tmp_path / "report2.csv"
     assert main(["report", str(lout), "--out", str(report2)]) == 0
-    assert "NA" in report2.read_text()
+    header, row = (line.split(",") for line in report2.read_text().strip().split("\n"))
+    cells = dict(zip(header, row))
+    assert cells["baseline:opt_2_traj_restricted"] == cells["ratio:opt_2_traj_restricted"] == "NA"
+    assert float(cells["baseline:opt_1_traj"]) > 0
+    assert "NA" not in (cells["ratio:opt_1_traj"], cells["baseline:opt_kserver_k2"])
 
 
 def test_report_ratios_recomputable(scen_file, tmp_path):
@@ -332,6 +361,32 @@ def test_huge_baseline_k_is_as_cheap_as_k_equal_t(tmp_path):
     assert repr(baselines[f"opt_kserver_k{10**9}"]) == repr(baselines["opt_kserver_k3"])
     assert baselines[f"opt_{10**9}_traj_restricted"] is None
 
+
+
+def test_tie_margin_input_exits_zero_with_three_baseline_servers(tmp_path):
+    # At coordinates near 1e7 the flow loses its shortest-path tree from the
+    # fourth server on (tests/test_baselines.py); k <= 3 runs no flow.
+    e = 10**7
+    sols = [
+        [-2 * e, 2 * e, -2 * e], [2 * e, 0, e], [-e, -e, 0], [e, -e, e], [-2 * e, -2 * e, 2 * e],
+        [-e, -2 * e, 0], [-e, 0, -e], [-2 * e, -2 * e, -2 * e], [2 * e, -e, -e],
+    ]
+    scen = json.loads(
+        gen_drifting_trajectories(64, k=1, drift_per_day=0.5, noise=0.5, T=9, dim=3).to_json_text()
+    )
+    for day, sol in zip(scen["days"], sols):
+        day["solution"] = [float(x) for x in sol]
+    scen["meta"] = {}
+    p = tmp_path / "scen.json"
+    p.write_text(json.dumps(scen))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": str(p), "strategy": "predict-yesterday", "baseline_ks": [1, 2, 3]}))
+    out = tmp_path / "ledger.json"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    baselines = CostLedger.from_json_text(out.read_text()).baselines
+    costs = [baselines[f"opt_kserver_k{k}"] for k in (1, 2, 3)]
+    assert costs == sorted(costs, reverse=True) and costs[2] > 0
+    assert baselines["opt_1_traj"] <= costs[0]
 
 
 def test_huge_k_for_the_kserver_strategies(scen_file, tmp_path, capsys):
