@@ -10,9 +10,9 @@ from warmstart import (
     HiddenInstance,
     LabeledSample,
     Point,
+    ThresholdClass,
     c_loss,
     compose,
-    enumerate_threshold_trees,
     predict_and_solve,
     two_step_learn,
 )
@@ -23,8 +23,9 @@ for i in range(8):
     data.append(LabeledSample(Point.of(float(i)), Point.of(i * 0.1)))
     data.append(LabeledSample(Point.of(100.0 + i), Point.of(200.0 + i * 0.1)))
 
-hyps = enumerate_threshold_trees([s.features for s in data], k=2, depth=1)
-h, phi, centers, _ = two_step_learn(hyps, data, k=2, norm="L1")
+# The class is scored from one mask per split; only the winning tree is built.
+hyps = ThresholdClass([s.features for s in data], k=2, depth=1)
+h, phi, centers, _, _ = two_step_learn(hyps, data, k=2, norm="L1")
 g = compose(h, phi)
 
 print(f"hypothesis class size: {len(hyps)}")

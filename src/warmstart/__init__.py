@@ -51,6 +51,7 @@ from .oracle import (
 from .partition import (
     LabeledSample,
     RotatedTree,
+    ThresholdClass,
     ThresholdTree,
     c_loss,
     compose,
@@ -94,6 +95,7 @@ __all__ = [
     "RotatedTree",
     "Scenario",
     "SearchThread",
+    "ThresholdClass",
     "ThresholdTree",
     "TrajectorySet",
     "WorkFunctionState",

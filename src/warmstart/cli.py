@@ -19,16 +19,16 @@ import numpy as np
 
 from .baselines import brute_force_best_trajectories, offline_opt_kserver
 from .errors import CapExceeded, InvariantViolation
-from .kmedians import cost_of_centers, learn_centers
-from .ledger import CostLedger
-from .metric import NORMS, Point, origin, pairwise_max_distance
+from .kmedians import MEDIAN_MAX_ITER, cost_of_centers, learn_centers
+from .ledger import CostLedger, dumps_strict
+from .metric import NORMS, Point, distance_matrix, origin
 from .online import NEEDS_K, STRATEGIES, predict_yesterday, run_quadratic_decay
 from .oracle import hidden_solution, run_parallel_k
 from .partition import (
     LabeledSample,
+    ThresholdClass,
     c_loss,
     compose,
-    enumerate_threshold_trees,
     two_step_learn,
 )
 from .scenarios import Scenario, generate, planted_baseline, traj_from_jsonable
@@ -79,23 +79,54 @@ def _load_scenario(config: dict) -> Scenario:
                 f"day {inst.day} has a feature or solution whose length is not "
                 f"the scenario dim {scenario.dim}"
             )
-    with np.errstate(over="ignore"):
-        d_max = pairwise_max_distance([origin(scenario.dim)] + scenario.solution_list(), scenario.norm)
-    if not math.isfinite(d_max):
-        raise UserError("scenario coordinates are too large: a distance overflows to inf")
     if not isinstance(scenario.meta, dict):
         raise UserError("scenario meta must be an object")
+    planted = []
     if "planted" in scenario.meta:
         try:
-            planted = traj_from_jsonable(scenario.meta["planted"])
+            traj = traj_from_jsonable(scenario.meta["planted"])
         except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise UserError(f"bad planted trajectory in scenario meta: {e!r}") from e
-        if planted.T > scenario.T or any(p.dim != scenario.dim for p in planted.predictions.values()):
+        planted = list(traj.predictions.values())
+        if traj.T > scenario.T or any(p.dim != scenario.dim for p in planted):
             raise UserError(
                 f"the planted trajectory must cover only days 1..{scenario.T} "
                 f"in dimension {scenario.dim}"
             )
+    _check_magnitudes(scenario, planted)
     return scenario
+
+
+def _check_magnitudes(scenario: Scenario, planted: list[Point]) -> None:
+    """Reject a scenario whose sums or ratios could overflow (exit 1).
+
+    Between two of origin and solutions a distance is 0 or in [d_min,
+    d_max].  One to a planted prediction p is at most |p| + |x| (|.| the
+    distance to the origin), so at most d_max + 2r with r the largest |p|;
+    and a positive planted baseline is at least r, the moves of p's
+    trajectory from the origin, or else a sum of solution norms, at least
+    d_min.  The largest sum is a decay ledger's total radius: T days of at
+    most T + 1 threads, each at most the largest distance in steps, since
+    rank 1 steps every tick.  An L1 distance to a coordinate-wise median is
+    at most dim times the largest distance, a ratio divides by a baseline
+    of at least the least positive distance, and a feature threshold adds
+    two features of size at most f_max.  So (T+1)^3 * dim * max(d_max + 2r,
+    f_max, 1) / min(d_min, r or 1, 1), when finite, bounds every float a run
+    forms, with room.
+    """
+    center = [origin(scenario.dim)]
+    with np.errstate(over="ignore"):
+        D = distance_matrix(center + scenario.solution_list(), scenario.norm)
+        r = float(distance_matrix(planted, scenario.norm, center).max()) if planted else 0.0
+        d_max = float(D.max()) + 2 * r
+    d_min = min(float(D.min(where=D > 0, initial=1.0)), r or 1.0)
+    f_max = max(abs(c) for inst in scenario.days for c in inst.features.coords)
+    bound = (scenario.T + 1) ** 3 * scenario.dim * max(d_max, f_max, 1.0) / d_min
+    if not math.isfinite(bound):
+        raise UserError(
+            "scenario magnitudes are out of range: (T+1)^3 * dim * max(d_max + 2r, "
+            "f_max, 1) / min(d_min, r or 1, 1) overflows, so a cost or ratio could"
+        )
 
 
 def _read_scenario(config: dict) -> Scenario:
@@ -216,8 +247,10 @@ def cmd_learn(args) -> int:
     elif learner == "partition":
         train = [LabeledSample(i.features, hidden_solution(i)) for i in train_days]
         test = [LabeledSample(i.features, hidden_solution(i)) for i in test_days]
-        hyps = enumerate_threshold_trees([s.features for s in train], k, depth)
-        h, phi, C_h, out["centers_method"] = two_step_learn(hyps, train, k, scenario.norm)
+        hyps = ThresholdClass([s.features for s in train], k, depth)
+        h, phi, C_h, out["centers_method"], capped = two_step_learn(hyps, train, k, scenario.norm)
+        if capped:
+            out["median_capped"] = {"max_iter": MEDIAN_MAX_ITER, "parts": list(capped)}
         g = compose(h, phi)
         out["hypothesis"] = {
             "feature_indices": list(h.feature_indices),
@@ -230,7 +263,7 @@ def cmd_learn(args) -> int:
         out["holdout_c_loss"] = c_loss(g, None, C_h, test, scenario.norm)
     else:
         raise UserError(f"unknown learner {learner!r}; expected centers or partition")
-    _write(config.get("out"), json.dumps(out, sort_keys=True, indent=1) + "\n")
+    _write(config.get("out"), dumps_strict(out))
     return 0
 
 

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, islice
+from operator import add, mul
 from typing import Sequence
 
 import numpy as np
@@ -69,14 +71,22 @@ def _nearest(D: np.ndarray, idxs: Sequence[int]) -> np.ndarray:
     return D[list(idxs)].min(axis=0)
 
 
+# Table entries scored at once by subset ERM: a block of (k-1)-prefixes
+# holds prefixes x m candidates x m samples of them.
+SUBSET_ERM_BLOCK = 1 << 15
+
+
 def learn_centers_subset_erm(X: Sequence[Point], k: int, norm: str) -> CenterSet:
     """Exact ERM over all k-subsets of the sample.
 
     Ties are broken toward the lexicographically first subset of sorted
     member indices, which is the order ``itertools.combinations`` yields.
-    Subsets are scored from one distance table: each (k-1)-prefix, in that
-    order, scores all its extensions in one vector step, so the cost is
-    C(m-1, k-1) steps over an m x m table.
+    Subsets are scored from one distance table, a block of (k-1)-prefixes
+    at a time: every prefix scores the candidate last members from the
+    block's least valid one on at once, candidates at or below the prefix's
+    last index score +inf, and the block's first least cost is its first
+    subset in that order.  The cost is at most C(m-1, k-1) x m rows of m
+    samples.
     """
     m = len(X)
     if k > m:
@@ -87,16 +97,22 @@ def learn_centers_subset_erm(X: Sequence[Point], k: int, norm: str) -> CenterSet
             "use learn_centers_local_search"
         )
     D = distance_matrix(X, norm)
+    # The last prefix index is at most m-2, so every prefix has an extension.
+    prefixes = combinations(range(m - 1), k - 1)
+    step = max(1, SUBSET_ERM_BLOCK // (m * m))
     best_cost = math.inf
     best: tuple[int, ...] | None = None
-    # The last prefix index is at most m-2, so every prefix has an extension.
-    for prefix in combinations(range(m - 1), k - 1):
-        first = prefix[-1] + 1 if prefix else 0
-        costs = mean_left_to_right(np.minimum(D[first:], _nearest(D, prefix)))
-        j = int(costs.argmin())
-        if costs[j] < best_cost:
-            best_cost = costs[j]
-            best = prefix + (first + j,)
+    while block := list(islice(prefixes, step)):
+        P = np.array(block, dtype=np.intp).reshape(len(block), k - 1)
+        near = D[P].min(axis=1) if k > 1 else np.full((1, m), math.inf)
+        first = P[:, -1] + 1 if k > 1 else np.zeros(1, np.intp)
+        lo = int(first.min())
+        costs = mean_left_to_right(np.minimum(D[lo:], near[:, None, :]))
+        costs[np.arange(lo, m) < first[:, None]] = math.inf
+        p, j = divmod(int(costs.argmin()), m - lo)
+        if costs[p, j] < best_cost:
+            best_cost = costs[p, j]
+            best = block[p] + (lo + j,)
     assert best is not None
     return CenterSet(tuple(X[i] for i in best))
 
@@ -155,6 +171,9 @@ def solve_with_learned_centers(
     return run_parallel_k(inst, list(C.centers))
 
 
+MEDIAN_MAX_ITER = 1000
+
+
 def median_point(points: Sequence[Point], norm: str) -> Point:
     """Empirical 1-median of a nonempty point set under the given norm.
 
@@ -162,6 +181,12 @@ def median_point(points: Sequence[Point], norm: str) -> Point:
     median by iteratively reweighted averaging under L2, coordinate-wise
     midpoint of extremes under Linf.
     """
+    return median_point_detail(points, norm)[0]
+
+
+def median_point_detail(points: Sequence[Point], norm: str) -> tuple[Point, bool]:
+    """``median_point`` and whether it stopped at ``MEDIAN_MAX_ITER``
+    iterations before converging (only the L2 median iterates)."""
     if not points:
         raise ValueError("empty point set")
     dim = points[0].dim
@@ -170,35 +195,56 @@ def median_point(points: Sequence[Point], norm: str) -> Point:
         for j in range(dim):
             col = sorted(p[j] for p in points)
             coords.append(col[(len(col) - 1) // 2])
-        return Point(tuple(coords))
+        return Point(tuple(coords)), False
     if norm == LINF:
         coords = []
         for j in range(dim):
             col = [p[j] for p in points]
             coords.append((min(col) + max(col)) / 2.0)
-        return Point(tuple(coords))
+        return Point(tuple(coords)), False
     if norm == L2:
-        return _geometric_median(points)
+        est, capped = _geometric_median([p.coords for p in points])
+        return Point(est), capped
     raise ValueError(f"unknown norm {norm!r}")
 
 
 def _geometric_median(
-    points: Sequence[Point], tol: float = 1e-9, max_iter: int = 1000
-) -> Point:
-    n = len(points)
-    est = [sum(p[j] for p in points) / n for j in range(points[0].dim)]
+    P: Sequence[tuple[float, ...]], tol: float = 1e-9, max_iter: int = MEDIAN_MAX_ITER
+) -> tuple[tuple[float, ...], bool]:
+    """Weiszfeld's iteration from the mean, over coordinate tuples.
+
+    Each step computes every distance as ``distance`` does (squares summed
+    left to right, then ``sqrt``), weighs each point by
+    ``1 / max(d, 1e-12)`` and sums the weights and the weighted coordinates
+    in point order, so the estimate is the same float at every step.
+    Returns the estimate and whether ``max_iter`` steps ran without a shift
+    below ``tol``.  A non-finite estimate raises ``ValueError``.
+    """
+    n = len(P)
+    cols = list(zip(*P))
+    est = [sum(col) / n for col in cols]
     for _ in range(max_iter):
-        num = [0.0] * len(est)
-        denom = 0.0
-        for p in points:
-            d = distance(Point(tuple(est)), p, L2)
-            w = 1.0 / max(d, 1e-12)
-            denom += w
-            for j in range(len(est)):
-                num[j] += w * p[j]
-        new = [v / denom for v in num]
+        _check_finite(est)
+        e = est[0]
+        sq = [(e - x) * (e - x) for x in cols[0]]
+        for e, col in zip(est[1:], cols[1:]):
+            sq = [s + (e - x) * (e - x) for s, x in zip(sq, col)]
+        # 1 / max(d, 1e-12), spelled so that a NaN d stays NaN as with max
+        ws = [1.0 / (1e-12 if d < 1e-12 else d) for d in map(math.sqrt, sq)]
+        denom = reduce(add, ws, 0.0)
+        new = [reduce(add, map(mul, ws, col), 0.0) / denom for col in cols]
         shift = max(abs(a - b) for a, b in zip(new, est))
         est = new
         if shift < tol:
+            capped = False
             break
-    return Point(tuple(est))
+    else:
+        capped = True
+    _check_finite(est)
+    return tuple(est), capped
+
+
+def _check_finite(coords: Sequence[float]) -> None:
+    for c in coords:
+        if not math.isfinite(c):
+            raise ValueError(f"non-finite coordinate {c!r}")

@@ -8,9 +8,27 @@ round-trip exactly.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
+from .errors import InvariantViolation
+
 SCHEMA_VERSION = 1
+
+
+def dumps_strict(obj) -> str:
+    """Sorted-key JSON text, one space per indent level, with a final
+    newline.  NaN and infinities are not JSON, and the load-time magnitude
+    rule keeps every output finite, so one here raises
+    ``InvariantViolation``."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=1, allow_nan=False) + "\n"
+    except ValueError as e:
+        raise InvariantViolation(f"non-finite value in output: {e}") from e
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not valid JSON")
 
 
 @dataclass
@@ -91,7 +109,7 @@ class CostLedger:
         }
 
     def to_json_text(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1) + "\n"
+        return dumps_strict(self.to_dict())
 
     @staticmethod
     def from_dict(d: dict) -> "CostLedger":
@@ -121,8 +139,10 @@ class CostLedger:
             or totals["wall_estimate"] != ledger.wall_estimate
         ):
             raise ValueError("ledger totals do not match per-day entries")
+        if not ledger.wall_estimate <= sys.float_info.max:
+            raise ValueError("ledger totals are beyond the float range")
         return ledger
 
     @staticmethod
     def from_json_text(text: str) -> "CostLedger":
-        return CostLedger.from_dict(json.loads(text))
+        return CostLedger.from_dict(json.loads(text, parse_constant=_reject_constant))

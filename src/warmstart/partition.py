@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import CapExceeded
-from .kmedians import CenterSet, learn_centers, median_point
+from .kmedians import CenterSet, learn_centers, median_point_detail
 from .metric import Point, distance, distance_matrix, mean_left_to_right, origin
 from .oracle import HiddenInstance, run_parallel_k_detail
 
@@ -109,49 +109,94 @@ def canonical_thresholds(values: Sequence[float]) -> list[float]:
     return [(a + b) / 2.0 for a, b in zip(vs, vs[1:])]
 
 
+class ThresholdClass(Sequence[ThresholdTree]):
+    """The finite class of threshold trees of depth <= ``depth`` over a set
+    of features, in one fixed enumeration order, without building its trees.
+
+    Thresholds are canonicalized to midpoints between consecutive distinct
+    feature values, so the class is exactly enumerable.  The order is: the
+    k one-leaf trees; then for each split (feature, threshold), features
+    first, every leaf pair (a, b) with a != b; then for each triple of
+    splits (root, left, right) every 4-tuple of leaves with at least two
+    distinct labels.  ``self[i]`` decodes the i-th tree, and ``label_rows``
+    labels data with every tree in that order, from one boolean mask per
+    split.
+    """
+
+    def __init__(self, features: Sequence[Point], k: int, depth: int = 1, eval_work: int = 1):
+        dim = features[0].dim
+        if depth not in (0, 1, 2):
+            raise ValueError("depth must be 0, 1, or 2")
+        self.k, self.depth, self.eval_work = k, depth, eval_work
+        labels = range(1, k + 1)
+        self.splits = [
+            (f, t) for f in range(dim) for t in canonical_thresholds([x[f] for x in features])
+        ]
+        self.pairs = [(a, b) for a, b in product(labels, repeat=2) if a != b]
+        self.quads = [q for q in product(labels, repeat=4) if len(set(q)) >= 2]
+        S = len(self.splits)
+        self.sizes = (k, S * len(self.pairs), S**3 * len(self.quads))[: depth + 1]
+
+    def __len__(self) -> int:
+        return sum(self.sizes)
+
+    def __getitem__(self, i: int) -> ThresholdTree:
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("hypothesis index out of range")
+        k, ew = self.k, self.eval_work
+        if i < k:
+            return ThresholdTree((), (), (i + 1,), k, ew)
+        i -= k
+        if i < self.sizes[1]:
+            split, pair = divmod(i, len(self.pairs))
+            f, t = self.splits[split]
+            return ThresholdTree((f,), (t,), self.pairs[pair], k, ew)
+        i -= self.sizes[1]
+        S = len(self.splits)
+        triple, quad = divmod(i, len(self.quads))
+        s0, rest = divmod(triple, S * S)
+        (f0, t0), (f1, t1), (f2, t2) = (self.splits[s] for s in (s0, *divmod(rest, S)))
+        return ThresholdTree((f0, f1, f2), (t0, t1, t2), self.quads[quad], k, ew)
+
+    def label_rows(self, features: Sequence[Point], block: int) -> Iterator[np.ndarray]:
+        """Consecutive (trees x samples) label tables of at most ``block``
+        rows, covering the class in order."""
+        n = len(features)
+        X = np.array([x.coords for x in features]).reshape(n, -1)
+        f = np.array([f for f, _ in self.splits], dtype=np.intp)
+        t = np.array([t for _, t in self.splits])
+        masks = (X[:, f] <= t).T  # masks[s] = x[f_s] <= t_s
+        yield from _chunks(np.repeat(np.arange(1, self.k + 1)[:, None], n, axis=1), block)
+        if self.depth >= 1 and self.pairs:
+            first, second = (np.array(c)[None, :, None] for c in zip(*self.pairs))
+            step = max(1, block // len(self.pairs))
+            for lo in range(0, len(self.splits), step):
+                m = masks[lo : lo + step, None, :]
+                yield from _chunks(np.where(m, first, second).reshape(-1, n), block)
+        if self.depth == 2 and self.quads:
+            S, quads = len(self.splits), np.array(self.quads)
+            rows = np.arange(len(quads))[None, :, None]
+            step = max(1, block // len(quads))
+            for lo in range(0, S**3, step):
+                triple = np.arange(lo, min(lo + step, S**3))
+                root, left, right = masks[triple // (S * S)], masks[triple // S % S], masks[triple % S]
+                leaf = np.where(root, np.where(left, 0, 1), np.where(right, 2, 3))
+                yield from _chunks(quads[rows, leaf[:, None, :]].reshape(-1, n), block)
+
+
+def _chunks(rows: np.ndarray, block: int) -> Iterator[np.ndarray]:
+    for lo in range(0, len(rows), block):
+        yield rows[lo : lo + block]
+
+
 def enumerate_threshold_trees(
     features: Sequence[Point], k: int, depth: int = 1, eval_work: int = 1
 ) -> list[ThresholdTree]:
-    """Finite hypothesis class over the training features.
-
-    Thresholds are canonicalized to midpoints between consecutive distinct
-    feature values, so the class is exactly enumerable.  Depth 2 grows fast;
-    keep it to desk-scale inputs.
-    """
-    dim = features[0].dim
-    hyps: list[ThresholdTree] = []
-    for lab in range(1, k + 1):
-        hyps.append(ThresholdTree((), (), (lab,), k, eval_work))
-    if depth == 0:
-        return hyps
-    per_feature = {
-        f: canonical_thresholds([x[f] for x in features]) for f in range(dim)
-    }
-    for f in range(dim):
-        for t in per_feature[f]:
-            for a, b in product(range(1, k + 1), repeat=2):
-                if a == b:
-                    continue
-                hyps.append(ThresholdTree((f,), (t,), (a, b), k, eval_work))
-    if depth == 1:
-        return hyps
-    if depth != 2:
-        raise ValueError("depth must be 0, 1, or 2")
-    for f0 in range(dim):
-        for t0 in per_feature[f0]:
-            for f1 in range(dim):
-                for t1 in per_feature[f1]:
-                    for f2 in range(dim):
-                        for t2 in per_feature[f2]:
-                            for leaves in product(range(1, k + 1), repeat=4):
-                                if len(set(leaves)) < 2:
-                                    continue
-                                hyps.append(
-                                    ThresholdTree(
-                                        (f0, f1, f2), (t0, t1, t2), leaves, k, eval_work
-                                    )
-                                )
-    return hyps
+    """Every tree of ``ThresholdClass(features, k, depth, eval_work)``, in its
+    order.  Depth 2 grows fast; keep a list of it to desk-scale inputs."""
+    return list(ThresholdClass(features, k, depth, eval_work))
 
 
 def c_loss(
@@ -180,6 +225,15 @@ def cost_of_partition(
     Empty partitions receive the origin as a placeholder center; they carry
     no samples, so the placeholder contributes zero cost.
     """
+    cost, centers, _ = partition_medians(h, data, norm)
+    return cost, centers
+
+
+def partition_medians(
+    h, data: Sequence[LabeledSample], norm: str
+) -> tuple[float, CenterSet, tuple[int, ...]]:
+    """``cost_of_partition``, and the labels of the parts whose 1-median
+    stopped at ``MEDIAN_MAX_ITER`` iterations (see ``median_point_detail``)."""
     if not data:
         raise ValueError("empty data")
     dim = data[0].solution.dim
@@ -187,15 +241,18 @@ def cost_of_partition(
     for s in data:
         groups[h.label(s.features)].append(s.solution)
     centers = []
+    capped = []
     total = 0.0
     for i in range(1, h.k + 1):
         if groups[i]:
-            c = median_point(groups[i], norm)
+            c, cap = median_point_detail(groups[i], norm)
+            if cap:
+                capped.append(i)
             total += sum(distance(x, c, norm) for x in groups[i])
         else:
             c = origin(dim)
         centers.append(c)
-    return total / len(data), CenterSet(tuple(centers))
+    return total / len(data), CenterSet(tuple(centers)), tuple(capped)
 
 
 def construct_rotation(
@@ -221,6 +278,20 @@ def construct_rotation(
 RC_ERM_BLOCK = 1024
 
 
+def _label_rows(hyps: Sequence[ThresholdTree], features: Sequence[Point]) -> Iterator[np.ndarray]:
+    """The class's label tables on ``features``, ``RC_ERM_BLOCK`` trees at a
+    time: from split masks for a ``ThresholdClass``, by ``label`` otherwise."""
+    if isinstance(hyps, ThresholdClass):
+        yield from hyps.label_rows(features, RC_ERM_BLOCK)
+        return
+    n = len(features)
+    for lo in range(0, len(hyps), RC_ERM_BLOCK):
+        block = hyps[lo : lo + RC_ERM_BLOCK]
+        yield np.fromiter(
+            (h.label(x) for h in block for x in features), np.intp, len(block) * n
+        ).reshape(len(block), n)
+
+
 def _erm_per_rotation(
     hyps: Sequence[ThresholdTree],
     C: CenterSet,
@@ -233,24 +304,21 @@ def _erm_per_rotation(
 
     Each hypothesis labels the data once; every rotation then gathers from
     one table of solution-to-center distances, and losses are summed left to
-    right like ``c_loss``, so they are the same floats.
+    right like ``c_loss``, so they are the same floats.  Only the winners
+    are read out of ``hyps``.
     """
     if not hyps:
         raise ValueError("empty hypothesis class")
     if not data:
         raise ValueError("empty data")
     n, k = len(data), C.k
-    feats = [s.features for s in data]
     table = distance_matrix([s.solution for s in data], norm, C.centers)
     # gathers[r][s * k + label - 1] = distance(solution s, C[phi_r(label)])
     gathers = [table[:, np.subtract(phi, 1)].ravel() for phi in rotations]
     row_start = np.arange(n) * k - 1
-    best: list[tuple[float, ThresholdTree | None]] = [(math.inf, None)] * len(rotations)
-    for lo in range(0, len(hyps), RC_ERM_BLOCK):
-        block = hyps[lo : lo + RC_ERM_BLOCK]
-        labels = np.fromiter(
-            (h.label(x) for h in block for x in feats), np.intp, len(block) * n
-        ).reshape(len(block), n)
+    best: list[tuple[float, int | None]] = [(math.inf, None)] * len(rotations)
+    lo = 0
+    for labels in _label_rows(hyps, [s.features for s in data]):
         if labels.min() < 1 or labels.max() > k:
             raise ValueError(f"hypothesis labels must lie in 1..{k}")
         flat = labels + row_start
@@ -258,8 +326,9 @@ def _erm_per_rotation(
             losses = mean_left_to_right(gather[flat])
             i = int(losses.argmin())
             if losses[i] < best[r][0]:
-                best[r] = (float(losses[i]), block[i])
-    return best
+                best[r] = (float(losses[i]), lo + i)
+        lo += len(labels)
+    return [(loss, None if i is None else hyps[i]) for loss, i in best]
 
 
 def erm_partition(
@@ -313,19 +382,22 @@ def two_step_learn(
     train: Sequence[LabeledSample],
     k: int,
     norm: str,
-) -> tuple[ThresholdTree, Rotation, CenterSet, str]:
+) -> tuple[ThresholdTree, Rotation, CenterSet, str, tuple[int, ...]]:
     """Learn centers from solutions, then the best rotated hypothesis.
 
     Step 1 clusters the training solutions into k centers; step 2 runs
     rotation-complete ERM against those centers; step 3 recomputes the
     per-partition 1-medians for the chosen rotated hypothesis, which never
-    increases the empirical objective.  The last value returned is the
-    method step 1 used (see ``learn_centers``).
+    increases the empirical objective.  ``hyps`` may be a list of trees or
+    a ``ThresholdClass``, which is scored without building its trees.  The
+    last two values returned are the method step 1 used (see
+    ``learn_centers``) and the parts whose step-3 median hit its iteration
+    cap (see ``partition_medians``).
     """
     C_hat, centers_method = learn_centers([s.solution for s in train], k, norm)
     h, phi = rc_erm(hyps, C_hat, train, norm)
-    _, C_h = cost_of_partition(compose(h, phi), train, norm)
-    return h, phi, C_h, centers_method
+    _, C_h, capped = partition_medians(compose(h, phi), train, norm)
+    return h, phi, C_h, centers_method, capped
 
 
 def predict_and_solve(

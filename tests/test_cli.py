@@ -1,7 +1,9 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
+import math
 import tempfile
 import time
 from pathlib import Path
@@ -10,13 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warmstart import kmedians
+from warmstart import cli, kmedians
 from warmstart.cli import build_parser, main
 from warmstart.ledger import CostLedger
 from warmstart.metric import origin, search_steps
 from warmstart.online import NEEDS_K, STRATEGIES
 from warmstart.oracle import hidden_solution
 from warmstart.scenarios import gen_adversarial_switch, gen_drifting_trajectories, gen_static_clusters
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -121,10 +125,36 @@ PLANTED_5_DAYS = {
     "predictions": {str(t): [0.0] for t in range(1, 6)},
 }
 
+def _days(solutions, features=None):
+    features = features or [0.0] * len(solutions)
+    return [
+        {"day": t, "features": [f], "solution": [x]}
+        for t, (f, x) in enumerate(zip(features, solutions), start=1)
+    ]
+
+
 # Three days whose distances from each other overflow to inf.
-OVERFLOWING_DAYS = [
-    {"day": t, "features": [0.0], "solution": [x]} for t, x in ((1, 1e308), (2, -1e308), (3, 1e308))
-]
+OVERFLOWING_DAYS = _days([1e308, -1e308, 1e308])
+# Distances of 1.6e308 are finite, but their sums overflow: a ledger's total
+# radius (an int too large for a float ratio) and a learner's holdout cost.
+SUMS_OVERFLOW_DAYS = _days([8e307, -8e307, 8e307])
+# Distances of 1e-320 make a ratio of a few steps to them overflow.
+TINY_DAYS = _days([1e-320, 2e-320, 1e-320])
+# Midpoints of features near 1e308 overflow to an inf threshold.
+HUGE_FEATURE_DAYS = _days([0.0, 5.0, 0.0, 5.0], [1e308, 1.5e308, 1.2e308, 1.7e308])
+# Planted predictions 2e308 apart make the planted baseline inf.
+PLANTED_FAR_APART = {
+    "k": 1,
+    "assignment": {"1": 1, "2": 1},
+    "predictions": {"1": [1e308], "2": [-1e308]},
+}
+# Planted predictions 1e-320 from solutions at the origin make the planted
+# baseline so small that the ratio to it overflows.
+PLANTED_TINY = {
+    "k": 1,
+    "assignment": {"1": 1, "2": 1},
+    "predictions": {"1": [1e-320], "2": [1e-320]},
+}
 
 
 @pytest.mark.parametrize(
@@ -187,6 +217,33 @@ OVERFLOWING_DAYS = [
         ("simulate", {"strategy": "predict-yesterday"}, (["meta"], 5)),
         ("simulate", {"strategy": "predict-yesterday"}, (["meta", "planted"], PLANTED_5_DAYS)),
         ("simulate", {"strategy": "predict-yesterday"}, (["meta", "planted", "predictions", "1"], [0.0, 0.0])),
+        ("simulate", {"strategy": "predict-yesterday"}, [(["norm"], "L1"), (["meta"], {}), (["days"], SUMS_OVERFLOW_DAYS)]),
+        (
+            "learn",
+            {"learner": "centers", "k": 1},
+            [(["norm"], "L1"), (["meta"], {}), (["days"], _days([8e307, -8e307, 8e307] * 2))],
+        ),
+        (
+            "simulate",
+            {"strategy": "predict-yesterday"},
+            [(["norm"], "L1"), (["days"], _days([1.0, 2.0])), (["meta", "planted"], PLANTED_FAR_APART)],
+        ),
+        ("simulate", {"strategy": "predict-yesterday"}, [(["norm"], "L1"), (["meta"], {}), (["days"], TINY_DAYS)]),
+        (
+            "simulate",
+            {"strategy": "predict-yesterday"},
+            [(["norm"], "L1"), (["days"], _days([0.0, 0.0])), (["meta", "planted"], PLANTED_TINY)],
+        ),
+        (
+            "learn",
+            {"learner": "partition", "k": 2, "depth": 1, "train_frac": 0.75},
+            [(["norm"], "L1"), (["meta"], {}), (["days"], HUGE_FEATURE_DAYS)],
+        ),
+        (
+            "learn",
+            {"learner": "partition", "k": 1, "depth": 0},
+            [(["norm"], "Linf"), (["meta"], {}), (["days"], _days([1.7e308, 1.6e308, 1.7e308, 1.75e308]))],
+        ),
     ],
     ids=[
         "unknown-norm",
@@ -216,6 +273,13 @@ OVERFLOWING_DAYS = [
         "meta-not-object",
         "planted-beyond-T",
         "planted-dim",
+        "sums-overflow",
+        "holdout-cost-overflows",
+        "planted-far-apart",
+        "ratio-overflows",
+        "planted-ratio-overflows",
+        "feature-midpoint-overflows",
+        "linf-midrange-overflows",
     ],
 )
 def test_bad_input_exits_one_with_one_line(tmp_path, capsys, command, config, patch):
@@ -509,3 +573,113 @@ def test_decay_over_a_billion_unit_jump_finishes(strategy, tmp_path):
         solver = search_steps(sols[day.solver_thread], sols[t], scen.norm)
         yesterday = search_steps(sols[t - 1], sols[t], scen.norm)
         assert solver <= day.virtual_radius <= yesterday <= day.radius_searched
+
+
+# Each learn artifact's sha256.  The artifacts of the version before
+# ``median_capped`` was recorded are these, byte for byte, once that key is
+# taken out; the three L2 partition artifacts with it are the only ones that
+# carry it.
+LEARN_LOCK_SHA256 = {
+    "L1/centers-k2": "d35944245031a257af6e7dc1ac36dd651e771c810c64ed3c7308432a5e6e9789",
+    "L1/centers-k3": "be5ff0bdd1bcaf259551b467387495b2819b16744f8ba7c2df929e92111cc1a2",
+    "L1/partition-k2-d0": "b717c931574185251abf97e6a262f19d53f603ca2e3d273bcdba9c2c2c42ae3a",
+    "L1/partition-k2-d1": "dbcb7f3ae4164500c27aa81f3007649e705f2580afa5f2c3d4d88d3d33dd7b9a",
+    "L1/partition-k3-d1": "b5e89e4531a01314ed49ee6e81670e6dc01ded3d327d1a23dc668c638352f39a",
+    "L1/partition-k3-d2": "1b7b2b02a159a13402462cb2ebb73d19905bacacc10d183aaba5e1a39fa2cd46",
+    "L2/centers-k2": "c1d4392b1413466be829594a0fddbd1270a9529b8e59f57226346c18f79c5852",
+    "L2/centers-k3": "eefd7f9d6e17378297e1269f43eced0b011a65b116e2f5ec053d7079e384ff53",
+    "L2/partition-k2-d0": "c802c9eeeabce1b5ccb296e05454c14416fe7c08b8d1f0d4c2a46250f3414b96",
+    "L2/partition-k2-d1": "c9c102ba1ae2bc1f4f488e577db3d456bc7fb7768260f7c7a022e583f172cd3b",
+    "L2/partition-k3-d1": "09d8baa883734cf6a2f03b599450e5650fbecc8cf03037581defa246cdb78344",
+    "L2/partition-k3-d2": "45d00c92bd67642f6848cb668f485a1444dd7e6555882fe3e45622ddf9f57dac",
+    "Linf/centers-k2": "35bc7b2a7811ad539da5091a7205a1dc19fd0df2e4a8e51142dd5f6ad119ef1e",
+    "Linf/centers-k3": "6a55bfe8c8ca31578dc43ac169dcc05539e22c65d7acf391cdaaebe3efbf7570",
+    "Linf/partition-k2-d0": "94819423d7afb7978fc604900901d450ae92a8fdbbfd48b9016bc73746ab4afe",
+    "Linf/partition-k2-d1": "87761829f4327f2459cd4aeeaac22eef54bf8e0cfc3b404d80a48354257c2de9",
+    "Linf/partition-k3-d1": "f30f53532e63f8bb7b8d9f15dd15b7d8e7031a2f9e88eeeca5c7aef5cc5edccb",
+    "Linf/partition-k3-d2": "c4a6cbdd8e921042d9a208095a205dfe09efc7fa5bb514f988fa9654e4351ade",
+}
+LEARN_LOCK_JOBS = {
+    "centers-k2": {"learner": "centers", "k": 2},
+    "centers-k3": {"learner": "centers", "k": 3},
+    "partition-k2-d0": {"learner": "partition", "k": 2, "depth": 0},
+    "partition-k2-d1": {"learner": "partition", "k": 2, "depth": 1},
+    "partition-k3-d1": {"learner": "partition", "k": 3, "depth": 1},
+    "partition-k3-d2": {"learner": "partition", "k": 3, "depth": 2},
+}
+
+
+def test_learn_artifacts_are_byte_locked(tmp_path):
+    scens = {
+        "L1": gen_drifting_trajectories(71, k=2, drift_per_day=0.5, noise=0.5, T=12, dim=2, norm="L1"),
+        "L2": gen_static_clusters(3, k=3, sep=20.0, spread=1.0, T=12, dim=2, norm="L2"),
+        "Linf": gen_adversarial_switch(72, phases=3, T=12, dim=1, norm="Linf"),
+    }
+    got, capped = {}, set()
+    for norm, scen in scens.items():
+        p = tmp_path / f"{norm}.json"
+        p.write_text(scen.to_json_text())
+        for name, config in LEARN_LOCK_JOBS.items():
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"scenario": str(p), **config}))
+            out = tmp_path / "art.json"
+            assert main(["learn", "--config", str(cfg), "--out", str(out)]) == 0
+            got[f"{norm}/{name}"] = hashlib.sha256(out.read_bytes()).hexdigest()
+            art = json.loads(out.read_text())
+            if "median_capped" in art:
+                assert art["median_capped"]["max_iter"] == kmedians.MEDIAN_MAX_ITER
+                capped.add(f"{norm}/{name}")
+    assert got == LEARN_LOCK_SHA256
+    assert capped == {"L2/partition-k2-d0", "L2/partition-k2-d1", "L2/partition-k3-d1"}
+
+
+def test_depth_two_partition_learning_on_a_forty_day_scenario(tmp_path):
+    # 20 training days give 768,286 threshold trees.  Built as a list and
+    # labelled tree by tree they took about 12 s and 290 MiB on a 2-core
+    # x86-64 machine; scored from split masks in blocks, well under a
+    # second.  The pick is the one the tree list gave: a depth-1 split.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": str(GOLDEN / "drifting_k2_s102.json"), "learner": "partition", "k": 2, "depth": 2}))
+    out = tmp_path / "art.json"
+    start = time.perf_counter()
+    assert main(["learn", "--config", str(cfg), "--out", str(out)]) == 0
+    assert time.perf_counter() - start < 4.0
+    art = json.loads(out.read_text())
+    assert art["hypothesis"] == {
+        "feature_indices": [0],
+        "leaf_labels": [1, 2],
+        "rotation": [1, 2],
+        "thresholds": [8.086756384359276],
+    }
+    assert art["centers"] == [[0.03903916112334388, 2.564671974829913], [16.148322274644887, 8.139657277920545]]
+
+
+def test_a_non_finite_output_exits_two(tmp_path, monkeypatch, capsys):
+    # The magnitude rule keeps outputs finite; should a value slip through,
+    # the strict dump fails loudly instead of writing invalid JSON.
+    scen = gen_static_clusters(58, k=2, sep=100.0, spread=1.0, T=12, dim=2)
+    p = tmp_path / "scen.json"
+    p.write_text(scen.to_json_text())
+    monkeypatch.setattr(cli, "cost_of_centers", lambda C, X, norm: math.inf)
+    out = tmp_path / "art.json"
+    assert main(["learn", "--scenario", str(p), "--k", "2", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", ["infinite-baseline", "radius-beyond-floats"])
+def test_report_rejects_a_ledger_it_cannot_ratio(scen_file, tmp_path, capsys, edit):
+    out = tmp_path / "ledger.json"
+    assert main(["simulate", "--scenario", str(scen_file), "--strategy", "predict-yesterday", "--out", str(out)]) == 0
+    ledger = json.loads(out.read_text())
+    if edit == "infinite-baseline":
+        ledger["baselines"]["planted"] = math.inf
+    else:  # an int radius that a float ratio cannot convert
+        ledger["days"][0]["radius_searched"] += 10**400
+        ledger["totals"]["radius"] += 10**400
+        ledger["totals"]["wall_estimate"] += 10**400
+    out.write_text(json.dumps(ledger))
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad ledger file") and err.count("\n") == 1

@@ -10,6 +10,7 @@ from warmstart.kmedians import (
     learn_centers_local_search,
     learn_centers_subset_erm,
     median_point,
+    median_point_detail,
 )
 from warmstart.metric import L1, L2, LINF, NORMS, Point, distance
 
@@ -114,3 +115,51 @@ def test_median_point_minimizes_total_distance():
 def test_median_point_empty_rejected():
     with pytest.raises(ValueError):
         median_point([], L2)
+
+
+def ref_geometric_median(points, tol=1e-9, max_iter=1000):
+    """Weiszfeld's iteration on ``Point``s through ``distance``, as the L2
+    median was first written; also returns whether it hit ``max_iter``."""
+    n = len(points)
+    est = [sum(p[j] for p in points) / n for j in range(points[0].dim)]
+    for _ in range(max_iter):
+        num = [0.0] * len(est)
+        denom = 0.0
+        for p in points:
+            d = distance(Point(tuple(est)), p, L2)
+            w = 1.0 / max(d, 1e-12)
+            denom += w
+            for j in range(len(est)):
+                num[j] += w * p[j]
+        new = [v / denom for v in num]
+        shift = max(abs(a - b) for a, b in zip(new, est))
+        est = new
+        if shift < tol:
+            return Point(tuple(est)), False
+    return Point(tuple(est)), True
+
+
+def test_l2_median_matches_the_point_reference():
+    # Uniform draws, integer grids and repeats from a small pool (medians on
+    # a data point, where Weiszfeld crawls and often hits the cap).
+    rng = random.Random(77)
+    capped = 0
+    for case in range(2000):
+        dim = rng.randint(1, 3)
+        n = rng.randint(1, 9)
+        kind = case % 3
+        if kind == 0:
+            pts = [Point(tuple(rng.uniform(-50, 50) for _ in range(dim))) for _ in range(n)]
+        else:
+            pool = [Point(tuple(float(rng.randint(-3, 3)) for _ in range(dim))) for _ in range(n)]
+            pts = pool if kind == 1 else [rng.choice(pool[: max(1, n // 2)]) for _ in range(n)]
+        got, got_capped = median_point_detail(pts, L2)
+        want, want_capped = ref_geometric_median(pts)
+        assert repr(got) == repr(want) and got_capped == want_capped
+        capped += got_capped
+    assert capped >= 10  # the cap path is exercised, not only convergence
+
+
+def test_l2_median_rejects_a_non_finite_estimate():
+    with pytest.raises(ValueError):
+        median_point([Point.of(1.5e308), Point.of(1.6e308)], L2)  # the mean overflows

@@ -9,11 +9,12 @@ are checked as well as the optimum.
 
 import math
 import random
-from itertools import combinations
+from itertools import combinations, product
 
+import numpy as np
 import pytest
 
-from warmstart import partition
+from warmstart import kmedians, partition
 from warmstart.kmedians import (
     CenterSet,
     cost_of_centers,
@@ -23,8 +24,11 @@ from warmstart.kmedians import (
 from warmstart.metric import NORMS, Point
 from warmstart.partition import (
     LabeledSample,
+    ThresholdClass,
+    ThresholdTree,
     all_rotations,
     c_loss,
+    canonical_thresholds,
     enumerate_threshold_trees,
     erm_partition,
     rc_erm,
@@ -42,6 +46,27 @@ def ref_subset_erm(X, k, norm):
             best_cost = c
             best = idxs
     return CenterSet(tuple(X[i] for i in best))
+
+
+def ref_enumerate_threshold_trees(features, k, depth):
+    """The class as nested loops, in the order the learners' ties follow."""
+    dim = features[0].dim
+    hyps = [ThresholdTree((), (), (lab,), k) for lab in range(1, k + 1)]
+    if depth == 0:
+        return hyps
+    per_feature = {f: canonical_thresholds([x[f] for x in features]) for f in range(dim)}
+    splits = [(f, t) for f in range(dim) for t in per_feature[f]]
+    for f, t in splits:
+        for a, b in product(range(1, k + 1), repeat=2):
+            if a != b:
+                hyps.append(ThresholdTree((f,), (t,), (a, b), k))
+    if depth == 1:
+        return hyps
+    for (f0, t0), (f1, t1), (f2, t2) in product(splits, repeat=3):
+        for leaves in product(range(1, k + 1), repeat=4):
+            if len(set(leaves)) >= 2:
+                hyps.append(ThresholdTree((f0, f1, f2), (t0, t1, t2), leaves, k))
+    return hyps
 
 
 def ref_local_search(X, k, norm, max_sweeps=100):
@@ -177,3 +202,60 @@ def test_local_search_keeps_the_acceptance_margin_on_near_ties():
         for k in (2, 3, 4):
             got = learn_centers_local_search(X, k, norm)
             assert got.centers == ref_local_search(X, k, norm).centers
+
+
+@pytest.mark.parametrize("norm", NORMS)
+def test_blocked_subset_erm_matches_enumerating_reference(norm, monkeypatch):
+    # Blocks of one or a few prefixes put ties across block boundaries.
+    rng = random.Random(f"erm-block/{norm}")
+    for block in (1, 40, 300):
+        monkeypatch.setattr(kmedians, "SUBSET_ERM_BLOCK", block)
+        for _ in range(15):
+            m = rng.randint(1, 12)
+            k = rng.randint(1, min(4, m))
+            X = _points(rng, m, rng.randint(1, 3))
+            assert learn_centers_subset_erm(X, k, norm).centers == ref_subset_erm(X, k, norm).centers
+
+
+@pytest.mark.parametrize("depth", (0, 1, 2))
+def test_threshold_class_order_and_mask_labels(depth):
+    rng = random.Random(f"class/{depth}")
+    for _ in range(30):
+        k = rng.randint(1, 3)
+        dim = rng.randint(1, 2)
+        feats = _points(rng, rng.randint(1, 6 if depth < 2 else 4), dim)
+        hyps = ThresholdClass(feats, k, depth)
+        trees = ref_enumerate_threshold_trees(feats, k, depth)
+        assert len(hyps) == len(trees) and list(hyps) == trees
+        assert enumerate_threshold_trees(feats, k, depth) == trees
+        assert hyps[-1] == trees[-1]
+        # Labels of other points too (threshold ties included), in blocks
+        # smaller and larger than one split's or one triple's rows.
+        data = feats + _points(rng, 3, dim)
+        want = np.array([[h.label(x) for x in data] for h in trees])
+        for block in (1, 5, 1024):
+            rows = list(hyps.label_rows(data, block))
+            assert all(len(r) <= block for r in rows)
+            assert np.array_equal(np.concatenate(rows), want)
+
+
+@pytest.mark.parametrize("depth", (0, 1, 2))
+@pytest.mark.parametrize("norm", NORMS)
+def test_rc_erm_on_a_threshold_class_matches_the_tree_list(norm, depth, monkeypatch):
+    rng = random.Random(f"rc-class/{norm}/{depth}")
+    for block in (3, 1024):
+        monkeypatch.setattr(partition, "RC_ERM_BLOCK", block)
+        for _ in range(6):
+            k = rng.randint(1, 3)
+            n = rng.randint(1, 8 if depth < 2 else 4)
+            dim = rng.randint(1, 2)
+            feats, sols = _points(rng, n, dim), _points(rng, n, dim)
+            data = [LabeledSample(f, s) for f, s in zip(feats, sols)]
+            C = CenterSet(tuple(sols[i % n] for i in range(k)))
+            hyps = ThresholdClass(feats, k, depth)
+            trees = list(hyps)
+            assert rc_erm(hyps, C, data, norm) == rc_erm(trees, C, data, norm)
+            rotations = all_rotations(k)
+            assert partition._erm_per_rotation(hyps, C, data, norm, rotations) == partition._erm_per_rotation(
+                trees, C, data, norm, rotations
+            )

@@ -155,7 +155,7 @@ def test_two_step_learn_recovers_separable_clusters():
     for i in range(6):
         data.append(LabeledSample(Point.of(0.0 + i * 0.1), Point.of(0.0)))
         data.append(LabeledSample(Point.of(100.0 + i * 0.1), Point.of(50.0)))
-    h, phi, C_h, _ = two_step_learn(
+    h, phi, C_h, _, _ = two_step_learn(
         enumerate_threshold_trees([s.features for s in data], 2, depth=1),
         data,
         k=2,
