@@ -3,9 +3,10 @@
 The offline k-server optimum (minimum total movement serving every day's
 solution) is computed exactly: by a dynamic program over where the servers
 stand for k <= 3, by min-cost flow beyond.  The best k-trajectory cost (hit +
-movement, predictions restricted to past solutions and the origin) is one DP
-over the days for k = 1 and a brute force at desk scale for k >= 2.  The two sandwich each other within a
-factor of two.
+movement, predictions restricted to the solutions and the origin) is one DP
+over the days and the placements of the k trajectories, at any T for k = 1
+and up to T = 8, k = 3 beyond.  The two sandwich each other within a factor
+of two.
 """
 
 import random

@@ -2,14 +2,13 @@
 
 Offline optimal k-server cost (a DP over server positions for k <= 3,
 minimum-cost flow on the acyclic request network beyond), optimal
-k-trajectory cost over a restricted candidate set (one DP over the days for
-k = 1, brute force for k >= 2), and the work-function k-server algorithm
-used by the online reduction.
+k-trajectory cost over a restricted candidate set (one DP over the days and
+the placements of the k trajectories, for every k), and the work-function
+k-server algorithm used by the online reduction.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from itertools import combinations_with_replacement
 
@@ -175,65 +174,39 @@ def _kserver_flow(D: np.ndarray, ks: list[int]) -> list[float]:
     return [totals[min(k, T)] + T * M for k in ks]
 
 
-def _canonical_assignments(T: int, k: int):
-    """Day-to-trajectory assignments up to trajectory relabeling.
-
-    Yields restricted-growth tuples: day 1 gets label 1 and each new label is
-    one more than the current maximum.
-    """
-    def rec(prefix: tuple[int, ...], high: int):
-        if len(prefix) == T:
-            yield prefix
-            return
-        for lab in range(1, min(high + 1, k) + 1):
-            yield from rec(prefix + (lab,), max(high, lab))
-
-    yield from rec((), 0)
-
-
-@functools.cache
-def _assignment_masks(T: int, k: int) -> np.ndarray:
-    """One row per canonical assignment of T days to k labels, in
-    ``_canonical_assignments`` order: column j holds the day bitmask of
-    label j + 1 (bit t set when day t + 1 has that label, 0 if unused).
-
-    Cached per (T, k), which the brute force's caps bound to 24 tables; the
-    array is read-only because every caller shares it.
-    """
-    rows = []
-    for assign in _canonical_assignments(T, k):
-        row = [0] * k
-        for t, lab in enumerate(assign):
-            row[lab - 1] |= 1 << t
-        rows.append(row)
-    masks = np.array(rows, dtype=np.intp)
-    masks.flags.writeable = False
-    return masks
-
-
 def brute_force_best_trajectories(
     solutions: list[Point], k: int, norm: str
 ) -> tuple[float, TrajectorySet]:
     """Exact best k-trajectory cost with predictions restricted to
-    {origin} union {solutions}.
+    {origin} union {solutions}, and a schedule that attains it.
 
-    This restricted optimum upper-bounds the unrestricted one and contains
-    every zero-hit (k-server style) schedule.  k = 1 has one assignment, so
-    it is one run of the one-trajectory DP over all days, at any T.  k >= 2
-    enumerates assignments, capped at T <= 8, k <= 3.
+    The restricted optimum upper-bounds the unrestricted one and contains
+    every zero-hit (k-server style) schedule.  Its value is the least
+    day-order float sum ``((move_1 + hit_1) + move_2) + hit_2 ...`` over all
+    schedules, where day t's move is the distance its trajectory travels
+    from its last prediction (the origin before its first day).
 
-    ``V[m]`` is one trajectory's DP over the days in bitmask m: its least
-    cost ending at each candidate.  All subsets whose last day is t extend
-    the subsets of earlier days in one step, with the same adds and mins as
-    a DP run day by day over that subset, so ``C[m]`` is the same float.
-    Each canonical assignment costs ``C[m1] + C[m2] + ...`` summed left to
-    right, and the first least one wins.  Costs are nonnegative, so this is
-    the pick of an enumeration that stops summing an assignment once it
-    reaches the best so far.
+    One DP over the days keeps a symmetric table ``V`` of shape (n,)*k over
+    the n candidates: the least sum that leaves the k trajectories at those
+    candidates.  Day t moves one trajectory, put in slot 0:
+    ``W[c, rest] = min_a (D[c, a] + V[a, rest]) + H[c, t]``, and ``V``
+    becomes the least of ``W`` and its k - 1 transposes that swap axis 0
+    with axis j.  IEEE addition is monotone, so each entry is the least sum
+    over every schedule that reaches its state.  ``D`` is symmetric to the
+    bit and ``V`` is symmetric, so the min over a is a contiguous argmin
+    along the last axis of ``D[c, a] + V[rest, a]``.
+
+    The witness is walked back from the first least final state in C order:
+    each day's parent is its first argmin, the moving trajectory is the
+    lowest slot that reaches the day's least value, and labels are numbered
+    by first use.  k = 1 runs at any T; k >= 2 is capped at T <= TRAJ_MAX_T
+    and k <= TRAJ_MAX_K, checked before any table is built.
     """
     T = len(solutions)
     if k > 1 and (T > TRAJ_MAX_T or k > TRAJ_MAX_K):
-        raise CapExceeded(f"brute force capped at T<={TRAJ_MAX_T}, k<={TRAJ_MAX_K} for k>=2")
+        raise CapExceeded(
+            f"trajectory DP capped at T<={TRAJ_MAX_T}, k<={TRAJ_MAX_K} for k>=2"
+        )
     if T < 1 or k < 1:
         raise ValueError("need T >= 1 and k >= 1")
     o = origin(solutions[0].dim)
@@ -245,77 +218,51 @@ def brute_force_best_trajectories(
             candidates.append(s)
     D = distance_matrix(candidates, norm)
     H = distance_matrix(candidates, norm, solutions)
-    if k == 1:
-        cost, choices = _one_trajectory(range(T), D, H)
-        witness = TrajectorySet(
-            k=1,
-            assignment=dict.fromkeys(range(1, T + 1), 1),
-            predictions={t + 1: candidates[c] for t, c in enumerate(choices)},
-        )
-        return cost, witness
-
-    V = np.empty((1 << T, len(candidates)))
-    for t in range(T):
-        lo = 1 << t
-        V[lo] = D[0] + H[:, t]
-        V[lo + 1 : 2 * lo] = (V[1:lo][:, :, None] + D).min(axis=1) + H[:, t]
-    C = V.min(axis=1)
-    C[0] = 0.0  # an unused label
-
-    masks = _assignment_masks(T, k)
-    totals = C[masks[:, 0]]
-    for j in range(1, k):
-        totals = totals + C[masks[:, j]]
-    best = int(totals.argmin())
-    best_assign = tuple(
-        1 + next(j for j in range(k) if masks[best, j] >> t & 1) for t in range(T)
-    )
-    witness = _reconstruct_witness(best_assign, candidates, D, H, k, solutions)
-    return float(totals[best]), witness
-
-
-def _one_trajectory(days, D: np.ndarray, H: np.ndarray) -> tuple[float, list[int]]:
-    """One trajectory's least cost over ``days`` (hit ``H[c, t]`` plus
-    movement ``D``, from the origin, candidate 0) and the candidate it
-    predicts on each of those days; ties go to the lowest candidate.
-
-    ``D`` is a distance table, so it is symmetric to the bit and row j of
-    ``D + dp`` holds ``dp[i] + D[i, j]`` over i: each day is one contiguous
-    argmin per row, and the least entry is read at its argmin.
-    """
-    days = list(days)
-    cols = np.arange(len(D))
-    step = np.empty_like(D)
-    dp = D[0] + H[:, days[0]]
-    parents = []
-    for t in days[1:]:
-        np.add(D, dp, out=step)
-        parent = step.argmin(axis=1)
-        dp = step[cols, parent] + H[:, t]
+    n = len(candidates)
+    shape = (n,) * k
+    hits = H.T.reshape((T, n) + (1,) * (k - 1))
+    D_c = D.reshape((n,) + (1,) * (k - 1) + (n,))
+    step = np.empty(shape + (n,))  # step[c, rest, a] = D[c, a] + V[rest, a]
+    flat = step.reshape(-1, n)
+    rows = np.arange(n**k).reshape(shape)
+    # Day 1 moves one trajectory off the origin, where all k start: the
+    # same floats as a step from V = 0 there and inf elsewhere.
+    W = np.full(shape, math.inf)
+    W[(slice(None),) + (0,) * (k - 1)] = D[0] + H[:, 0]
+    parents, tables = [np.zeros(shape, dtype=np.intp)], [W]
+    for t in range(1, T + 1):
+        V = W  # V after day t: the least of W over the slot that moved
+        for j in range(1, k):
+            V = np.minimum(V, W.swapaxes(0, j))
+        if t == T:
+            break
+        np.add(D_c, V, out=step)
+        parent = step.argmin(axis=-1)
+        W = flat[rows, parent]
+        W += hits[t]
         parents.append(parent)
-    c = int(dp.argmin())
-    cost = float(dp[c])
-    choices = [c]
-    for parent in reversed(parents):
-        c = int(parent[c])
-        choices.append(c)
-    choices.reverse()
-    return cost, choices
+        tables.append(W)
 
-
-def _reconstruct_witness(assign, candidates, D, H, k, solutions):
-    T = len(solutions)
-    predictions: dict[int, Point] = {}
-    for traj in range(1, max(assign) + 1):
-        days = [t for t in range(T) if assign[t] == traj]
-        _, choices = _one_trajectory(days, D, H)
-        for day, ci in zip(days, choices):
-            predictions[day + 1] = candidates[ci]
-    return TrajectorySet(
+    x = np.unravel_index(V.argmin(), shape)
+    cost = float(V[x])
+    moved, choices = [0] * T, [0] * T
+    for t in reversed(range(T)):
+        j = 0  # the slot that moved: the lowest whose move reaches V[x]
+        if k > 1:
+            reached = [tables[t].item((x[i],) + x[:i] + x[i + 1 :]) for i in range(k)]
+            j = reached.index(min(reached))
+        c, rest = x[j], x[:j] + x[j + 1 :]
+        moved[t], choices[t] = j, c
+        x = x[:j] + (parents[t].item((c,) + rest),) + x[j + 1 :]
+    label: dict[int, int] = {}
+    for j in moved:
+        label.setdefault(j, len(label) + 1)
+    witness = TrajectorySet(
         k=k,
-        assignment={t + 1: assign[t] for t in range(T)},
-        predictions=predictions,
+        assignment={t + 1: label[j] for t, j in enumerate(moved)},
+        predictions={t + 1: candidates[c] for t, c in enumerate(choices)},
     )
+    return cost, witness
 
 
 class WorkFunctionState:

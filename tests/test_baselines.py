@@ -5,6 +5,7 @@ from itertools import combinations_with_replacement, permutations
 
 import pytest
 
+from warmstart import baselines
 from warmstart.baselines import (
     _EPS,
     TRAJ_MAX_K,
@@ -12,7 +13,6 @@ from warmstart.baselines import (
     WFA_MAX_K,
     WFA_MAX_POINTS,
     WorkFunctionState,
-    _canonical_assignments,
     brute_force_best_trajectories,
     offline_opt_kserver,
     wfa_step,
@@ -315,22 +315,58 @@ def test_trajectories_k1_stationary_beats_chasing():
     assert total == pytest.approx(200.0)
 
 
-def test_trajectories_cap():
-    # The caps bound the assignments of k >= 2; k = 1 has one at any T.
-    sols = [Point.of(float(i)) for i in range(9)]
-    with pytest.raises(CapExceeded):
-        brute_force_best_trajectories(sols, 2, L2)
-    with pytest.raises(CapExceeded):
-        brute_force_best_trajectories(sols[:4], 4, L2)
+def test_trajectory_witness_follows_the_tie_rule():
+    # Solutions 0, 1, 1 cost 1 with one trajectory or two.  The walk back
+    # starts from the first least placement, (origin, 1): days 3 and 2 move
+    # the trajectory in slot 1.  After day 1 both stand on the origin, so
+    # both slots tie and the lowest, the trajectory that ends on the origin,
+    # moved: it gets day 1 and, numbered by first use, label 1.
+    sols = [Point.of(0.0), Point.of(1.0), Point.of(1.0)]
+    for k in (2, 3):
+        cost, witness = brute_force_best_trajectories(sols, k, L1)
+        assert cost == 1.0
+        assert witness.assignment == {1: 1, 2: 2, 3: 2}
+        assert witness.predictions == {1: Point.of(0.0), 2: Point.of(1.0), 3: Point.of(1.0)}
+
+
+def test_trajectories_cap(monkeypatch):
+    # The caps bound the (n,)*k table of k >= 2; k = 1 runs at any T.  A
+    # capped call raises before it builds any table: the distance tables are
+    # the first an uncapped call builds, and with k = 10**9 the DP table
+    # could not exist at all.
+    sols = [Point.of(float(i)) for i in range(TRAJ_MAX_T + 1)]
     cost, _ = brute_force_best_trajectories(sols, 1, L2)
     assert isinstance(cost, float)
 
+    def no_tables(*args, **kwargs):
+        raise AssertionError("a capped call built a table")
+
+    monkeypatch.setattr(baselines, "distance_matrix", no_tables)
+    for T, k in [(TRAJ_MAX_T + 1, 2), (4, TRAJ_MAX_K + 1), (1, 10**9), (TRAJ_MAX_T, 10**9)]:
+        with pytest.raises(CapExceeded):
+            brute_force_best_trajectories(sols[:T], k, L2)
+
+
+def _canonical_assignments(T, k):
+    """Day-to-trajectory assignments up to trajectory relabeling: restricted-
+    growth tuples, where day 1 gets label 1 and each new label is one more
+    than the current maximum."""
+    def rec(prefix, high):
+        if len(prefix) == T:
+            yield prefix
+            return
+        for lab in range(1, min(high + 1, k) + 1):
+            yield from rec(prefix + (lab,), max(high, lab))
+
+    yield from rec((), 0)
+
 
 def reference_best_trajectories(solutions, k, norm):
-    """The enumerating brute force: every canonical assignment sums the
-    one-trajectory DP of its labels' days in label order, and stops summing
-    once it reaches the best cost so far.  Each day subset's DP is memoized,
-    which changes no value."""
+    """The per-label definition the trajectory DP replaced: every canonical
+    assignment sums the one-trajectory DP of its labels' days in label
+    order, and stops summing once it reaches the best cost so far.  Each day
+    subset's DP is memoized, which changes no value.  Its value can differ
+    from the least day-order sum in the last bits only."""
     T = len(solutions)
     candidates = [origin(solutions[0].dim)]
     for s in solutions:
@@ -391,10 +427,57 @@ def reference_witness(assign, candidates, D, H, k, solutions):
     )
 
 
-def test_brute_force_matches_the_enumerating_reference():
+def configuration_traj_opt(solutions, k, norm):
+    """Reference: enumerate schedules day by day, keeping for each multiset
+    of trajectory positions only the least day-order partial sum.
+
+    Positions are candidates: the origin (index 0, where every trajectory
+    starts) and the distinct solutions.  Day t moves one trajectory from x
+    to a candidate c and makes the sum ``(cost + d(x, c)) + d(c, s_t)``.
+    Two partial schedules at the same positions go on with the same moves,
+    and IEEE addition is monotone, so the one dropped never ends strictly
+    below the one kept: the value is the least day-order sum over every
+    schedule.
+    """
+    cands = [origin(solutions[0].dim)]
+    for s in solutions:
+        if s not in cands:
+            cands.append(s)
+    dist = [[distance(a, b, norm) for b in cands] for a in cands]
+    best = {(0,) * k: 0.0}
+    for s in solutions:
+        hit = [distance(c, s, norm) for c in cands]
+        reached = {}
+        for cfg, cost in best.items():
+            for x in set(cfg):
+                rest = list(cfg)
+                rest.remove(x)
+                for c, h in enumerate(hit):
+                    v = (cost + dist[x][c]) + h
+                    after = tuple(sorted(rest + [c]))
+                    if v < reached.get(after, math.inf):
+                        reached[after] = v
+        best = reached
+    return min(best.values())
+
+
+def day_order_cost(witness, solutions, norm):
+    """A schedule's cost summed day by day: each day adds its trajectory's
+    move from its last prediction (the origin at first), then its hit."""
+    last = {}
+    cost = 0.0
+    for t, s in enumerate(solutions, 1):
+        p = witness.predictions[t]
+        label = witness.assignment[t]
+        cost = (cost + distance(last.get(label, origin(s.dim)), p, norm)) + distance(p, s, norm)
+        last[label] = p
+    return cost
+
+
+def _trajectory_cases():
     # Half the cases sit on a small integer grid, where ties between
-    # assignments and repeated solutions are common, so the first-best rule
-    # and the candidate order both show.
+    # schedules and repeated solutions are common, so the tie rule and the
+    # candidate order both show.
     rng = random.Random(83)
     for case in range(1200):
         T = rng.randint(1, TRAJ_MAX_T)
@@ -405,10 +488,35 @@ def test_brute_force_matches_the_enumerating_reference():
             sols = _grid_points(rng, T, dim, rng.randint(1, 3), 1.0)
         else:
             sols = _rand_points(rng, T, dim, spread=rng.choice([1.0, 15.0, 1e4]))
+        yield case, T, k, norm, sols
+
+
+def test_trajectory_dp_is_the_least_day_order_sum():
+    # The value is the least day-order sum over every schedule, bit for bit;
+    # the witness is a schedule whose day-order sum is that value, with
+    # labels numbered by first use and at most k of them.
+    for case, T, k, norm, sols in _trajectory_cases():
         cost, witness = brute_force_best_trajectories(sols, k, norm)
-        ref_cost, ref_witness = reference_best_trajectories(sols, k, norm)
-        assert repr(cost) == repr(ref_cost), (case, T, k, norm)
-        assert witness == ref_witness, (case, T, k, norm)
+        assert repr(cost) == repr(configuration_traj_opt(sols, k, norm)), (case, T, k, norm)
+        assert repr(day_order_cost(witness, sols, norm)) == repr(cost), (case, T, k, norm)
+        labels = [witness.assignment[t] for t in range(1, T + 1)]
+        assert all(lab <= max(labels[:i], default=0) + 1 for i, lab in enumerate(labels))
+        assert witness.k == k and max(labels) <= k
+
+
+def test_trajectory_dp_is_within_two_ulps_a_day_of_the_per_label_sum():
+    # The per-label definition sums each label's cost, then the labels; the
+    # day-order sum interleaves them.  Both round sums of the same 2T
+    # nonnegative terms per schedule, each within about 2T half-ulps of the
+    # exact least sum, so they are within 2T ulps of each other.  With one
+    # label the two sums are the same, and so are the witnesses.
+    for case, T, k, norm, sols in _trajectory_cases():
+        cost, witness = brute_force_best_trajectories(sols, k, norm)
+        old_cost, old_witness = reference_best_trajectories(sols, k, norm)
+        assert abs(cost - old_cost) <= 2 * T * 2**-52 * old_cost, (case, T, k, norm)
+        if k == 1:
+            assert repr(cost) == repr(old_cost), (case, T, norm)
+            assert witness == old_witness, (case, T, norm)
 
 
 def test_one_trajectory_beyond_the_cap_is_the_plain_dp():
@@ -448,6 +556,26 @@ def test_sandwich_against_kserver_opt():
         server = offline_opt_kserver(sols, [k], norm)[0]
         assert traj <= server + 1e-9
         assert server <= 2 * traj + 1e-9
+
+
+def test_trajectory_optimum_never_exceeds_the_kserver_optimum():
+    # Every zero-hit schedule is a k-server schedule with the same moves in
+    # the same order and hits of exactly 0.0, so the least day-order sum is
+    # at most the least k-server sum, with no slack.  Grids of step 0.1
+    # round in every sum and tie often; uniform points reach 1e7.
+    rng = random.Random(113)
+    for case in range(1000):
+        norm = NORMS[case % 3]
+        T = rng.randint(1, TRAJ_MAX_T)
+        dim = rng.randint(1, 3)
+        if case % 2:
+            sols = _grid_points(rng, T, dim, rng.randint(1, 5), 0.1)
+        else:
+            sols = _rand_points(rng, T, dim, spread=rng.choice([1.0, 15.0, 1e4, 1e7]))
+        servers = offline_opt_kserver(sols, [1, 2, 3], norm)
+        for k, server in zip((1, 2, 3), servers):
+            traj, _ = brute_force_best_trajectories(sols, k, norm)
+            assert traj <= server, (case, k, norm, sols)
 
 
 def test_wfa_single_server_chases_requests():
