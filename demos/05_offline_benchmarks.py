@@ -1,9 +1,10 @@
 """Exact offline benchmarks: k-server optimum and best k trajectories.
 
 The offline k-server optimum (minimum total movement serving every day's
-solution) is computed exactly: by a dynamic program over where the servers
-stand for k <= 3, by min-cost flow beyond.  The best k-trajectory cost (hit +
-movement, predictions restricted to the solutions and the origin) is one DP
+solution) comes from a dynamic program over where the servers stand for
+k <= 3, exact to the bit, and from a least-cost path cover of the requests
+beyond, within a few ulps.  The best k-trajectory cost (hit + movement,
+predictions restricted to the solutions and the origin) is one DP
 over the days and the placements of the k trajectories, at any T for k = 1
 and up to T = 8, k = 3 beyond.  The two sandwich each other within a factor
 of two.

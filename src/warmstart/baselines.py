@@ -1,10 +1,10 @@
 """Exact offline benchmarks.
 
-Offline optimal k-server cost (a DP over server positions for k <= 3,
-minimum-cost flow on the acyclic request network beyond), optimal
-k-trajectory cost over a restricted candidate set (one DP over the days and
-the placements of the k trajectories, for every k), and the work-function
-k-server algorithm used by the online reduction.
+Offline optimal k-server cost (a DP over server positions for k <= 3, a
+least-cost path cover of the requests beyond), optimal k-trajectory cost
+over a restricted candidate set (one DP over the days and the placements of
+the k trajectories, for every k), and the work-function k-server algorithm
+used by the online reduction.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import CapExceeded, InvariantViolation
+from .errors import CapExceeded
 from .metric import Point, distance, distance_matrix, origin
 from .trajectories import TrajectorySet
 
@@ -27,24 +27,25 @@ _EPS = 1e-9
 
 
 def offline_opt_kserver(solutions: list[Point], ks: list[int], norm: str) -> list[float]:
-    """Exact minimum total movement to serve the requests in order with k
-    servers, for each k in ``ks`` (costs returned in the same order).
+    """Least total movement to serve the requests in order with k servers,
+    for each k in ``ks`` (costs returned in the same order).
 
     All servers start at the origin, and more than T servers cannot help, so
     k reads the cost of k' = min(k, T) servers.  Every k' <= 3 comes from a
     dynamic program (``_kserver_dp``) whose value is the least left-to-right
-    float sum of per-request movement over all schedules; the entries with
-    k' >= 4 share one min-cost flow solve (``_kserver_flow``).  Both read one
-    distance table over the origin and the requests.
+    float sum of per-request movement over all schedules; every k' >= 4
+    from a path-cover assignment (``_kserver_cover``) that reports that sum
+    along the schedule it finds.  Both read one distance table over the
+    origin and the requests.
     """
     T = len(solutions)
     if T < 1 or any(k < 1 for k in ks):
         raise ValueError("need T >= 1 and k >= 1")
     D = distance_matrix([origin(solutions[0].dim)] + list(solutions), norm)
-    cost = {kk: _kserver_dp(D, kk) for kk in {min(k, T) for k in ks} if kk <= 3}
-    flow_ks = [k for k in ks if min(k, T) > 3]
-    if flow_ks:
-        cost.update(zip((min(k, T) for k in flow_ks), _kserver_flow(D, flow_ks)))
+    cost = {
+        kk: _kserver_dp(D, kk) if kk <= 3 else _kserver_cover(D, kk)
+        for kk in {min(k, T) for k in ks}
+    }
     return [cost[min(k, T)] for k in ks]
 
 
@@ -84,94 +85,66 @@ def _kserver_dp(D: np.ndarray, k: int) -> float:
     return float(V.min())
 
 
-def _kserver_flow(D: np.ndarray, ks: list[int]) -> list[float]:
-    """The offline k-server optimum for each k in ``ks`` by min-cost flow
-    over the distance table ``D`` of ``offline_opt_kserver``.
+def _kserver_cover(D: np.ndarray, k: int) -> float:
+    """The offline k-server optimum for 4 <= k <= T servers as a least-cost
+    path cover, over the distance table ``D`` of ``offline_opt_kserver``;
+    the paths are the servers' routes.
 
-    Successive shortest paths with Johnson potentials on the acyclic request
-    network: the source feeds K = min(max(ks), T) interchangeable server
-    nodes, each request is an (in, out) node pair whose serving arc carries
-    a large negative reward M (added back at the end) so that every request
-    is forced into the flow, and every node may leave for the sink.  Each
-    augmentation adds one server, so the cost for k is the running total
-    after the k-th augmentation.  The reward leaves rounding noise of the
-    order of one ulp of T * M in the low bits.
+    Each request takes one predecessor, each at most once: one of k
+    interchangeable origin slots at cost ``D[0, j]``, or an earlier request
+    i at cost ``D[i, j]``.  So row i of the table ``C`` (request i + 1) can
+    take the first k + i of its k + T - 1 columns (the slots, then requests
+    1..T-1).  Shortest augmenting paths assign the rows, the last request
+    first: each is a Dijkstra over the columns on the reduced costs
+    ``C - u - v`` with the settled columns blocked, so the back pointers
+    lead to the root whatever the rounding; then the potentials u, v move
+    by the settled distances.
 
-    The residual network is a dense table (``cap`` int8, ``cost`` float64,
-    ``cost[v, u] = -cost[u, v]``) over nodes numbered in topological order:
-    source, servers, in/out per request, sink.  Each Dijkstra step settles
-    the pending node with the least (distance, id) and relaxes all of its
-    arcs at once.
+    The value is the schedule's movement summed left to right in request
+    order, the sum ``_kserver_dp`` minimizes: never below the least one,
+    and above it only where rounding in the potentials breaks a near-tie.
     """
     T = len(D) - 1
-    K = min(max(ks), T)
-    from_origin = D[0, 1:]
-    chain = float(from_origin[0]) + sum(D[i, i + 1].item() for i in range(1, T))
-    M = chain + 1.0
-
-    n = 2 * T + K + 2
-    source, sink = 0, n - 1
-    servers = np.arange(1, K + 1)
-    node_in = np.arange(K + 1, sink, 2)
-    node_out = node_in + 1
-    cap = np.zeros((n, n), dtype=np.int8)
-    cost = np.zeros((n, n))
-
-    def arcs(u, v, c):
-        cap[u, v] = 1
-        cost[u, v] = c
-        cost[v, u] = -c
-
-    arcs(source, servers, 0.0)
-    arcs(servers, sink, 0.0)
-    arcs(servers[:, None], node_in[None, :], from_origin[None, :])
-    arcs(node_in, node_out, -M)
-    arcs(node_out, sink, 0.0)
-    i, j = np.triu_indices(T, 1)
-    arcs(node_out[i], node_in[j], D[1:, 1:][i, j])
-
-    pot = np.full(n, math.inf)
-    pot[source] = 0.0
-    for u in range(n):  # forward DP over the topological order
-        cand = pot[u] + cost[u]
-        better = (cap[u] > 0) & (cand < pot)
-        pot[better] = cand[better]
-
-    totals = [0.0]
-    total = 0.0
-    for _ in range(K):
-        dist = np.full(n, math.inf)
-        dist[source] = 0.0
-        pending = dist.copy()  # dist of the nodes waiting to be settled, inf elsewhere
-        prev = np.zeros(n, dtype=np.intp)
+    m = k + T - 1
+    C = np.empty((T, m))
+    C[:, :k] = D[0, 1:, None]
+    C[:, k:] = D[1:T, 1:].T
+    u = np.zeros(T)
+    v = np.zeros(m)
+    owner = np.full(m + 1, -1)  # the row holding each column; column m is the root
+    way = np.empty(m, dtype=np.intp)
+    for r in reversed(range(T)):
+        d = np.full(m, math.inf)  # path lengths to the unsettled columns
+        blocked = np.zeros(m)  # inf on the settled columns
+        owner[m], c, dc = r, m, 0.0
+        settled, dist = [], []
         while True:
-            u = int(pending.argmin())
-            d = pending[u]
-            if d == math.inf:
+            i = owner[c]
+            w = k + i
+            cand = C[i, :w] - v[:w]
+            cand += dc - u[i]
+            cand += blocked[:w]
+            better = cand < d[:w]
+            np.copyto(d[:w], cand, where=better)
+            np.copyto(way[:w], c, where=better)
+            c = int(d.argmin())
+            dc = d[c]
+            if owner[c] < 0:
                 break
-            pending[u] = math.inf
-            nd = ((d + cost[u]) + pot[u]) - pot
-            better = (cap[u] > 0) & (nd < dist - _EPS)
-            dist[better] = pending[better] = nd[better]
-            prev[better] = u
-        reached = dist < math.inf
-        pot[reached] += dist[reached]
-        v = sink
-        for _ in range(n):  # a shortest path has fewer than n arcs
-            u = prev[v]
-            cap[u, v] -= 1
-            cap[v, u] += 1
-            total += cost[u, v].item()
-            v = u
-            if v == source:
-                break
-        else:
-            raise InvariantViolation(
-                "min-cost flow: rounding error beyond the tie margin left a cycle "
-                "in the shortest-path tree"
-            )
-        totals.append(total)
-    return [totals[min(k, T)] + T * M for k in ks]
+            settled.append(c)
+            dist.append(dc)
+            d[c] = blocked[c] = math.inf
+        gain = dc - np.array(dist)
+        u[r] += dc
+        u[owner[settled]] += gain
+        v[settled] -= gain
+        while c != m:
+            owner[c] = owner[way[c]]
+            c = way[c]
+    cols = np.flatnonzero(owner[:m] >= 0)
+    pred = np.empty(T, dtype=np.intp)
+    pred[owner[cols]] = np.maximum(cols - k + 1, 0)
+    return float(np.cumsum(D[pred, np.arange(1, T + 1)])[-1])
 
 
 def brute_force_best_trajectories(

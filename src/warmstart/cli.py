@@ -63,7 +63,7 @@ def _load_config(args) -> dict:
     return config
 
 
-def _load_scenario(config: dict) -> Scenario:
+def _load_scenario(config: dict, search: bool = False) -> Scenario:
     scenario = _read_scenario(config)
     if scenario.norm not in NORMS:
         raise UserError(
@@ -93,12 +93,14 @@ def _load_scenario(config: dict) -> Scenario:
                 f"the planted trajectory must cover only days 1..{scenario.T} "
                 f"in dimension {scenario.dim}"
             )
-    _check_magnitudes(scenario, planted)
+    _check_magnitudes(scenario, planted, search)
     return scenario
 
 
-def _check_magnitudes(scenario: Scenario, planted: list[Point]) -> None:
-    """Reject a scenario whose sums or ratios could overflow (exit 1).
+def _check_magnitudes(scenario: Scenario, planted: list[Point], search: bool) -> None:
+    """Reject a scenario whose sums or ratios could overflow (exit 1), or,
+    when the run searches (``search``), one whose unit-step counts the
+    search could not keep exact.
 
     Between two of origin and solutions a distance is 0 or in [d_min,
     d_max].  One to a planted prediction p is at most |p| + |x| (|.| the
@@ -113,19 +115,30 @@ def _check_magnitudes(scenario: Scenario, planted: list[Point]) -> None:
     two features of size at most f_max.  So (T+1)^3 * dim * max(d_max + 2r,
     f_max, 1) / min(d_min, r or 1, 1), when finite, bounds every float a run
     forms, with room.
+
+    A search takes a distance's worth of unit steps, and the decay
+    scheduler's tick arithmetic needs step counts that a float holds
+    exactly, so a run that searches also needs every distance between two
+    of origin and solutions below 2**53.  ``learn`` takes no search steps
+    and skips this rule.
     """
     center = [origin(scenario.dim)]
     with np.errstate(over="ignore"):
         D = distance_matrix(center + scenario.solution_list(), scenario.norm)
         r = float(distance_matrix(planted, scenario.norm, center).max()) if planted else 0.0
-        d_max = float(D.max()) + 2 * r
+        d_max = float(D.max())
     d_min = min(float(D.min(where=D > 0, initial=1.0)), r or 1.0)
     f_max = max(abs(c) for inst in scenario.days for c in inst.features.coords)
-    bound = (scenario.T + 1) ** 3 * scenario.dim * max(d_max, f_max, 1.0) / d_min
+    bound = (scenario.T + 1) ** 3 * scenario.dim * max(d_max + 2 * r, f_max, 1.0) / d_min
     if not math.isfinite(bound):
         raise UserError(
             "scenario magnitudes are out of range: (T+1)^3 * dim * max(d_max + 2r, "
             "f_max, 1) / min(d_min, r or 1, 1) overflows, so a cost or ratio could"
+        )
+    if search and d_max >= 2.0**53:
+        raise UserError(
+            f"scenario distances reach {d_max:.6g}, at or beyond 2**53 unit "
+            "search steps, where step counts are no longer exact"
         )
 
 
@@ -204,7 +217,7 @@ def _write(path_str: str | None, text: str) -> None:
 
 def cmd_simulate(args) -> int:
     config = _load_config(args)
-    scenario = _load_scenario(config)
+    scenario = _load_scenario(config, search=True)
     ledger = _run_strategy(scenario, config)
     _attach_baselines(ledger, scenario, config)
     _write(config.get("out"), ledger.to_json_text())

@@ -427,9 +427,10 @@ def test_huge_baseline_k_is_as_cheap_as_k_equal_t(tmp_path):
 
 
 
-def test_tie_margin_input_exits_zero_with_three_baseline_servers(tmp_path):
-    # At coordinates near 1e7 the flow loses its shortest-path tree from the
-    # fourth server on (tests/test_baselines.py); k <= 3 runs no flow.
+def _tie_margin_baselines(tmp_path, ks):
+    """Run predict-yesterday on 9 L2 requests at coordinates near 1e7, where
+    a min-cost flow with a -M serving reward lost its shortest-path tree at
+    the fourth server (tests/test_baselines.py), and return the baselines."""
     e = 10**7
     sols = [
         [-2 * e, 2 * e, -2 * e], [2 * e, 0, e], [-e, -e, 0], [e, -e, e], [-2 * e, -2 * e, 2 * e],
@@ -444,13 +445,24 @@ def test_tie_margin_input_exits_zero_with_three_baseline_servers(tmp_path):
     p = tmp_path / "scen.json"
     p.write_text(json.dumps(scen))
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"scenario": str(p), "strategy": "predict-yesterday", "baseline_ks": [1, 2, 3]}))
+    cfg.write_text(json.dumps({"scenario": str(p), "strategy": "predict-yesterday", "baseline_ks": ks}))
     out = tmp_path / "ledger.json"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-    baselines = CostLedger.from_json_text(out.read_text()).baselines
+    return CostLedger.from_json_text(out.read_text()).baselines
+
+
+def test_tie_margin_input_exits_zero_with_three_baseline_servers(tmp_path):
+    baselines = _tie_margin_baselines(tmp_path, [1, 2, 3])
     costs = [baselines[f"opt_kserver_k{k}"] for k in (1, 2, 3)]
     assert costs == sorted(costs, reverse=True) and costs[2] > 0
     assert baselines["opt_1_traj"] <= costs[0]
+
+
+def test_tie_margin_input_exits_zero_with_four_baseline_servers(tmp_path):
+    # The least four-server schedule sum, as configuration_kserver_opt in
+    # tests/test_baselines.py computes it.
+    baselines = _tie_margin_baselines(tmp_path, [4])
+    assert repr(baselines["opt_kserver_k4"]) == "191005039.55039376"
 
 
 def test_huge_k_for_the_kserver_strategies(scen_file, tmp_path, capsys):
@@ -573,6 +585,25 @@ def test_decay_over_a_billion_unit_jump_finishes(strategy, tmp_path):
         solver = search_steps(sols[day.solver_thread], sols[t], scen.norm)
         yesterday = search_steps(sols[t - 1], sols[t], scen.norm)
         assert solver <= day.virtual_radius <= yesterday <= day.radius_searched
+
+
+@pytest.mark.parametrize("strategy", ["quadratic-decay", "harmonic-decay"])
+def test_decay_beyond_2_53_unit_steps_exits_one(strategy, tmp_path, capsys):
+    # Step counts from 2**53 up are not exact floats, and the decay
+    # scheduler's tick arithmetic hung on them; the load rule rejects them.
+    scen = json.loads(
+        gen_drifting_trajectories(66, k=1, drift_per_day=0.5, noise=0.5, T=6, dim=1).to_json_text()
+    )
+    scen["norm"], scen["meta"] = "L1", {}
+    scen["days"] = _days([1e20, -1e20, 1e20, 0.0, 1e20, -1e20])
+    p = tmp_path / "scen.json"
+    p.write_text(json.dumps(scen))
+    capsys.readouterr()
+    start = time.perf_counter()
+    rc = main(["simulate", "--scenario", str(p), "--strategy", strategy, "--out", str(tmp_path / "out.json")])
+    assert rc == 1 and time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "2**53" in err and err.count("\n") == 1
 
 
 # Each learn artifact's sha256.  The artifacts of the version before
