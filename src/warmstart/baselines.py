@@ -10,12 +10,11 @@ used by the online reduction.
 from __future__ import annotations
 
 import math
-from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .errors import CapExceeded
-from .metric import Point, distance, distance_matrix, origin
+from .metric import Point, distance_matrix, origin
 from .trajectories import TrajectorySet
 
 TRAJ_MAX_T = 8
@@ -241,17 +240,16 @@ def brute_force_best_trajectories(
 class WorkFunctionState:
     """Work-function table over configurations of k points.
 
-    Points are the origin plus every distinct seen request; configurations
-    are size-k multisets of point indices, kept as sorted tuples.  ``table``
-    holds the current work function on every configuration of the points
-    seen so far: a new point's configurations get their values when the
-    point is added (``_extend_table``), and ``wfa_step`` advances it by one
-    request.
+    Points are the origin (id 0), then every distinct request in order of
+    first arrival.  ``table`` is one symmetric float64 array of shape (n,)*k
+    over the n point ids: ``table[X]`` is the current work function at the
+    configuration X, in any order of X's ids.  A new point's configurations
+    get their values when the point is added (``_extend_table``), and
+    ``wfa_step`` advances the table by one request.
     The caps (k <= WFA_MAX_K, at most WFA_MAX_POINTS distinct requests)
     bound the table's size; exceeding one raises CapExceeded so callers can
-    fall back to a greedy server rule.  ``dist[a][b]`` caches ``distance``
-    from point ``a`` to point ``b``; a point's entries are computed once,
-    when it is added.
+    fall back to a greedy server rule.  ``dist`` is the ``distance_matrix``
+    over the points, recomputed when one is added.
     """
 
     def __init__(self, k: int, dim: int, norm: str):
@@ -261,22 +259,22 @@ class WorkFunctionState:
         self.norm = norm
         o = origin(dim)
         self.points: list[Point] = [o]
-        self.dist: list[list[float]] = [[distance(o, o, norm)]]
+        self._ids = {o.coords: 0}
+        self.dist = distance_matrix(self.points, norm)
         self.config: tuple[int, ...] = (0,) * k  # current server point ids
-        self.table: dict[tuple[int, ...], float] = {self.config: 0.0}
+        self.table = np.zeros((1,) * k)
 
     def _point_id(self, p: Point) -> int:
-        for i, q in enumerate(self.points):
-            if q.coords == p.coords:
-                return i
+        i = self._ids.get(p.coords)
+        if i is not None:
+            return i
         if len(self.points) - 1 >= WFA_MAX_POINTS:
             raise CapExceeded(
                 f"work function capped at {WFA_MAX_POINTS} distinct requests"
             )
-        for q, row in zip(self.points, self.dist):
-            row.append(distance(q, p, self.norm))
+        self.dist = distance_matrix(self.points + [p], self.norm)
+        self._ids[p.coords] = len(self.points)
         self.points.append(p)
-        self.dist.append([distance(p, q, self.norm) for q in self.points])
         self._extend_table()
         return len(self.points) - 1
 
@@ -287,25 +285,20 @@ class WorkFunctionState:
 
         A work function is 1-Lipschitz under matching distance, so this
         equals the minimum over every old configuration Y of w(Y) plus the
-        matching distance from Y to X.  Configurations holding p once are
-        filled first, then twice, and so on, so X - p + y is already in the
-        table.
+        matching distance from Y to X.  The table grows by inf faces at p;
+        each of k passes takes the rule over axis 0 and writes the result to
+        every face at p, and pass m fixes the configurations that hold p m
+        times, since X - p + y holds p once less.
         """
-        p = len(self.points) - 1
-        dist, table = self.dist, self.table
-        for m in range(1, self.k + 1):
-            for rest in combinations_with_replacement(range(p), self.k - m):
-                cfg = rest + (p,) * m
-                table[cfg] = min(
-                    table[_replace(cfg, p, y)] + dist[y][p] for y in range(p)
-                )
-
-
-def _replace(cfg: tuple[int, ...], x: int, y: int) -> tuple[int, ...]:
-    """The configuration ``cfg`` with one server moved from point x to y."""
-    rest = list(cfg)
-    rest.remove(x)
-    return tuple(sorted(rest + [y]))
+        p, k = len(self.points) - 1, self.k
+        W = np.full((p + 1,) * k, math.inf)
+        W[(slice(p),) * k] = self.table
+        d = self.dist[:p, p].reshape((p,) + (1,) * (k - 1))
+        for _ in range(k):
+            new = (W[:p] + d).min(axis=0)
+            for j in range(k):
+                W.swapaxes(0, j)[p] = new
+        self.table = W
 
 
 def wfa_step(state: WorkFunctionState, request: Point) -> tuple[int, float]:
@@ -313,26 +306,29 @@ def wfa_step(state: WorkFunctionState, request: Point) -> tuple[int, float]:
 
     A configuration X that holds the request r keeps its value,
     w_t(X) = w_{t-1}(X); any other takes w_t(X) = min_x w_t(X - x + r) + d(x, r)
-    over its points x.  Standard rule: move the server minimizing w_t(config
-    with that server on the request) plus its own movement; ties break to
-    the lowest server index.  Returns (server index, movement cost) and
-    updates the state.
+    over its points x.  With ``A[x, rest] = d(x, r) + w_{t-1}(rest + r)``
+    (``table[r]`` along the other axes), that is the least of ``A`` and its
+    k - 1 transposes that swap axis 0 with axis j, and the faces at r are
+    then copied back from the old table.  Standard rule: move the server
+    minimizing w_t(config with that server on the request) plus its own
+    movement; ties break to the lowest server index.  Returns (server index,
+    movement cost) and updates the state.
     """
     r = state._point_id(request)
-    dist, table = state.dist, state.table
-    for cfg in table:
-        if r not in cfg:
-            table[cfg] = min(
-                table[_replace(cfg, x, r)] + dist[x][r] for x in set(cfg)
-            )
+    k, face = state.k, state.table[r]
+    A = state.dist[:, r].reshape((-1,) + (1,) * (k - 1)) + face
+    new = A
+    for j in range(1, k):
+        new = np.minimum(new, A.swapaxes(0, j))
+    for j in range(k):
+        new.swapaxes(0, j)[r] = face  # a configuration that holds r keeps its value
     # choose the server to move from the current configuration
     best_idx, best_val, best_move = 0, math.inf, 0.0
     for idx, x in enumerate(state.config):
-        move = dist[x][r]
-        v = table[_replace(state.config, x, r)] + move
+        move = state.dist.item(x, r)
+        v = new.item(state.config[:idx] + (r,) + state.config[idx + 1 :]) + move
         if v < best_val - _EPS:
             best_idx, best_val, best_move = idx, v, move
-    cfg = list(state.config)
-    cfg[best_idx] = r
-    state.config = tuple(cfg)
+    state.table = new
+    state.config = state.config[:best_idx] + (r,) + state.config[best_idx + 1 :]
     return best_idx, best_move

@@ -152,7 +152,7 @@ def _read_scenario(config: dict) -> Scenario:
             raise UserError(f"scenario file not found: {path}")
         try:
             return Scenario.from_json_text(path.read_text())
-        except (json.JSONDecodeError, KeyError, ValueError) as e:
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
             raise UserError(f"bad scenario file {path}: {e}") from e
     if isinstance(spec, dict):
         params = spec.get("params", {})

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import InvariantViolation
 
@@ -25,6 +25,18 @@ def dumps_strict(obj) -> str:
         return json.dumps(obj, sort_keys=True, indent=1, allow_nan=False) + "\n"
     except ValueError as e:
         raise InvariantViolation(f"non-finite value in output: {e}") from e
+
+
+# The JSON type of each top-level ledger field that ``from_dict`` reads.
+_FIELD_TYPES = {
+    "scenario": str,
+    "strategy": str,
+    "params": dict,
+    "days": list,
+    "totals": dict,
+    "baselines": dict,
+    "ratios": dict,
+}
 
 
 def _reject_constant(name: str):
@@ -113,22 +125,27 @@ class CostLedger:
 
     @staticmethod
     def from_dict(d: dict) -> "CostLedger":
+        """The ledger a JSON object holds; ``ValueError`` if a field is
+        missing (``KeyError``), of the wrong type, or inconsistent."""
+        if not isinstance(d, dict):
+            raise ValueError("a ledger must be a JSON object")
         if d["schema_version"] != SCHEMA_VERSION:
             raise ValueError(f"unsupported ledger schema {d['schema_version']}")
+        for key, kind in _FIELD_TYPES.items():
+            if not isinstance(d[key], kind):
+                raise ValueError(f"ledger {key} must be a JSON {kind.__name__}")
+        day_fields = [f.name for f in fields(DayLedger)]
+        for e in d["days"]:
+            if not (isinstance(e, dict) and all(type(e[f]) is int for f in day_fields)):
+                raise ValueError(f"ledger days need integer fields {', '.join(day_fields)}")
+        for name, v in d["baselines"].items():
+            if not (v is None or type(v) in (int, float)):
+                raise ValueError(f"baseline {name} must be a number or null")
         ledger = CostLedger(
             scenario=d["scenario"],
             strategy=d["strategy"],
             params=d["params"],
-            days=[
-                DayLedger(
-                    day=e["day"],
-                    radius_searched=e["radius_searched"],
-                    overhead_work=e["overhead_work"],
-                    virtual_radius=e["virtual_radius"],
-                    solver_thread=e["solver_thread"],
-                )
-                for e in d["days"]
-            ],
+            days=[DayLedger(**{f: e[f] for f in day_fields}) for e in d["days"]],
             baselines=dict(d["baselines"]),
             ratios=dict(d["ratios"]),
         )

@@ -19,16 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import InvariantViolation
+from . import baselines
+from .errors import CapExceeded, InvariantViolation
 from .kmedians import learn_centers
 from .ledger import CostLedger, DayLedger
 from .metric import Point, distance, origin
-from .oracle import (
-    HiddenInstance,
-    open_thread,
-    required_steps,
-    run_parallel_k_detail,
-)
+from .oracle import HiddenInstance, open_thread, run_parallel_k_detail
 
 ORIGIN_DAY = 0
 
@@ -185,9 +181,7 @@ class _DecayDay:
             stop, rank = stop + 1, rank + 1
         for day, src in self.sources[self.opened : stop]:
             thread = open_thread(self.inst, src)
-            self.active.append(
-                ThreadEntry(day, src, thread, needed=required_steps(self.inst, src))
-            )
+            self.active.append(ThreadEntry(day, src, thread, needed=thread.needed))
         self.opened = stop
 
     def next_event(self, V: int) -> tuple[int, list[int]]:
@@ -442,9 +436,6 @@ def kserver_reduction(scenario, server_alg: str, k: int) -> CostLedger:
         raise ValueError("k must be >= 1")
     if server_alg not in ("greedy", "wfa"):
         raise ValueError(f"unknown server algorithm {server_alg!r}")
-    from . import baselines
-    from .errors import CapExceeded
-
     norm = scenario.norm
     servers = [origin(scenario.dim)] * min(k, scenario.T)
     wfa_state = (

@@ -41,7 +41,9 @@ def required_steps(inst: HiddenInstance, p: Point) -> int:
 
 
 class SearchThread:
-    """One running copy of the warm-start solver, advanced by unit steps."""
+    """One running copy of the warm-start solver, advanced by unit steps;
+    it completes when ``radius`` reaches ``needed``, the oracle-side step
+    count from its origin."""
 
     def __init__(self, inst: HiddenInstance, origin: Point):
         if origin.dim != inst.dim:
@@ -51,11 +53,11 @@ class SearchThread:
         self.origin = origin
         self.inst = inst
         self.radius = 0
-        self._needed = required_steps(inst, origin)
+        self.needed = required_steps(inst, origin)
 
     @property
     def completed(self) -> bool:
-        return self.radius >= self._needed
+        return self.radius >= self.needed
 
     def step(self) -> bool:
         """Advance the search radius by one unit; returns the completed flag."""
@@ -67,7 +69,7 @@ class SearchThread:
     def advance(self, n: int) -> bool:
         """Take ``n`` unit steps at once; returns the completed flag.  Refuses
         to step past completion."""
-        if n < 0 or self.radius + n > self._needed:
+        if n < 0 or self.radius + n > self.needed:
             raise RuntimeError(f"cannot advance {n} steps from radius {self.radius}")
         self.radius += n
         return self.completed

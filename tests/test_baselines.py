@@ -261,6 +261,66 @@ class ReferenceWorkFunction:
         return best_idx, best_move
 
 
+def _replace(cfg, x, y):
+    """The configuration ``cfg`` with one server moved from point x to y."""
+    rest = list(cfg)
+    rest.remove(x)
+    return tuple(sorted(rest + [y]))
+
+
+class DictWorkFunction:
+    """Reference: the work-function table as a dict over sorted-tuple
+    configurations, filled by the one-point rule with scalar ``distance``
+    calls, one configuration at a time."""
+
+    def __init__(self, k, dim, norm):
+        if k > WFA_MAX_K:
+            raise CapExceeded(f"work function capped at k<={WFA_MAX_K}")
+        self.k = k
+        self.norm = norm
+        o = origin(dim)
+        self.points = [o]
+        self.dist = [[distance(o, o, norm)]]
+        self.config = (0,) * k
+        self.table = {self.config: 0.0}
+
+    def _point_id(self, p):
+        for i, q in enumerate(self.points):
+            if q.coords == p.coords:
+                return i
+        if len(self.points) - 1 >= WFA_MAX_POINTS:
+            raise CapExceeded(f"work function capped at {WFA_MAX_POINTS} distinct requests")
+        for q, row in zip(self.points, self.dist):
+            row.append(distance(q, p, self.norm))
+        self.points.append(p)
+        self.dist.append([distance(p, q, self.norm) for q in self.points])
+        p = len(self.points) - 1
+        for m in range(1, self.k + 1):
+            for rest in combinations_with_replacement(range(p), self.k - m):
+                cfg = rest + (p,) * m
+                self.table[cfg] = min(
+                    self.table[_replace(cfg, p, y)] + self.dist[y][p] for y in range(p)
+                )
+        return p
+
+    def step(self, request):
+        r = self._point_id(request)
+        dist, table = self.dist, self.table
+        for cfg in table:
+            if r not in cfg:
+                table[cfg] = min(table[_replace(cfg, x, r)] + dist[x][r] for x in set(cfg))
+        best_idx, best_val, best_move = 0, math.inf, 0.0
+        for idx, x in enumerate(self.config):
+            move = dist[x][r]
+            v = table[_replace(self.config, x, r)] + move
+            if v < best_val - _EPS:
+                best_idx, best_val, best_move = idx, v, move
+        cfg = list(self.config)
+        cfg[best_idx] = r
+        self.config = tuple(cfg)
+        return best_idx, best_move
+
+
 def _rand_points(rng, T, dim, spread=15.0):
     return [
         Point(tuple(rng.uniform(-spread, spread) for _ in range(dim)))
@@ -606,7 +666,7 @@ def test_wfa_work_function_values_stay_sane():
     prev_min = 0.0
     for _ in range(8):
         wfa_step(state, Point.of(rng.uniform(-10, 10)))
-        values = state.table.values()
+        values = state.table.ravel()
         assert all(v >= -1e-9 for v in values)
         cur_min = min(values)
         assert cur_min >= prev_min - 1e-9  # optimal offline cost is monotone
@@ -620,7 +680,7 @@ def test_wfa_cached_distances_are_the_direct_ones():
         for _ in range(6):
             wfa_step(state, Point.of(float(rng.randint(-3, 3)), rng.uniform(-5, 5)))
         pts = state.points
-        assert state.dist == [[distance(a, b, norm) for b in pts] for a in pts]
+        assert state.dist.tolist() == [[distance(a, b, norm) for b in pts] for a in pts]
 
 
 def test_wfa_caps():
@@ -785,16 +845,23 @@ def _run_wfa(step, requests):
 
 
 def _check_wfa_against_reference(k, dim, norm, requests):
-    """Assert the same moves, the same capped request and final tables
-    within 1e-15 relative; return the index of the capped request."""
+    """Assert the same moves and the same capped request as both references,
+    every table value equal in ``repr`` to the dict table's at every
+    permutation of its configuration, and within 1e-15 relative of the
+    matching reference's; return the index of the capped request."""
     state = WorkFunctionState(k, dim, norm)
+    exact = DictWorkFunction(k, dim, norm)
     ref = ReferenceWorkFunction(k, dim, norm)
     got = _run_wfa(lambda r: wfa_step(state, r), requests)
+    assert repr(got) == repr(_run_wfa(exact.step, requests)), (norm, k, requests)
     exp = _run_wfa(ref.step, requests)
     assert got == exp, (norm, k, requests)
-    assert state.table.keys() == ref.table.keys()
-    for cfg, w in ref.table.items():
-        assert math.isclose(state.table[cfg], w, rel_tol=1e-15, abs_tol=0.0), (norm, k, requests, cfg)
+    assert state.table.shape == (len(ref.points),) * k
+    assert exact.table.keys() == ref.table.keys()
+    for cfg, w in exact.table.items():
+        for x in set(permutations(cfg)):
+            assert repr(state.table.item(x)) == repr(w), (norm, k, requests, x)
+        assert math.isclose(state.table[cfg], ref.table[cfg], rel_tol=1e-15, abs_tol=0.0), (norm, k, requests, cfg)
     return exp[1]
 
 

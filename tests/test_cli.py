@@ -244,6 +244,9 @@ PLANTED_TINY = {
             {"learner": "partition", "k": 1, "depth": 0},
             [(["norm"], "Linf"), (["meta"], {}), (["days"], _days([1.7e308, 1.6e308, 1.7e308, 1.75e308]))],
         ),
+        ("simulate", {"strategy": "predict-yesterday"}, (["days", 0, "features"], 5)),
+        ("learn", {"learner": "centers", "k": 1}, (["days", 1, "solution"], [None, 1])),
+        ("simulate", {"strategy": "predict-yesterday"}, (["days"], 5)),
     ],
     ids=[
         "unknown-norm",
@@ -280,6 +283,9 @@ PLANTED_TINY = {
         "planted-ratio-overflows",
         "feature-midpoint-overflows",
         "linf-midrange-overflows",
+        "features-not-a-list",
+        "null-coordinate",
+        "days-not-a-list",
     ],
 )
 def test_bad_input_exits_one_with_one_line(tmp_path, capsys, command, config, patch):
@@ -511,6 +517,16 @@ _JSON_VALUE = st.one_of(
     st.lists(st.integers(0, 3), max_size=2),
 )
 _ANY_VALUE = st.one_of(st.just(_ABSENT), _JSON_VALUE)
+_KEEP = object()
+# A day's coordinate vector: huge magnitudes beside ordinary ones, in the
+# scenario's dim 2 or not, or any other JSON value in its place.
+_HUGE = st.sampled_from([1e17, -1e17, 1e20, -1e20, 1e300])
+_VECTOR = st.one_of(
+    st.lists(st.one_of(_HUGE, st.floats(-5.0, 5.0)), min_size=2, max_size=2),
+    st.lists(st.one_of(_HUGE, _JSON_VALUE), max_size=3),
+    _ANY_VALUE,
+)
+_PER_DAY = (st.just([_KEEP] * 5), st.lists(st.one_of(st.just(_KEEP), _VECTOR), min_size=5, max_size=5))
 # Each input field: (valid values, mutated values).  An example mutates a
 # few fields of a valid tiny config and scenario.
 _FIELDS = {
@@ -526,6 +542,8 @@ _FIELDS = {
     "norm": (st.sampled_from(["L1", "L2", "Linf"]), st.one_of(st.sampled_from(["L3", "l2", ""]), _ANY_VALUE)),
     "keep": (st.just([True] * 5), st.lists(st.booleans(), min_size=5, max_size=5)),
     "day_numbers": (st.just([1, 2, 3, 4, 5]), st.lists(st.integers(-1, 6), min_size=5, max_size=5)),
+    "features": _PER_DAY,
+    "solution": _PER_DAY,
 }
 
 
@@ -546,6 +564,12 @@ def test_mutated_inputs_exit_zero_or_one(command, mutated, data):
         scen["norm"] = v["norm"]
     for day, number in zip(scen["days"], v["day_numbers"]):
         day["day"] = number
+    for field in ("features", "solution"):
+        for day, value in zip(scen["days"], v[field]):
+            if value is _ABSENT:
+                del day[field]
+            elif value is not _KEEP:
+                day[field] = value
     scen["days"] = [day for day, kept in zip(scen["days"], v["keep"]) if kept]
     config = {
         key: v[key]
@@ -709,6 +733,33 @@ def test_report_rejects_a_ledger_it_cannot_ratio(scen_file, tmp_path, capsys, ed
         ledger["days"][0]["radius_searched"] += 10**400
         ledger["totals"]["radius"] += 10**400
         ledger["totals"]["wall_estimate"] += 10**400
+    out.write_text(json.dumps(ledger))
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad ledger file") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (["days"], 5),
+        (["days", 0, "radius_searched"], "3"),
+        (["baselines"], 5),
+        (["totals"], 5),
+        (["baselines"], {"x": "a"}),
+        (["scenario"], 5),
+    ],
+    ids=["days", "radius-string", "baselines", "totals", "baseline-string", "scenario"],
+)
+def test_report_rejects_a_ledger_of_the_wrong_types(scen_file, tmp_path, capsys, path, value):
+    out = tmp_path / "ledger.json"
+    assert main(["simulate", "--scenario", str(scen_file), "--strategy", "predict-yesterday", "--out", str(out)]) == 0
+    ledger = json.loads(out.read_text())
+    target = ledger
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
     out.write_text(json.dumps(ledger))
     capsys.readouterr()
     assert main(["report", str(out)]) == 1
