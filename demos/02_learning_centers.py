@@ -14,7 +14,7 @@ from warmstart import (
     learn_centers_local_search,
     learn_centers_subset_erm,
     origin,
-    solve_with_learned_centers,
+    run_parallel_k,
 )
 
 rng = random.Random(4)
@@ -31,6 +31,6 @@ print("local-search centers:  ", [c.coords for c in C_ls])
 
 tomorrow = Point.of(101.3)
 inst = HiddenInstance(day=1, features=origin(1), solution=tomorrow, norm="L1")
-found, radius = solve_with_learned_centers(inst, C)
+found, radius = run_parallel_k(inst, list(C.centers))
 print(f"\nnew day with solution {tomorrow.coords}: solved in total radius {radius}")
 print("(a cold start from the origin would have paid about 102)")

@@ -20,7 +20,6 @@ from .kmedians import (
     learn_centers_local_search,
     learn_centers_subset_erm,
     median_point,
-    solve_with_learned_centers,
 )
 from .ledger import CostLedger, DayLedger
 from .metric import (
@@ -50,7 +49,6 @@ from .oracle import (
 )
 from .partition import (
     LabeledSample,
-    RotatedTree,
     ThresholdClass,
     ThresholdTree,
     c_loss,
@@ -92,7 +90,6 @@ __all__ = [
     "LabeledSample",
     "NORMS",
     "Point",
-    "RotatedTree",
     "Scenario",
     "SearchThread",
     "ThresholdClass",
@@ -134,7 +131,6 @@ __all__ = [
     "run_parallel_k_detail",
     "run_quadratic_decay",
     "search_steps",
-    "solve_with_learned_centers",
     "trajectory_cost",
     "two_step_learn",
     "wfa_step",

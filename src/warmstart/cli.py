@@ -65,13 +65,16 @@ def _load_config(args) -> dict:
 
 def _load_scenario(config: dict, search: bool = False) -> Scenario:
     scenario = _read_scenario(config)
+    if not isinstance(scenario.name, str):
+        raise UserError("scenario name must be a string")
     if scenario.norm not in NORMS:
         raise UserError(
             f"unknown norm {scenario.norm!r}; expected one of {', '.join(NORMS)}"
         )
     if not scenario.days:
         raise UserError("scenario has no days")
-    if [inst.day for inst in scenario.days] != list(range(1, scenario.T + 1)):
+    days = [inst.day for inst in scenario.days]
+    if not all(map(_is_int, days)) or days != list(range(1, scenario.T + 1)):
         raise UserError(f"scenario days must be numbered 1..{scenario.T} in order")
     for inst in scenario.days:
         if inst.features.dim != scenario.dim or inst.dim != scenario.dim:

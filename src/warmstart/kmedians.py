@@ -18,8 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapExceeded, DimensionMismatch
-from .metric import L1, L2, LINF, Point, distance, distance_matrix, mean_left_to_right
-from .oracle import HiddenInstance, run_parallel_k
+from .metric import L1, L2, LINF, Point, distance_matrix, mean_left_to_right
 
 ENUMERATION_CAP = 10**6
 
@@ -49,18 +48,12 @@ class CenterSet:
         return iter(self.centers)
 
 
-def nearest_center_distance(x: Point, C: CenterSet, norm: str) -> float:
-    return min(distance(c, x, norm) for c in C)
-
-
 def cost_of_centers(C: CenterSet, X: Sequence[Point], norm: str) -> float:
-    """Mean distance from each sample to its closest center."""
+    """Mean distance from each sample to its closest center, summed left to
+    right over the samples."""
     if not X:
         raise ValueError("empty sample set")
-    total = 0.0
-    for x in X:
-        total += nearest_center_distance(x, C, norm)
-    return total / len(X)
+    return float(mean_left_to_right(distance_matrix(X, norm, C.centers).min(axis=1)))
 
 
 def _nearest(D: np.ndarray, idxs: Sequence[int]) -> np.ndarray:
@@ -164,13 +157,6 @@ def learn_centers(X: Sequence[Point], k: int, norm: str) -> tuple[CenterSet, str
         return learn_centers_local_search(X, k, norm), "local-search"
 
 
-def solve_with_learned_centers(
-    inst: HiddenInstance, C: CenterSet
-) -> tuple[Point, int]:
-    """Solve an instance by running the learned centers in parallel."""
-    return run_parallel_k(inst, list(C.centers))
-
-
 MEDIAN_MAX_ITER = 1000
 
 
@@ -213,16 +199,18 @@ def _geometric_median(
 ) -> tuple[tuple[float, ...], bool]:
     """Weiszfeld's iteration from the mean, over coordinate tuples.
 
-    Each step computes every distance as ``distance`` does (squares summed
-    left to right, then ``sqrt``), weighs each point by
-    ``1 / max(d, 1e-12)`` and sums the weights and the weighted coordinates
-    in point order, so the estimate is the same float at every step.
+    The mean sums each coordinate in point order.  Each step computes every
+    distance as ``distance`` does (squares summed left to right, then
+    ``sqrt``), weighs each point by ``1 / max(d, 1e-12)`` and sums the
+    weights and the weighted coordinates in point order, so the estimate is
+    the same float at every step and on every Python version (builtin
+    ``sum`` over floats is compensated from 3.12).
     Returns the estimate and whether ``max_iter`` steps ran without a shift
     below ``tol``.  A non-finite estimate raises ``ValueError``.
     """
     n = len(P)
     cols = list(zip(*P))
-    est = [sum(col) / n for col in cols]
+    est = [reduce(add, col, 0.0) / n for col in cols]
     for _ in range(max_iter):
         _check_finite(est)
         e = est[0]

@@ -8,6 +8,7 @@ round-trip exactly.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -126,7 +127,8 @@ class CostLedger:
     @staticmethod
     def from_dict(d: dict) -> "CostLedger":
         """The ledger a JSON object holds; ``ValueError`` if a field is
-        missing (``KeyError``), of the wrong type, or inconsistent."""
+        missing (``KeyError``), of the wrong type, or inconsistent, or if a
+        baseline is negative or so small that the ratio to it overflows."""
         if not isinstance(d, dict):
             raise ValueError("a ledger must be a JSON object")
         if d["schema_version"] != SCHEMA_VERSION:
@@ -158,6 +160,11 @@ class CostLedger:
             raise ValueError("ledger totals do not match per-day entries")
         if not ledger.wall_estimate <= sys.float_info.max:
             raise ValueError("ledger totals are beyond the float range")
+        for name, v in ledger.baselines.items():
+            if v is not None and v < 0:
+                raise ValueError(f"baseline {name} is negative")
+            if v and not math.isfinite(ledger.total_radius / v):
+                raise ValueError(f"the ratio to baseline {name} overflows")
         return ledger
 
     @staticmethod

@@ -10,8 +10,10 @@ all k^k rotations against a base ERM.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import reduce
 from itertools import product
+from operator import add
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -33,15 +35,13 @@ class ThresholdTree:
     """An axis-aligned threshold tree of depth <= 2 with leaf labels in [k].
 
     Depth 0: no splits, one leaf.  Depth 1: one split, two leaves.  Depth 2:
-    a root split whose children each split again, four leaves.  ``eval_work``
-    is the flat work charge for evaluating the hypothesis on an instance.
+    a root split whose children each split again, four leaves.
     """
 
     feature_indices: tuple[int, ...]
     thresholds: tuple[float, ...]
     leaf_labels: tuple[int, ...]
     k: int
-    eval_work: int = 1
 
     def __post_init__(self):
         depth_leaves = {0: 1, 1: 2, 3: 4}
@@ -52,8 +52,6 @@ class ThresholdTree:
             raise ValueError("leaf count does not match split count")
         if any(not (1 <= lab <= self.k) for lab in self.leaf_labels):
             raise ValueError("leaf labels must lie in 1..k")
-        if self.eval_work < 1:
-            raise ValueError("eval_work must be >= 1")
 
     def label(self, x: Point) -> int:
         f, t, leaves = self.feature_indices, self.thresholds, self.leaf_labels
@@ -64,25 +62,6 @@ class ThresholdTree:
         if x[f[0]] <= t[0]:
             return leaves[0] if x[f[1]] <= t[1] else leaves[1]
         return leaves[2] if x[f[2]] <= t[2] else leaves[3]
-
-
-@dataclass(frozen=True)
-class RotatedTree:
-    """A hypothesis with a rotation applied to its output labels."""
-
-    base: ThresholdTree
-    phi: tuple[int, ...]
-
-    @property
-    def k(self) -> int:
-        return self.base.k
-
-    @property
-    def eval_work(self) -> int:
-        return self.base.eval_work
-
-    def label(self, x: Point) -> int:
-        return self.phi[self.base.label(x) - 1]
 
 
 Rotation = tuple[int, ...]
@@ -97,10 +76,9 @@ def rotate_centers(C: CenterSet, phi: Rotation) -> CenterSet:
     return CenterSet(tuple(C[phi[i] - 1] for i in range(len(phi))))
 
 
-def compose(h: ThresholdTree, phi: Rotation):
-    if phi == identity_rotation(h.k):
-        return h
-    return RotatedTree(h, phi)
+def compose(h: ThresholdTree, phi: Rotation) -> ThresholdTree:
+    """phi o h: the tree h with each leaf label i relabelled phi(i)."""
+    return replace(h, leaf_labels=tuple(phi[lab - 1] for lab in h.leaf_labels))
 
 
 def canonical_thresholds(values: Sequence[float]) -> list[float]:
@@ -123,11 +101,11 @@ class ThresholdClass(Sequence[ThresholdTree]):
     split.
     """
 
-    def __init__(self, features: Sequence[Point], k: int, depth: int = 1, eval_work: int = 1):
+    def __init__(self, features: Sequence[Point], k: int, depth: int = 1):
         dim = features[0].dim
         if depth not in (0, 1, 2):
             raise ValueError("depth must be 0, 1, or 2")
-        self.k, self.depth, self.eval_work = k, depth, eval_work
+        self.k, self.depth = k, depth
         labels = range(1, k + 1)
         self.splits = [
             (f, t) for f in range(dim) for t in canonical_thresholds([x[f] for x in features])
@@ -145,20 +123,20 @@ class ThresholdClass(Sequence[ThresholdTree]):
             i += len(self)
         if not 0 <= i < len(self):
             raise IndexError("hypothesis index out of range")
-        k, ew = self.k, self.eval_work
+        k = self.k
         if i < k:
-            return ThresholdTree((), (), (i + 1,), k, ew)
+            return ThresholdTree((), (), (i + 1,), k)
         i -= k
         if i < self.sizes[1]:
             split, pair = divmod(i, len(self.pairs))
             f, t = self.splits[split]
-            return ThresholdTree((f,), (t,), self.pairs[pair], k, ew)
+            return ThresholdTree((f,), (t,), self.pairs[pair], k)
         i -= self.sizes[1]
         S = len(self.splits)
         triple, quad = divmod(i, len(self.quads))
         s0, rest = divmod(triple, S * S)
         (f0, t0), (f1, t1), (f2, t2) = (self.splits[s] for s in (s0, *divmod(rest, S)))
-        return ThresholdTree((f0, f1, f2), (t0, t1, t2), self.quads[quad], k, ew)
+        return ThresholdTree((f0, f1, f2), (t0, t1, t2), self.quads[quad], k)
 
     def label_rows(self, features: Sequence[Point], block: int) -> Iterator[np.ndarray]:
         """Consecutive (trees x samples) label tables of at most ``block``
@@ -192,15 +170,15 @@ def _chunks(rows: np.ndarray, block: int) -> Iterator[np.ndarray]:
 
 
 def enumerate_threshold_trees(
-    features: Sequence[Point], k: int, depth: int = 1, eval_work: int = 1
+    features: Sequence[Point], k: int, depth: int = 1
 ) -> list[ThresholdTree]:
-    """Every tree of ``ThresholdClass(features, k, depth, eval_work)``, in its
-    order.  Depth 2 grows fast; keep a list of it to desk-scale inputs."""
-    return list(ThresholdClass(features, k, depth, eval_work))
+    """Every tree of ``ThresholdClass(features, k, depth)``, in its order.
+    Depth 2 grows fast; keep a list of it to desk-scale inputs."""
+    return list(ThresholdClass(features, k, depth))
 
 
 def c_loss(
-    h,
+    h: ThresholdTree,
     phi: Rotation | None,
     C: CenterSet,
     data: Sequence[LabeledSample],
@@ -218,22 +196,17 @@ def c_loss(
 
 
 def cost_of_partition(
-    h, data: Sequence[LabeledSample], norm: str
-) -> tuple[float, CenterSet]:
-    """Best per-partition 1-median cost of a hypothesis, and those centers.
+    h: ThresholdTree, data: Sequence[LabeledSample], norm: str
+) -> tuple[float, CenterSet, tuple[int, ...]]:
+    """Best per-partition 1-median cost of a hypothesis, those centers, and
+    the labels of the parts whose 1-median stopped at ``MEDIAN_MAX_ITER``
+    iterations (see ``median_point_detail``).
 
     Empty partitions receive the origin as a placeholder center; they carry
-    no samples, so the placeholder contributes zero cost.
+    no samples, so the placeholder contributes zero cost.  Each part's
+    distances are summed left to right (builtin ``sum`` over floats is
+    compensated from Python 3.12), then the parts in label order.
     """
-    cost, centers, _ = partition_medians(h, data, norm)
-    return cost, centers
-
-
-def partition_medians(
-    h, data: Sequence[LabeledSample], norm: str
-) -> tuple[float, CenterSet, tuple[int, ...]]:
-    """``cost_of_partition``, and the labels of the parts whose 1-median
-    stopped at ``MEDIAN_MAX_ITER`` iterations (see ``median_point_detail``)."""
     if not data:
         raise ValueError("empty data")
     dim = data[0].solution.dim
@@ -248,7 +221,7 @@ def partition_medians(
             c, cap = median_point_detail(groups[i], norm)
             if cap:
                 capped.append(i)
-            total += sum(distance(x, c, norm) for x in groups[i])
+            total += reduce(add, (distance(x, c, norm) for x in groups[i]), 0.0)
         else:
             c = origin(dim)
         centers.append(c)
@@ -256,22 +229,15 @@ def partition_medians(
 
 
 def construct_rotation(
-    h, C: CenterSet, data: Sequence[LabeledSample], norm: str
+    h: ThresholdTree, C: CenterSet, data: Sequence[LabeledSample], norm: str
 ) -> Rotation:
     """Map each partition's best center to its nearest center in C.
 
-    phi(i) = argmin_j distance(C^(j), C_h^(i)), ties to the lowest j.
+    phi(i) = argmin_j distance(C_h^(i), C^(j)), ties to the lowest j.
     """
-    _, C_h = cost_of_partition(h, data, norm)
-    phi = []
-    for i in range(h.k):
-        best_j, best_d = 0, math.inf
-        for j in range(C.k):
-            d = distance(C[j], C_h[i], norm)
-            if d < best_d:
-                best_j, best_d = j, d
-        phi.append(best_j + 1)
-    return tuple(phi)
+    _, C_h, _ = cost_of_partition(h, data, norm)
+    nearest = distance_matrix(C_h.centers, norm, C.centers).argmin(axis=1)
+    return tuple(int(j) + 1 for j in nearest)
 
 
 # Hypotheses labelled at once, so that memory does not grow with the class.
@@ -392,22 +358,24 @@ def two_step_learn(
     a ``ThresholdClass``, which is scored without building its trees.  The
     last two values returned are the method step 1 used (see
     ``learn_centers``) and the parts whose step-3 median hit its iteration
-    cap (see ``partition_medians``).
+    cap (see ``cost_of_partition``).
     """
     C_hat, centers_method = learn_centers([s.solution for s in train], k, norm)
     h, phi = rc_erm(hyps, C_hat, train, norm)
-    _, C_h, capped = partition_medians(compose(h, phi), train, norm)
+    _, C_h, capped = cost_of_partition(compose(h, phi), train, norm)
     return h, phi, C_h, centers_method, capped
 
 
 def predict_and_solve(
-    h, phi: Rotation, C_h: CenterSet, inst: HiddenInstance
+    h: ThresholdTree, phi: Rotation, C_h: CenterSet, inst: HiddenInstance
 ) -> tuple[Point, int]:
     """Route an instance through the hypothesis and run a single thread.
 
-    Total cost is the hypothesis's evaluation work plus the thread radius; no
+    Total cost is one unit of evaluation work plus the thread radius; no
     parallelism is involved.
     """
     label = phi[h.label(inst.features) - 1]
     solution, radius, _, _ = run_parallel_k_detail(inst, [C_h[label - 1]])
-    return solution, h.eval_work + radius
+    # A tree of depth <= 2 picks its leaf in at most two comparisons, a
+    # constant next to the search radius, so routing costs one unit of work.
+    return solution, 1 + radius

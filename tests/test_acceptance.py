@@ -140,7 +140,7 @@ def test_criterion_04_constructed_rotation_constants():
         hyps = enumerate_threshold_trees([s.features for s in data], k, depth=1)
         h = hyps[rng.randrange(len(hyps))]
         phi = construct_rotation(h, C, data, norm)
-        part_cost, _ = cost_of_partition(h, data, norm)
+        part_cost, _, _ = cost_of_partition(h, data, norm)
         center_cost = cost_of_centers(C, [s.solution for s in data], norm)
         assert c_loss(h, phi, C, data, norm) <= 2 * part_cost + center_cost + 1e-9
     _ok(4)

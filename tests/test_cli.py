@@ -247,6 +247,10 @@ PLANTED_TINY = {
         ("simulate", {"strategy": "predict-yesterday"}, (["days", 0, "features"], 5)),
         ("learn", {"learner": "centers", "k": 1}, (["days", 1, "solution"], [None, 1])),
         ("simulate", {"strategy": "predict-yesterday"}, (["days"], 5)),
+        ("simulate", {"strategy": "predict-yesterday"}, (["days", 0, "day"], 1.0)),
+        ("simulate", {"strategy": "predict-yesterday"}, (["days", 0, "day"], True)),
+        ("simulate", {"strategy": "predict-yesterday"}, (["name"], 5)),
+        ("learn", {"learner": "centers", "k": 1}, (["name"], None)),
     ],
     ids=[
         "unknown-norm",
@@ -286,6 +290,10 @@ PLANTED_TINY = {
         "features-not-a-list",
         "null-coordinate",
         "days-not-a-list",
+        "float-day-number",
+        "bool-day-number",
+        "name-not-a-string",
+        "learn-name-null",
     ],
 )
 def test_bad_input_exits_one_with_one_line(tmp_path, capsys, command, config, patch):
@@ -541,7 +549,11 @@ _FIELDS = {
     "train_frac": (st.sampled_from([0.4, 0.6, 0.8]), st.one_of(st.floats(-1.0, 2.0), _ANY_VALUE)),
     "norm": (st.sampled_from(["L1", "L2", "Linf"]), st.one_of(st.sampled_from(["L3", "l2", ""]), _ANY_VALUE)),
     "keep": (st.just([True] * 5), st.lists(st.booleans(), min_size=5, max_size=5)),
-    "day_numbers": (st.just([1, 2, 3, 4, 5]), st.lists(st.integers(-1, 6), min_size=5, max_size=5)),
+    "day_numbers": (
+        st.just([1, 2, 3, 4, 5]),
+        st.lists(st.one_of(st.integers(-1, 6), _JSON_VALUE), min_size=5, max_size=5),
+    ),
+    "name": (st.just(_KEEP), _ANY_VALUE),
     "features": _PER_DAY,
     "solution": _PER_DAY,
 }
@@ -562,6 +574,10 @@ def test_mutated_inputs_exit_zero_or_one(command, mutated, data):
         del scen["norm"]
     else:
         scen["norm"] = v["norm"]
+    if v["name"] is _ABSENT:
+        del scen["name"]
+    elif v["name"] is not _KEEP:
+        scen["name"] = v["name"]
     for day, number in zip(scen["days"], v["day_numbers"]):
         day["day"] = number
     for field in ("features", "solution"):
@@ -581,12 +597,16 @@ def test_mutated_inputs_exit_zero_or_one(command, mutated, data):
         p.write_text(json.dumps(scen))
         cfg = Path(d) / "cfg.json"
         cfg.write_text(json.dumps({"scenario": str(p), **config}))
+        out = Path(d) / "out.json"
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            rc = main([command, "--config", str(cfg), "--out", str(Path(d) / "out.json")])
+            rc = main([command, "--config", str(cfg), "--out", str(out)])
+            # every ledger that simulate writes is one that report reads
+            report_rc = main(["report", str(out)]) if command == "simulate" and rc == 0 else 0
     assert rc in (0, 1)
     if rc == 1:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    assert report_rc == 0, err.getvalue()
 
 
 @pytest.mark.parametrize("strategy", ["quadratic-decay", "harmonic-decay"])
@@ -722,13 +742,19 @@ def test_a_non_finite_output_exits_two(tmp_path, monkeypatch, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("edit", ["infinite-baseline", "radius-beyond-floats"])
+@pytest.mark.parametrize(
+    "edit", ["infinite-baseline", "radius-beyond-floats", "ratio-overflows", "negative-baseline"]
+)
 def test_report_rejects_a_ledger_it_cannot_ratio(scen_file, tmp_path, capsys, edit):
     out = tmp_path / "ledger.json"
     assert main(["simulate", "--scenario", str(scen_file), "--strategy", "predict-yesterday", "--out", str(out)]) == 0
     ledger = json.loads(out.read_text())
     if edit == "infinite-baseline":
         ledger["baselines"]["planted"] = math.inf
+    elif edit == "ratio-overflows":  # the radius over 1e-320 is beyond floats
+        ledger["baselines"]["planted"] = 1e-320
+    elif edit == "negative-baseline":
+        ledger["baselines"]["planted"] = -1.0
     else:  # an int radius that a float ratio cannot convert
         ledger["days"][0]["radius_searched"] += 10**400
         ledger["totals"]["radius"] += 10**400

@@ -9,6 +9,7 @@ from warmstart.kmedians import (
     cost_of_centers,
     learn_centers_local_search,
     learn_centers_subset_erm,
+    _geometric_median,
     median_point,
     median_point_detail,
 )
@@ -120,8 +121,10 @@ def test_median_point_empty_rejected():
 def ref_geometric_median(points, tol=1e-9, max_iter=1000):
     """Weiszfeld's iteration on ``Point``s through ``distance``, as the L2
     median was first written; also returns whether it hit ``max_iter``."""
-    n = len(points)
-    est = [sum(p[j] for p in points) / n for j in range(points[0].dim)]
+    est = [0.0] * points[0].dim
+    for p in points:  # the mean, summed left to right
+        est = [e + c for e, c in zip(est, p.coords)]
+    est = [e / len(points) for e in est]
     for _ in range(max_iter):
         num = [0.0] * len(est)
         denom = 0.0
@@ -158,6 +161,12 @@ def test_l2_median_matches_the_point_reference():
         assert repr(got) == repr(want) and got_capped == want_capped
         capped += got_capped
     assert capped >= 10  # the cap path is exercised, not only convergence
+
+
+def test_geometric_median_starts_from_a_left_to_right_mean():
+    # 1e16 + 1.0 rounds back to 1e16, so the mean summed left to right is
+    # 0.0; a compensated sum (builtin ``sum`` from Python 3.12) gives 1/3.
+    assert _geometric_median([(1e16,), (1.0,), (-1e16,)], max_iter=0) == ((0.0,), True)
 
 
 def test_l2_median_rejects_a_non_finite_estimate():

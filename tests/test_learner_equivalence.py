@@ -2,7 +2,7 @@
 
 The reference oracles below are the learners as they were written before
 they read one precomputed distance table: they call ``distance`` (through
-``cost_of_centers`` and ``c_loss``) for every candidate.  The fuzz forces
+``ref_cost_of_centers`` and ``c_loss``) for every candidate.  The fuzz forces
 ties with integer-grid coordinates and duplicate points, so the tie-breaks
 are checked as well as the optimum.
 """
@@ -21,7 +21,7 @@ from warmstart.kmedians import (
     learn_centers_local_search,
     learn_centers_subset_erm,
 )
-from warmstart.metric import NORMS, Point
+from warmstart.metric import NORMS, Point, distance
 from warmstart.partition import (
     LabeledSample,
     ThresholdClass,
@@ -29,6 +29,9 @@ from warmstart.partition import (
     all_rotations,
     c_loss,
     canonical_thresholds,
+    compose,
+    construct_rotation,
+    cost_of_partition,
     enumerate_threshold_trees,
     erm_partition,
     rc_erm,
@@ -36,12 +39,34 @@ from warmstart.partition import (
 )
 
 
+def ref_cost_of_centers(C, X, norm):
+    """Mean distance from each sample to its closest center, one
+    ``distance`` call per (sample, center) pair."""
+    total = 0.0
+    for x in X:
+        total += min(distance(c, x, norm) for c in C)
+    return total / len(X)
+
+
+def ref_construct_rotation(h, C, data, norm):
+    _, C_h, _ = cost_of_partition(h, data, norm)
+    phi = []
+    for i in range(h.k):
+        best_j, best_d = 0, math.inf
+        for j in range(C.k):
+            d = distance(C[j], C_h[i], norm)
+            if d < best_d:
+                best_j, best_d = j, d
+        phi.append(best_j + 1)
+    return tuple(phi)
+
+
 def ref_subset_erm(X, k, norm):
     best_cost = math.inf
     best = None
     for idxs in combinations(range(len(X)), k):
         C = CenterSet(tuple(X[i] for i in idxs))
-        c = cost_of_centers(C, X, norm)
+        c = ref_cost_of_centers(C, X, norm)
         if c < best_cost:
             best_cost = c
             best = idxs
@@ -72,7 +97,7 @@ def ref_enumerate_threshold_trees(features, k, depth):
 def ref_local_search(X, k, norm, max_sweeps=100):
     m = len(X)
     current = list(range(k))
-    cost = cost_of_centers(CenterSet(tuple(X[i] for i in current)), X, norm)
+    cost = ref_cost_of_centers(CenterSet(tuple(X[i] for i in current)), X, norm)
     for _ in range(max_sweeps):
         improved = False
         for slot in range(k):
@@ -81,7 +106,7 @@ def ref_local_search(X, k, norm, max_sweeps=100):
                     continue
                 trial = list(current)
                 trial[slot] = cand
-                c = cost_of_centers(CenterSet(tuple(X[i] for i in trial)), X, norm)
+                c = ref_cost_of_centers(CenterSet(tuple(X[i] for i in trial)), X, norm)
                 if c < cost - 1e-12:
                     current, cost = trial, c
                     improved = True
@@ -173,6 +198,22 @@ def test_rc_erm_matches_enumerating_reference(norm, depth):
         rotations = all_rotations(C.k)
         for rot, (loss, best) in zip(rotations, partition._erm_per_rotation(hyps, C, data, norm, rotations)):
             assert loss == c_loss(best, rot, C, data, norm)  # bit for bit
+
+
+@pytest.mark.parametrize("depth", (0, 1, 2))
+@pytest.mark.parametrize("norm", NORMS)
+def test_table_costs_and_rotations_match_the_scalar_references(norm, depth):
+    rng = random.Random(f"tables/{norm}/{depth}")
+    for _ in range(12):
+        hyps, C, data = _partition_case(rng, norm, depth)
+        sols = [s.solution for s in data]
+        assert repr(cost_of_centers(C, sols, norm)) == repr(ref_cost_of_centers(C, sols, norm))
+        h = hyps[rng.randrange(len(hyps))]
+        phi = tuple(rng.randint(1, C.k) for _ in range(C.k))
+        g = compose(h, phi)
+        assert g.feature_indices == h.feature_indices and g.thresholds == h.thresholds
+        assert all(g.label(s.features) == phi[h.label(s.features) - 1] for s in data)
+        assert construct_rotation(h, C, data, norm) == ref_construct_rotation(h, C, data, norm)
 
 
 def test_rc_erm_block_size_does_not_change_the_choice(monkeypatch):

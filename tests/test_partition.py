@@ -50,8 +50,6 @@ def test_threshold_tree_validation():
         ThresholdTree((0, 1), (0.0, 0.0), (1, 2, 1), k=2)
     with pytest.raises(ValueError):
         ThresholdTree((0,), (0.0,), (1, 3), k=2)
-    with pytest.raises(ValueError):
-        ThresholdTree((), (), (1,), k=1, eval_work=0)
 
 
 def test_canonical_thresholds_midpoints():
@@ -127,7 +125,7 @@ def test_constructed_rotation_loss_bound():
         hyps = enumerate_threshold_trees([s.features for s in data], k, depth=1)
         h = hyps[rng.randrange(len(hyps))]
         phi = construct_rotation(h, C, data, norm)
-        part_cost, _ = cost_of_partition(h, data, norm)
+        part_cost, _, _ = cost_of_partition(h, data, norm)
         center_cost = cost_of_centers(C, [s.solution for s in data], norm)
         assert c_loss(h, phi, C, data, norm) <= 2 * part_cost + center_cost + 1e-9
 
@@ -135,11 +133,12 @@ def test_constructed_rotation_loss_bound():
 def test_cost_of_partition_handles_empty_parts():
     data = [LabeledSample(Point.of(0.0), Point.of(4.0))]
     h = ThresholdTree((), (), (1,), k=3)
-    cost, C_h = cost_of_partition(h, data, L1)
+    cost, C_h, capped = cost_of_partition(h, data, L1)
     assert cost == pytest.approx(0.0)  # the single sample is its own median
     assert C_h.k == 3
     assert C_h[0] == Point.of(4.0)
     assert C_h[1] == Point.of(0.0)  # empty parts get the origin placeholder
+    assert capped == ()
 
 
 def test_erm_ties_go_to_earliest_hypothesis():
