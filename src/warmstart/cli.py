@@ -21,7 +21,7 @@ from .baselines import brute_force_best_trajectories, offline_opt_kserver
 from .errors import CapExceeded, InvariantViolation
 from .kmedians import MEDIAN_MAX_ITER, cost_of_centers, learn_centers
 from .ledger import CostLedger, dumps_strict
-from .metric import NORMS, Point, distance_matrix, origin
+from .metric import Point, distance_matrix, origin
 from .online import NEEDS_K, STRATEGIES, predict_yesterday, run_quadratic_decay
 from .oracle import hidden_solution, run_parallel_k
 from .partition import (
@@ -31,23 +31,28 @@ from .partition import (
     compose,
     two_step_learn,
 )
-from .scenarios import Scenario, generate, planted_baseline, traj_from_jsonable
+from .scenarios import Scenario, _is_int, generate, planted_baseline
 
 
 class UserError(Exception):
     pass
 
 
+def _read(path: str, what: str, parse):
+    """``parse`` of the text of the ``what`` file at ``path``.  A path that
+    cannot be read, or text that ``parse`` rejects, is a user error."""
+    try:
+        return parse(Path(path).read_text())
+    except OSError as e:
+        raise UserError(f"cannot read {what} file {path}: {e.strerror}") from e
+    except (KeyError, TypeError, ValueError) as e:
+        raise UserError(f"bad {what} file {path}: {e}") from e
+
+
 def _load_config(args) -> dict:
     config: dict = {}
     if args.config is not None:
-        path = Path(args.config)
-        if not path.exists():
-            raise UserError(f"config file not found: {path}")
-        try:
-            config = json.loads(path.read_text())
-        except json.JSONDecodeError as e:
-            raise UserError(f"config file is not valid JSON: {e}") from e
+        config = _read(args.config, "config", json.loads)
         if not isinstance(config, dict):
             raise UserError("config file must hold a JSON object")
     for key in ("scenario", "strategy", "k", "seed", "out"):
@@ -65,42 +70,11 @@ def _load_config(args) -> dict:
 
 def _load_scenario(config: dict, search: bool = False) -> Scenario:
     scenario = _read_scenario(config)
-    if not isinstance(scenario.name, str):
-        raise UserError("scenario name must be a string")
-    if scenario.norm not in NORMS:
-        raise UserError(
-            f"unknown norm {scenario.norm!r}; expected one of {', '.join(NORMS)}"
-        )
-    if not scenario.days:
-        raise UserError("scenario has no days")
-    days = [inst.day for inst in scenario.days]
-    if not all(map(_is_int, days)) or days != list(range(1, scenario.T + 1)):
-        raise UserError(f"scenario days must be numbered 1..{scenario.T} in order")
-    for inst in scenario.days:
-        if inst.features.dim != scenario.dim or inst.dim != scenario.dim:
-            raise UserError(
-                f"day {inst.day} has a feature or solution whose length is not "
-                f"the scenario dim {scenario.dim}"
-            )
-    if not isinstance(scenario.meta, dict):
-        raise UserError("scenario meta must be an object")
-    planted = []
-    if "planted" in scenario.meta:
-        try:
-            traj = traj_from_jsonable(scenario.meta["planted"])
-        except (AttributeError, KeyError, TypeError, ValueError) as e:
-            raise UserError(f"bad planted trajectory in scenario meta: {e!r}") from e
-        planted = list(traj.predictions.values())
-        if traj.T > scenario.T or any(p.dim != scenario.dim for p in planted):
-            raise UserError(
-                f"the planted trajectory must cover only days 1..{scenario.T} "
-                f"in dimension {scenario.dim}"
-            )
-    _check_magnitudes(scenario, planted, search)
+    _check_magnitudes(scenario, search)
     return scenario
 
 
-def _check_magnitudes(scenario: Scenario, planted: list[Point], search: bool) -> None:
+def _check_magnitudes(scenario: Scenario, search: bool) -> None:
     """Reject a scenario whose sums or ratios could overflow (exit 1), or,
     when the run searches (``search``), one whose unit-step counts the
     search could not keep exact.
@@ -126,6 +100,7 @@ def _check_magnitudes(scenario: Scenario, planted: list[Point], search: bool) ->
     and skips this rule.
     """
     center = [origin(scenario.dim)]
+    planted = list(scenario.planted.predictions.values()) if scenario.planted else []
     with np.errstate(over="ignore"):
         D = distance_matrix(center + scenario.solution_list(), scenario.norm)
         r = float(distance_matrix(planted, scenario.norm, center).max()) if planted else 0.0
@@ -150,13 +125,7 @@ def _read_scenario(config: dict) -> Scenario:
     if spec is None:
         raise UserError("no scenario given (use --scenario or the config file)")
     if isinstance(spec, str):
-        path = Path(spec)
-        if not path.exists():
-            raise UserError(f"scenario file not found: {path}")
-        try:
-            return Scenario.from_json_text(path.read_text())
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-            raise UserError(f"bad scenario file {path}: {e}") from e
+        return _read(spec, "scenario", Scenario.from_json_text)
     if isinstance(spec, dict):
         params = spec.get("params", {})
         if not isinstance(params, dict):
@@ -171,10 +140,6 @@ def _read_scenario(config: dict) -> Scenario:
         except (KeyError, TypeError, ValueError) as e:
             raise UserError(f"bad scenario spec: {e}") from e
     raise UserError("scenario must be a file path or a generator spec object")
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _check_k(k, what: str) -> None:
@@ -211,11 +176,14 @@ def _attach_baselines(ledger: CostLedger, scenario: Scenario, config: dict) -> N
         ledger.attach_baseline(f"opt_kserver_k{k}", server_cost)
 
 
-def _write(path_str: str | None, text: str) -> None:
-    if path_str is None:
+def _write(path: str | None, text: str) -> None:
+    if path is None:
         sys.stdout.write(text)
-    else:
-        Path(path_str).write_text(text)
+        return
+    try:
+        Path(path).write_text(text)
+    except OSError as e:
+        raise UserError(f"cannot write {path}: {e.strerror}") from e
 
 
 def cmd_simulate(args) -> int:
@@ -287,15 +255,7 @@ REPORT_COLUMNS = ("scenario", "strategy", "radius", "overhead", "wall_estimate")
 
 
 def cmd_report(args) -> int:
-    ledgers = []
-    for p in args.ledgers:
-        path = Path(p)
-        if not path.exists():
-            raise UserError(f"ledger file not found: {path}")
-        try:
-            ledgers.append(CostLedger.from_json_text(path.read_text()))
-        except (json.JSONDecodeError, KeyError, ValueError) as e:
-            raise UserError(f"bad ledger file {path}: {e}") from e
+    ledgers = [_read(p, "ledger", CostLedger.from_json_text) for p in args.ledgers]
     baseline_names = sorted({name for lg in ledgers for name in lg.baselines})
     header = list(REPORT_COLUMNS)
     for name in baseline_names:

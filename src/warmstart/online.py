@@ -363,8 +363,6 @@ def run_quadratic_decay(scenario, mode: str = "quadratic") -> CostLedger:
 
 def predict_yesterday(scenario) -> CostLedger:
     """Search each day from the previous day's solution (origin on day 1)."""
-    if not scenario.days:
-        raise ValueError("empty scenario")
     prev = origin(scenario.dim)
     days = []
     prev_day = ORIGIN_DAY

@@ -16,15 +16,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metric import L2, Point, origin, pairwise_max_distance
+from .metric import L2, NORMS, Point, origin, pairwise_max_distance
 from .oracle import HiddenInstance, hidden_solution
 from .trajectories import TrajectorySet, trajectory_cost
 
 SCHEMA_VERSION = 1
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass
 class Scenario:
+    """Days in one dimension and one norm, each with a hidden solution.
+    Construction raises ``ValueError`` unless the name is a string, ``dim``
+    an integer >= 1, the norm in ``NORMS``, the days numbered 1..T (T >= 1)
+    by integers, every feature and solution of length ``dim``, ``meta`` a
+    dict, and ``meta["planted"]``, if any, a trajectory set with an integer
+    k over days 1..t (1 <= t <= T) in dimension ``dim``, parsed into ``planted``."""
+
     name: str
     seed: int
     dim: int
@@ -32,6 +43,37 @@ class Scenario:
     days: list[HiddenInstance]
     meta: dict = field(default_factory=dict)
     d_max: float = 0.0
+    planted: TrajectorySet | None = field(default=None, init=False, compare=False)
+
+    def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError("scenario name must be a string")
+        if not (_is_int(self.dim) and self.dim >= 1):
+            raise ValueError(f"scenario dim must be an integer >= 1, got {self.dim!r}")
+        if self.norm not in NORMS:
+            raise ValueError(f"unknown norm {self.norm!r}; expected one of {', '.join(NORMS)}")
+        if not self.days:
+            raise ValueError("scenario has no days")
+        days = [inst.day for inst in self.days]
+        if not all(map(_is_int, days)) or days != list(range(1, self.T + 1)):
+            raise ValueError(f"scenario days must be numbered 1..{self.T} in order")
+        for inst in self.days:
+            if inst.features.dim != self.dim or inst.dim != self.dim:
+                raise ValueError(f"day {inst.day} has a feature or solution not of length {self.dim}")
+        if not isinstance(self.meta, dict):
+            raise ValueError("scenario meta must be an object")
+        if "planted" in self.meta:
+            try:
+                planted = traj_from_jsonable(self.meta["planted"])
+            except (AttributeError, KeyError, TypeError, ValueError) as e:
+                raise ValueError(f"bad planted trajectory in scenario meta: {e!r}") from e
+            dims = {p.dim for p in planted.predictions.values()}
+            if not _is_int(planted.k) or not 1 <= planted.T <= self.T or dims != {self.dim}:
+                raise ValueError(
+                    f"the planted trajectory must have an integer k and cover days 1..t, "
+                    f"t in 1..{self.T}, in dimension {self.dim}"
+                )
+            self.planted = planted
 
     @property
     def T(self) -> int:
@@ -384,8 +426,7 @@ def default_corpus() -> list[Scenario]:
 
 def planted_baseline(scenario: Scenario) -> float | None:
     """The planted trajectory cost, for scenarios that carry one."""
-    if "planted" in scenario.meta:
-        planted = traj_from_jsonable(scenario.meta["planted"])
-        _, _, total = trajectory_cost(planted, scenario.solutions(), scenario.norm)
-        return total
-    return None
+    if scenario.planted is None:
+        return None
+    _, _, total = trajectory_cost(scenario.planted, scenario.solutions(), scenario.norm)
+    return total

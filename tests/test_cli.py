@@ -18,7 +18,7 @@ from warmstart.ledger import CostLedger
 from warmstart.metric import origin, search_steps
 from warmstart.online import NEEDS_K, STRATEGIES
 from warmstart.oracle import hidden_solution
-from warmstart.scenarios import gen_adversarial_switch, gen_drifting_trajectories, gen_static_clusters
+from warmstart.scenarios import Scenario, gen_adversarial_switch, gen_drifting_trajectories, gen_static_clusters
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -155,152 +155,161 @@ PLANTED_TINY = {
     "assignment": {"1": 1, "2": 1},
     "predictions": {"1": [1e-320], "2": [1e-320]},
 }
+PLANTED_NO_DAYS = {"k": 0, "assignment": {}, "predictions": {}}
 
-
-@pytest.mark.parametrize(
-    "command, config, patch",
-    [
-        ("simulate", {"strategy": "predict-yesterday"}, (["norm"], "L3")),
-        ("simulate", {"strategy": "parallel-k", "k": 25}, None),
-        ("simulate", {"strategy": "kserver-greedy", "k": True}, None),
-        ("learn", {"learner": "centers", "k": True}, None),
-        ("learn", {"learner": "centers", "k": 3}, None),
-        ("learn", {"learner": "partition", "k": 2, "depth": 3}, None),
-        ("simulate", {"strategy": "kserver-wfa", "k": 4}, None),
-        ("learn", {"learner": "partition", "k": 5, "scenario": GENERATED}, None),
-        ("simulate", ["predict-yesterday"], None),
-        ("simulate", {"strategy": "predict-yesterday"}, (["days"], [])),
-        ("simulate", {"strategy": "predict-yesterday"}, (["days", 1, "day"], 1)),
-        ("learn", {"learner": "partition", "k": 1}, (["days", 0, "features"], [0.0, 0.0])),
-        ("simulate", {"strategy": "predict-yesterday"}, (["days", 2, "solution"], [1.0, 2.0])),
-        ("simulate", {"strategy": "predict-yesterday", "baseline_ks": [0]}, None),
-        ("simulate", {"strategy": "predict-yesterday", "baseline_ks": "x"}, None),
-        ("learn", {"learner": "centers", "k": 1, "train_frac": "x"}, None),
-        (
-            "simulate",
-            {"strategy": "predict-yesterday", "scenario": dict(GENERATED, params=dict(GENERATED["params"], dim=0))},
-            None,
-        ),
-        ("simulate", {"strategy": "predict-yesterday", "scenario": dict(GENERATED, params="x")}, None),
-        (
-            "simulate",
-            {"strategy": "predict-yesterday", "scenario": dict(GENERATED, params=dict(GENERATED["params"], noise=1e308))},
-            None,
-        ),
-        (
-            "simulate",
-            {"strategy": "predict-yesterday", "scenario": dict(GENERATED, params=dict(GENERATED["params"], seed=None))},
-            None,
-        ),
-        (
-            "simulate",
-            {
-                "strategy": "predict-yesterday",
-                "scenario": {
-                    "generator": "static_clusters",
-                    "params": {"k": 0, "sep": 10.0, "spread": 1.0, "T": 3, "dim": 1, "seed": 1},
-                },
+# (command, config, patch) runs that must exit 1 with a one-line message.
+BAD_INPUTS = [
+    ("simulate", {"strategy": "predict-yesterday"}, (["norm"], "L3")),
+    ("simulate", {"strategy": "parallel-k", "k": 25}, None),
+    ("simulate", {"strategy": "kserver-greedy", "k": True}, None),
+    ("learn", {"learner": "centers", "k": True}, None),
+    ("learn", {"learner": "centers", "k": 3}, None),
+    ("learn", {"learner": "partition", "k": 2, "depth": 3}, None),
+    ("simulate", {"strategy": "kserver-wfa", "k": 4}, None),
+    ("learn", {"learner": "partition", "k": 5, "scenario": GENERATED}, None),
+    ("simulate", ["predict-yesterday"], None),
+    ("simulate", {"strategy": "predict-yesterday"}, (["days"], [])),
+    ("simulate", {"strategy": "predict-yesterday"}, (["days", 1, "day"], 1)),
+    ("learn", {"learner": "partition", "k": 1}, (["days", 0, "features"], [0.0, 0.0])),
+    ("simulate", {"strategy": "predict-yesterday"}, (["days", 2, "solution"], [1.0, 2.0])),
+    ("simulate", {"strategy": "predict-yesterday", "baseline_ks": [0]}, None),
+    ("simulate", {"strategy": "predict-yesterday", "baseline_ks": "x"}, None),
+    ("learn", {"learner": "centers", "k": 1, "train_frac": "x"}, None),
+    (
+        "simulate",
+        {"strategy": "predict-yesterday", "scenario": dict(GENERATED, params=dict(GENERATED["params"], dim=0))},
+        None,
+    ),
+    ("simulate", {"strategy": "predict-yesterday", "scenario": dict(GENERATED, params="x")}, None),
+    (
+        "simulate",
+        {"strategy": "predict-yesterday", "scenario": dict(GENERATED, params=dict(GENERATED["params"], noise=1e308))},
+        None,
+    ),
+    (
+        "simulate",
+        {"strategy": "predict-yesterday", "scenario": dict(GENERATED, params=dict(GENERATED["params"], seed=None))},
+        None,
+    ),
+    (
+        "simulate",
+        {
+            "strategy": "predict-yesterday",
+            "scenario": {
+                "generator": "static_clusters",
+                "params": {"k": 0, "sep": 10.0, "spread": 1.0, "T": 3, "dim": 1, "seed": 1},
             },
-            None,
-        ),
-        (
-            "simulate",
-            {"strategy": "predict-yesterday", "scenario": dict(GENERATED, params=dict(GENERATED["params"], k=0))},
-            None,
-        ),
-        (
-            "simulate",
-            {"strategy": "predict-yesterday"},
-            [(["norm"], "L1"), (["meta"], {}), (["days"], OVERFLOWING_DAYS)],
-        ),
-        ("simulate", {"strategy": ["predict-yesterday"]}, None),
-        ("simulate", {"strategy": "predict-yesterday"}, (["meta"], 5)),
-        ("simulate", {"strategy": "predict-yesterday"}, (["meta", "planted"], PLANTED_5_DAYS)),
-        ("simulate", {"strategy": "predict-yesterday"}, (["meta", "planted", "predictions", "1"], [0.0, 0.0])),
-        ("simulate", {"strategy": "predict-yesterday"}, [(["norm"], "L1"), (["meta"], {}), (["days"], SUMS_OVERFLOW_DAYS)]),
-        (
-            "learn",
-            {"learner": "centers", "k": 1},
-            [(["norm"], "L1"), (["meta"], {}), (["days"], _days([8e307, -8e307, 8e307] * 2))],
-        ),
-        (
-            "simulate",
-            {"strategy": "predict-yesterday"},
-            [(["norm"], "L1"), (["days"], _days([1.0, 2.0])), (["meta", "planted"], PLANTED_FAR_APART)],
-        ),
-        ("simulate", {"strategy": "predict-yesterday"}, [(["norm"], "L1"), (["meta"], {}), (["days"], TINY_DAYS)]),
-        (
-            "simulate",
-            {"strategy": "predict-yesterday"},
-            [(["norm"], "L1"), (["days"], _days([0.0, 0.0])), (["meta", "planted"], PLANTED_TINY)],
-        ),
-        (
-            "learn",
-            {"learner": "partition", "k": 2, "depth": 1, "train_frac": 0.75},
-            [(["norm"], "L1"), (["meta"], {}), (["days"], HUGE_FEATURE_DAYS)],
-        ),
-        (
-            "learn",
-            {"learner": "partition", "k": 1, "depth": 0},
-            [(["norm"], "Linf"), (["meta"], {}), (["days"], _days([1.7e308, 1.6e308, 1.7e308, 1.75e308]))],
-        ),
-        ("simulate", {"strategy": "predict-yesterday"}, (["days", 0, "features"], 5)),
-        ("learn", {"learner": "centers", "k": 1}, (["days", 1, "solution"], [None, 1])),
-        ("simulate", {"strategy": "predict-yesterday"}, (["days"], 5)),
-        ("simulate", {"strategy": "predict-yesterday"}, (["days", 0, "day"], 1.0)),
-        ("simulate", {"strategy": "predict-yesterday"}, (["days", 0, "day"], True)),
-        ("simulate", {"strategy": "predict-yesterday"}, (["name"], 5)),
-        ("learn", {"learner": "centers", "k": 1}, (["name"], None)),
-    ],
-    ids=[
-        "unknown-norm",
-        "parallel-k-above-T",
-        "bool-k",
-        "learn-bool-k",
-        "learn-k-above-train",
-        "depth-3",
-        "wfa-k-above-cap",
-        "partition-k-above-cap",
-        "config-not-object",
-        "no-days",
-        "duplicate-day",
-        "feature-length",
-        "solution-length",
-        "baseline-ks-zero",
-        "baseline-ks-string",
-        "train-frac-string",
-        "generator-dim-0",
-        "generator-params-not-object",
-        "generator-draws-overflow",
-        "generator-seed-null",
-        "generator-k-0",
-        "drifting-k-0",
-        "distances-overflow",
-        "strategy-not-string",
-        "meta-not-object",
-        "planted-beyond-T",
-        "planted-dim",
-        "sums-overflow",
-        "holdout-cost-overflows",
-        "planted-far-apart",
-        "ratio-overflows",
-        "planted-ratio-overflows",
-        "feature-midpoint-overflows",
-        "linf-midrange-overflows",
-        "features-not-a-list",
-        "null-coordinate",
-        "days-not-a-list",
-        "float-day-number",
-        "bool-day-number",
-        "name-not-a-string",
-        "learn-name-null",
-    ],
-)
-def test_bad_input_exits_one_with_one_line(tmp_path, capsys, command, config, patch):
+        },
+        None,
+    ),
+    (
+        "simulate",
+        {"strategy": "predict-yesterday", "scenario": dict(GENERATED, params=dict(GENERATED["params"], k=0))},
+        None,
+    ),
+    (
+        "simulate",
+        {"strategy": "predict-yesterday"},
+        [(["norm"], "L1"), (["meta"], {}), (["days"], OVERFLOWING_DAYS)],
+    ),
+    ("simulate", {"strategy": ["predict-yesterday"]}, None),
+    ("simulate", {"strategy": "predict-yesterday"}, (["meta"], 5)),
+    ("simulate", {"strategy": "predict-yesterday"}, (["meta", "planted"], PLANTED_5_DAYS)),
+    ("simulate", {"strategy": "predict-yesterday"}, (["meta", "planted", "predictions", "1"], [0.0, 0.0])),
+    ("simulate", {"strategy": "predict-yesterday"}, [(["norm"], "L1"), (["meta"], {}), (["days"], SUMS_OVERFLOW_DAYS)]),
+    (
+        "learn",
+        {"learner": "centers", "k": 1},
+        [(["norm"], "L1"), (["meta"], {}), (["days"], _days([8e307, -8e307, 8e307] * 2))],
+    ),
+    (
+        "simulate",
+        {"strategy": "predict-yesterday"},
+        [(["norm"], "L1"), (["days"], _days([1.0, 2.0])), (["meta", "planted"], PLANTED_FAR_APART)],
+    ),
+    ("simulate", {"strategy": "predict-yesterday"}, [(["norm"], "L1"), (["meta"], {}), (["days"], TINY_DAYS)]),
+    (
+        "simulate",
+        {"strategy": "predict-yesterday"},
+        [(["norm"], "L1"), (["days"], _days([0.0, 0.0])), (["meta", "planted"], PLANTED_TINY)],
+    ),
+    (
+        "learn",
+        {"learner": "partition", "k": 2, "depth": 1, "train_frac": 0.75},
+        [(["norm"], "L1"), (["meta"], {}), (["days"], HUGE_FEATURE_DAYS)],
+    ),
+    (
+        "learn",
+        {"learner": "partition", "k": 1, "depth": 0},
+        [(["norm"], "Linf"), (["meta"], {}), (["days"], _days([1.7e308, 1.6e308, 1.7e308, 1.75e308]))],
+    ),
+    ("simulate", {"strategy": "predict-yesterday"}, (["days", 0, "features"], 5)),
+    ("learn", {"learner": "centers", "k": 1}, (["days", 1, "solution"], [None, 1])),
+    ("simulate", {"strategy": "predict-yesterday"}, (["days"], 5)),
+    ("simulate", {"strategy": "predict-yesterday"}, (["days", 0, "day"], 1.0)),
+    ("simulate", {"strategy": "predict-yesterday"}, (["days", 0, "day"], True)),
+    ("simulate", {"strategy": "predict-yesterday"}, (["name"], 5)),
+    ("learn", {"learner": "centers", "k": 1}, (["name"], None)),
+    ("simulate", {"strategy": "predict-yesterday"}, (["dim"], 1.0)),
+    ("learn", {"learner": "centers", "k": 1}, (["dim"], True)),
+    ("simulate", {"strategy": "predict-yesterday"}, (["meta", "planted"], PLANTED_NO_DAYS)),
+    ("simulate", {"strategy": "predict-yesterday"}, (["meta", "planted", "k"], 1.5)),
+]
+BAD_INPUT_IDS = [
+    "unknown-norm",
+    "parallel-k-above-T",
+    "bool-k",
+    "learn-bool-k",
+    "learn-k-above-train",
+    "depth-3",
+    "wfa-k-above-cap",
+    "partition-k-above-cap",
+    "config-not-object",
+    "no-days",
+    "duplicate-day",
+    "feature-length",
+    "solution-length",
+    "baseline-ks-zero",
+    "baseline-ks-string",
+    "train-frac-string",
+    "generator-dim-0",
+    "generator-params-not-object",
+    "generator-draws-overflow",
+    "generator-seed-null",
+    "generator-k-0",
+    "drifting-k-0",
+    "distances-overflow",
+    "strategy-not-string",
+    "meta-not-object",
+    "planted-beyond-T",
+    "planted-dim",
+    "sums-overflow",
+    "holdout-cost-overflows",
+    "planted-far-apart",
+    "ratio-overflows",
+    "planted-ratio-overflows",
+    "feature-midpoint-overflows",
+    "linf-midrange-overflows",
+    "features-not-a-list",
+    "null-coordinate",
+    "days-not-a-list",
+    "float-day-number",
+    "bool-day-number",
+    "name-not-a-string",
+    "learn-name-null",
+    "dim-float",
+    "dim-bool",
+    "planted-no-days",
+    "planted-float-k",
+]
+
+
+def _patched_scenario(patch) -> str:
+    """A valid 4-day scenario's JSON text with ``patch`` applied: a (key path
+    into the scenario JSON, new value) pair, a list of them, or None."""
     scen = json.loads(
         gen_drifting_trajectories(61, k=1, drift_per_day=0.5, noise=0.5, T=4, dim=1).to_json_text()
     )
-    # patch: (key path into the scenario JSON, new value), or a list of them
     if isinstance(patch, tuple):
         patch = [patch]
     for path, value in patch or []:
@@ -308,12 +317,83 @@ def test_bad_input_exits_one_with_one_line(tmp_path, capsys, command, config, pa
         for key in path[:-1]:
             target = target[key]
         target[path[-1]] = value
+    return json.dumps(scen)
+
+
+@pytest.mark.parametrize("command, config, patch", BAD_INPUTS, ids=BAD_INPUT_IDS)
+def test_bad_input_exits_one_with_one_line(tmp_path, capsys, command, config, patch):
     p = tmp_path / "scen.json"
-    p.write_text(json.dumps(scen))
+    p.write_text(_patched_scenario(patch))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scenario": str(p), **config} if isinstance(config, dict) else config))
     capsys.readouterr()
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# The scenario-side cases of BAD_INPUTS that Scenario's structure rules do
+# not reject with a ValueError: a JSON value of the wrong type, which parsing
+# meets first (TypeError), and the magnitude rule of a run, which the CLI
+# applies to a well-formed scenario.
+WRONG_TYPE = {"features-not-a-list", "null-coordinate", "days-not-a-list"}
+MAGNITUDES = {
+    "distances-overflow",
+    "sums-overflow",
+    "holdout-cost-overflows",
+    "planted-far-apart",
+    "ratio-overflows",
+    "planted-ratio-overflows",
+    "feature-midpoint-overflows",
+    "linf-midrange-overflows",
+}
+
+
+@pytest.mark.parametrize(
+    "command, patch, case",
+    [(command, patch, case) for (command, _, patch), case in zip(BAD_INPUTS, BAD_INPUT_IDS) if patch],
+    ids=[case for (_, _, patch), case in zip(BAD_INPUTS, BAD_INPUT_IDS) if patch],
+)
+def test_scenario_rejects_what_the_cli_rejects(command, patch, case):
+    # The CLI reads a scenario file through Scenario.from_json_text and adds
+    # only the magnitude rule, so the library rejects the rest itself.
+    text = _patched_scenario(patch)
+    if case in MAGNITUDES:
+        scenario = Scenario.from_json_text(text)
+        with pytest.raises(cli.UserError):
+            cli._check_magnitudes(scenario, search=command == "simulate")
+    else:
+        with pytest.raises(TypeError if case in WRONG_TYPE else ValueError):
+            Scenario.from_json_text(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--config", "{dir}"],
+        ["learn", "--scenario", "{dir}", "--k", "1"],
+        ["report", "{dir}"],
+        ["simulate", "--scenario", "{scen}", "--strategy", "predict-yesterday", "--out", "{dir}/missing/out.json"],
+        ["simulate", "--scenario", "{scen}", "--strategy", "predict-yesterday", "--out", "{dir}"],
+        ["learn", "--scenario", "{scen}", "--k", "1", "--out", "{dir}"],
+        ["report", "{ledger}", "--out", "{dir}/missing/report.csv"],
+    ],
+    ids=[
+        "config-directory",
+        "scenario-directory",
+        "ledger-directory",
+        "out-in-missing-directory",
+        "out-directory",
+        "learn-out-directory",
+        "report-out-in-missing-directory",
+    ],
+)
+def test_unreadable_or_unwritable_path_exits_one(scen_file, tmp_path, capsys, argv):
+    ledger = tmp_path / "ledger.json"
+    assert main(["simulate", "--scenario", str(scen_file), "--strategy", "predict-yesterday", "--out", str(ledger)]) == 0
+    capsys.readouterr()
+    paths = {"dir": tmp_path, "scen": scen_file, "ledger": ledger}
+    assert main([a.format(**paths) for a in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -554,6 +634,9 @@ _FIELDS = {
         st.lists(st.one_of(st.integers(-1, 6), _JSON_VALUE), min_size=5, max_size=5),
     ),
     "name": (st.just(_KEEP), _ANY_VALUE),
+    "dim": (st.just(_KEEP), st.one_of(st.sampled_from([2.0, True, 0, 1, 3]), _ANY_VALUE)),
+    # PLANTED_5_DAYS is in dimension 1, not the scenario's 2
+    "planted": (st.just(_KEEP), st.one_of(st.sampled_from([PLANTED_NO_DAYS, PLANTED_5_DAYS]), _ANY_VALUE)),
     "features": _PER_DAY,
     "solution": _PER_DAY,
 }
@@ -574,10 +657,11 @@ def test_mutated_inputs_exit_zero_or_one(command, mutated, data):
         del scen["norm"]
     else:
         scen["norm"] = v["norm"]
-    if v["name"] is _ABSENT:
-        del scen["name"]
-    elif v["name"] is not _KEEP:
-        scen["name"] = v["name"]
+    for target, key in ((scen, "name"), (scen, "dim"), (scen["meta"], "planted")):
+        if v[key] is _ABSENT:
+            del target[key]
+        elif v[key] is not _KEEP:
+            target[key] = v[key]
     for day, number in zip(scen["days"], v["day_numbers"]):
         day["day"] = number
     for field in ("features", "solution"):

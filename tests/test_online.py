@@ -143,7 +143,7 @@ def test_invalid_strategy_arguments():
         kserver_reduction(scen, "greedy", 0)
     with pytest.raises(ValueError):
         kserver_reduction(scen, "lru", 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError):  # an empty scenario cannot be built, so no strategy meets one
         predict_yesterday(Scenario("empty", 0, 1, L2, [], {}, 0.0))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from warmstart import scenarios
 from warmstart.metric import NORMS, distance
 from warmstart.scenarios import (
     Scenario,
@@ -73,6 +75,31 @@ def test_planted_cost_matches_trajectory_cost():
         _, _, total = trajectory_cost(planted, scen.solutions(), scen.norm)
         assert total == pytest.approx(scen.meta["planted_cost"], abs=1e-6)
         assert planted_baseline(scen) == pytest.approx(total, abs=1e-12)
+        assert scen.planted == planted
+
+
+def test_planted_baseline_reads_the_trajectory_parsed_with_the_scenario(monkeypatch):
+    scen = gen_drifting_trajectories(2, k=2, drift_per_day=1.0, noise=0.5, T=6, dim=2)
+    monkeypatch.setattr(scenarios, "traj_from_jsonable", lambda d: pytest.fail("parsed again"))
+    assert planted_baseline(scen) == pytest.approx(scen.meta["planted_cost"], abs=1e-9)
+
+
+def test_generators_and_direct_construction_check_the_structure():
+    with pytest.raises(ValueError, match="no days"):
+        gen_static_clusters(1, k=2, sep=10.0, spread=1.0, T=0, dim=1)
+    scen = gen_drifting_trajectories(2, k=2, drift_per_day=1.0, noise=0.5, T=6, dim=2)
+    assert gen_planted_lower_bound(3, k=2, sep=1000.0, T=4, dim=1).planted is None
+    for bad in (
+        {"dim": 2.0},
+        {"dim": True},
+        {"norm": "L3"},
+        {"name": None},
+        {"days": scen.days[1:]},
+        {"meta": []},
+        {"meta": {"planted": {"k": 0, "assignment": {}, "predictions": {}}}},
+    ):
+        with pytest.raises(ValueError):
+            dataclasses.replace(scen, **bad)
 
 
 def test_static_cluster_geometry():
