@@ -1,9 +1,11 @@
 """Command-line front end: simulate | learn | report | selftest.
 
 Runs come from a declarative JSON config plus kebab-case flag overrides.
-Exit codes: 0 success, 1 user error (bad config, bad paths), 2 internal
-invariant violation.  All outputs are byte-identical across reruns of the
-same config.
+Every config key is checked by its one rule, with its default filled in,
+before the scenario is read; only the rules that need the scenario's T
+come after.  Exit codes: 0 success, 1 user error (bad config, bad paths),
+2 internal invariant violation.  All outputs are byte-identical across
+reruns of the same config.
 """
 
 from __future__ import annotations
@@ -50,21 +52,39 @@ def _read(path: str, what: str, parse):
 
 
 def _load_config(args) -> dict:
-    config: dict = {}
+    """The run config of ``simulate`` or ``learn``: the defaults, the config
+    file's keys over them and the flags over those.  Each key has its one
+    rule here, checked whichever command runs and before the scenario is
+    read; only the rules that need the scenario's T stay with the commands.
+    ``strategy``, ``k`` and ``out`` given as null count as absent."""
+    config: dict = {"baseline_ks": [1], "learner": "centers", "depth": 1, "train_frac": 0.5}
     if args.config is not None:
-        config = _read(args.config, "config", json.loads)
-        if not isinstance(config, dict):
+        loaded = _read(args.config, "config", json.loads)
+        if not isinstance(loaded, dict):
             raise UserError("config file must hold a JSON object")
+        config.update(loaded)
     for key in ("scenario", "strategy", "k", "seed", "out"):
-        v = getattr(args, key, None)
-        if v is not None:
-            config[key] = v
-    ks = config.get("baseline_ks", [1])
-    if not (isinstance(ks, list) and all(_is_int(k) and k >= 1 for k in ks)):
+        if getattr(args, key) is not None:
+            config[key] = getattr(args, key)
+    strategy, k, out = config.get("strategy"), config.get("k"), config.get("out")
+    if strategy is not None or args.command == "simulate":
+        if not (isinstance(strategy, str) and strategy in STRATEGIES):
+            raise UserError(f"unknown strategy {strategy!r}; expected one of {', '.join(STRATEGIES)}")
+    if k is not None or args.command == "learn" or strategy in NEEDS_K:
+        if not (_is_int(k) and k >= 1):
+            raise UserError(f"{args.command} needs an integer k >= 1, got {k!r}")
+    ks = config["baseline_ks"]
+    if not (isinstance(ks, list) and all(_is_int(n) and n >= 1 for n in ks)):
         raise UserError(f"baseline_ks must be a list of integers >= 1, got {ks!r}")
-    frac = config.get("train_frac", 0.5)
-    if not (isinstance(frac, (int, float)) and not isinstance(frac, bool) and math.isfinite(frac)):
-        raise UserError(f"train_frac must be a number, got {frac!r}")
+    if config["learner"] not in ("centers", "partition"):
+        raise UserError(f"unknown learner {config['learner']!r}; expected centers or partition")
+    if not (_is_int(config["depth"]) and config["depth"] in (0, 1, 2)):
+        raise UserError(f"depth must be 0, 1 or 2, got {config['depth']!r}")
+    if not (isinstance(config["train_frac"], float) and 0 < config["train_frac"] < 1):
+        raise UserError(f"train_frac must be a number in (0, 1), got {config['train_frac']!r}")
+    if out is not None:
+        if not (isinstance(out, str) and Path(out).parent.is_dir() and not Path(out).is_dir()):
+            raise UserError(f"out must be a file path in an existing directory, got {out!r}")
     return config
 
 
@@ -142,29 +162,10 @@ def _read_scenario(config: dict) -> Scenario:
     raise UserError("scenario must be a file path or a generator spec object")
 
 
-def _check_k(k, what: str) -> None:
-    if not _is_int(k) or k < 1:
-        raise UserError(f"{what} needs an integer k >= 1")
-
-
-def _run_strategy(scenario: Scenario, config: dict) -> CostLedger:
-    strategy = config.get("strategy")
-    if not isinstance(strategy, str) or strategy not in STRATEGIES:
-        raise UserError(
-            f"unknown strategy {strategy!r}; expected one of {', '.join(STRATEGIES)}"
-        )
-    k = config.get("k")
-    if strategy in NEEDS_K:
-        _check_k(k, f"strategy {strategy}")
-    if strategy == "parallel-k" and k > scenario.T:
-        raise UserError(f"parallel-k needs k <= T, got k={k} for T={scenario.T}")
-    return STRATEGIES[strategy](scenario, k)
-
-
 def _attach_baselines(ledger: CostLedger, scenario: Scenario, config: dict) -> None:
     sols = scenario.solution_list()
     ledger.attach_baseline("planted", planted_baseline(scenario))
-    ks = config.get("baseline_ks", [1])
+    ks = config["baseline_ks"]
     server_costs = offline_opt_kserver(sols, ks, scenario.norm)
     for k, server_cost in zip(ks, server_costs):
         try:
@@ -184,12 +185,17 @@ def _write(path: str | None, text: str) -> None:
         Path(path).write_text(text)
     except OSError as e:
         raise UserError(f"cannot write {path}: {e.strerror}") from e
+    except ValueError as e:  # a NUL byte or an unencodable character
+        raise UserError(f"cannot write {path}: {e}") from e
 
 
 def cmd_simulate(args) -> int:
     config = _load_config(args)
     scenario = _load_scenario(config, search=True)
-    ledger = _run_strategy(scenario, config)
+    strategy, k = config["strategy"], config.get("k")
+    if strategy == "parallel-k" and k > scenario.T:
+        raise UserError(f"parallel-k needs k <= T, got k={k} for T={scenario.T}")
+    ledger = STRATEGIES[strategy](scenario, k)
     _attach_baselines(ledger, scenario, config)
     _write(config.get("out"), ledger.to_json_text())
     return 0
@@ -198,19 +204,12 @@ def cmd_simulate(args) -> int:
 def cmd_learn(args) -> int:
     config = _load_config(args)
     scenario = _load_scenario(config)
-    learner = config.get("learner", "centers")
-    k = config.get("k")
-    _check_k(k, "learn")
-    frac = config.get("train_frac", 0.5)
-    T = scenario.T
-    m = int(T * frac)
+    learner, k, T = config["learner"], config["k"], scenario.T
+    m = int(T * config["train_frac"])
     if not (1 <= m < T):
         raise UserError(f"train split of {m} days is invalid for T={T}")
     if k > m:
         raise UserError(f"learn needs k <= the {m} training days, got k={k}")
-    depth = config.get("depth", 1)
-    if learner == "partition" and not (_is_int(depth) and depth in (0, 1, 2)):
-        raise UserError(f"partition learning needs depth 0, 1 or 2, got {depth!r}")
     train_days = scenario.days[:m]
     test_days = scenario.days[m:]
     out: dict = {
@@ -228,10 +227,10 @@ def cmd_learn(args) -> int:
         out["centers"] = [list(c.coords) for c in C.centers]
         out["train_cost"] = cost_of_centers(C, sols, scenario.norm)
         out["holdout_cost"] = cost_of_centers(C, holdout, scenario.norm)
-    elif learner == "partition":
+    else:
         train = [LabeledSample(i.features, hidden_solution(i)) for i in train_days]
         test = [LabeledSample(i.features, hidden_solution(i)) for i in test_days]
-        hyps = ThresholdClass([s.features for s in train], k, depth)
+        hyps = ThresholdClass([s.features for s in train], k, config["depth"])
         h, phi, C_h, out["centers_method"], capped = two_step_learn(hyps, train, k, scenario.norm)
         if capped:
             out["median_capped"] = {"max_iter": MEDIAN_MAX_ITER, "parts": list(capped)}
@@ -245,8 +244,6 @@ def cmd_learn(args) -> int:
         out["centers"] = [list(c.coords) for c in C_h.centers]
         out["train_c_loss"] = c_loss(g, None, C_h, train, scenario.norm)
         out["holdout_c_loss"] = c_loss(g, None, C_h, test, scenario.norm)
-    else:
-        raise UserError(f"unknown learner {learner!r}; expected centers or partition")
     _write(config.get("out"), dumps_strict(out))
     return 0
 

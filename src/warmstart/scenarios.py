@@ -32,9 +32,10 @@ class Scenario:
     """Days in one dimension and one norm, each with a hidden solution.
     Construction raises ``ValueError`` unless the name is a string, ``dim``
     an integer >= 1, the norm in ``NORMS``, the days numbered 1..T (T >= 1)
-    by integers, every feature and solution of length ``dim``, ``meta`` a
-    dict, and ``meta["planted"]``, if any, a trajectory set with an integer
-    k over days 1..t (1 <= t <= T) in dimension ``dim``, parsed into ``planted``."""
+    by integers and in the scenario's norm, every feature and solution of
+    length ``dim``, ``meta`` a dict, and ``meta["planted"]``, if any, a
+    trajectory set with an integer k over days 1..t (1 <= t <= T) in
+    dimension ``dim``, parsed into ``planted``."""
 
     name: str
     seed: int
@@ -58,8 +59,8 @@ class Scenario:
         if not all(map(_is_int, days)) or days != list(range(1, self.T + 1)):
             raise ValueError(f"scenario days must be numbered 1..{self.T} in order")
         for inst in self.days:
-            if inst.features.dim != self.dim or inst.dim != self.dim:
-                raise ValueError(f"day {inst.day} has a feature or solution not of length {self.dim}")
+            if inst.features.dim != self.dim or inst.dim != self.dim or inst.norm != self.norm:
+                raise ValueError(f"day {inst.day} is not in dimension {self.dim} and norm {self.norm}")
         if not isinstance(self.meta, dict):
             raise ValueError("scenario meta must be an object")
         if "planted" in self.meta:

@@ -175,6 +175,8 @@ BAD_INPUTS = [
     ("simulate", {"strategy": "predict-yesterday", "baseline_ks": [0]}, None),
     ("simulate", {"strategy": "predict-yesterday", "baseline_ks": "x"}, None),
     ("learn", {"learner": "centers", "k": 1, "train_frac": "x"}, None),
+    ("learn", {"learner": "centers", "k": 1, "train_frac": 1e308}, None),
+    ("learn", {"learner": "centers", "k": 1, "train_frac": -1e308}, None),
     (
         "simulate",
         {"strategy": "predict-yesterday", "scenario": dict(GENERATED, params=dict(GENERATED["params"], dim=0))},
@@ -272,6 +274,8 @@ BAD_INPUT_IDS = [
     "baseline-ks-zero",
     "baseline-ks-string",
     "train-frac-string",
+    "train-frac-huge",
+    "train-frac-huge-negative",
     "generator-dim-0",
     "generator-params-not-object",
     "generator-draws-overflow",
@@ -396,6 +400,65 @@ def test_unreadable_or_unwritable_path_exits_one(scen_file, tmp_path, capsys, ar
     assert main([a.format(**paths) for a in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "out",
+    [5, [], True, "{dir}/missing/out.json", "{dir}/nul\0.json"],
+    ids=["int", "list", "bool", "missing-directory", "nul-byte"],
+)
+def test_a_bad_config_out_exits_one(scen_file, tmp_path, capsys, out):
+    # Only the config names the output: a --out flag would override it.
+    cfg = tmp_path / "cfg.json"
+    out = out.format(dir=tmp_path) if isinstance(out, str) else out
+    cfg.write_text(json.dumps({"scenario": str(scen_file), "strategy": "predict-yesterday", "out": out}))
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_an_unwritable_out_exits_one_before_the_strategy_runs(scen_file, tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setitem(STRATEGIES, "predict-yesterday", lambda scenario, k: calls.append(scenario.name))
+    argv = ["simulate", "--scenario", str(scen_file), "--strategy", "predict-yesterday", "--out"]
+    assert main(argv + [str(tmp_path / "missing" / "out.json")]) == 1
+    assert main(argv + [str(tmp_path)]) == 1
+    assert calls == []
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command, config, names",
+    [
+        ("simulate", {"strategy": "frobnicate"}, "strategy"),
+        ("simulate", {"strategy": "kserver-greedy", "k": 0}, "k >= 1"),
+        ("learn", {}, "k >= 1"),
+        ("learn", {"k": 1, "learner": "frobnicate"}, "learner"),
+        ("learn", {"k": 1, "learner": "partition", "depth": 3}, "depth"),
+        ("learn", {"k": 1, "train_frac": 1e308}, "train_frac"),
+        ("simulate", {"strategy": "predict-yesterday", "out": 5}, "out"),
+    ],
+    ids=["strategy", "k", "learn-no-k", "learner", "depth", "train_frac", "out"],
+)
+def test_a_malformed_config_key_is_reported_before_the_scenario_is_read(tmp_path, capsys, command, config, names):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": str(tmp_path / "absent.json"), **config}))
+    assert main([command, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert names in err and "absent.json" not in err
+
+
+def test_the_console_script_exits_with_the_code_of_main(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": GENERATED, "strategy": "predict-yesterday", "out": 5}))
+    for argv, code in ((["selftest"], 0), (["simulate", "--config", str(cfg)], 1)):
+        monkeypatch.setattr("sys.argv", ["warmstart", *argv])
+        with pytest.raises(SystemExit) as exit_info:
+            cli.entry()
+        assert exit_info.value.code == code
+    capsys.readouterr()
 
 
 def test_learn_centers_and_partition(tmp_path):
@@ -626,7 +689,10 @@ _FIELDS = {
     ),
     "learner": (st.sampled_from(["centers", "partition"]), _ANY_VALUE),
     "depth": (st.integers(0, 2), st.one_of(st.integers(-1, 4), _ANY_VALUE)),
-    "train_frac": (st.sampled_from([0.4, 0.6, 0.8]), st.one_of(st.floats(-1.0, 2.0), _ANY_VALUE)),
+    "train_frac": (
+        st.sampled_from([0.4, 0.6, 0.8]),
+        st.one_of(st.floats(-1.0, 2.0), st.sampled_from([1e308, -1e308]), _ANY_VALUE),
+    ),
     "norm": (st.sampled_from(["L1", "L2", "Linf"]), st.one_of(st.sampled_from(["L3", "l2", ""]), _ANY_VALUE)),
     "keep": (st.just([True] * 5), st.lists(st.booleans(), min_size=5, max_size=5)),
     "day_numbers": (

@@ -93,6 +93,7 @@ def test_generators_and_direct_construction_check_the_structure():
         {"dim": 2.0},
         {"dim": True},
         {"norm": "L3"},
+        {"norm": "Linf"},  # the days stay in L2
         {"name": None},
         {"days": scen.days[1:]},
         {"meta": []},
