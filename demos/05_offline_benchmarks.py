@@ -7,7 +7,8 @@ beyond, within a few ulps.  The best k-trajectory cost (hit + movement,
 predictions restricted to the solutions and the origin) is one DP
 over the days and the placements of the k trajectories, at any T for k = 1
 and up to T = 8, k = 3 beyond.  The two sandwich each other within a factor
-of two.
+of two.  Both read one distance table over the origin and the solutions, the
+table a ``Scenario`` holds as ``distances`` over its ``points``.
 """
 
 import random
@@ -16,7 +17,9 @@ from warmstart import (
     Point,
     WorkFunctionState,
     brute_force_best_trajectories,
+    distance_matrix,
     offline_opt_kserver,
+    origin,
     wfa_step,
 )
 
@@ -26,10 +29,12 @@ sols = [
     Point.of((0.0 if t % 2 == 0 else 60.0) + rng.uniform(-2, 2)) for t in range(6)
 ]
 print("solutions:", [round(s[0], 2) for s in sols])
+points = [origin(1)] + sols  # index t is day t, as in Scenario.points
+D = distance_matrix(points, "L1")
 
 for k in (1, 2, 3):
-    server = offline_opt_kserver(sols, [k], "L1")[0]
-    traj, witness = brute_force_best_trajectories(sols, k, "L1")
+    server = offline_opt_kserver(D, [k])[0]
+    traj, witness = brute_force_best_trajectories(points, D, k)
     print(
         f"k={k}: kserver optimum {server:7.2f}   "
         f"trajectory optimum {traj:7.2f}   "
@@ -44,4 +49,4 @@ for t, s in enumerate(sols, 1):
     moved += move
     print(f"  day {t}: request {s[0]:7.2f} -> server {idx} moves {move:6.2f}")
 print(f"total online movement: {moved:.2f}  "
-      f"vs offline optimum {offline_opt_kserver(sols, [2], 'L1')[0]:.2f}")
+      f"vs offline optimum {offline_opt_kserver(D, [2])[0]:.2f}")

@@ -25,22 +25,22 @@ WFA_MAX_POINTS = 12
 _EPS = 1e-9
 
 
-def offline_opt_kserver(solutions: list[Point], ks: list[int], norm: str) -> list[float]:
+def offline_opt_kserver(D: np.ndarray, ks: list[int]) -> list[float]:
     """Least total movement to serve the requests in order with k servers,
-    for each k in ``ks`` (costs returned in the same order).
+    for each k in ``ks`` (costs returned in the same order).  ``D`` is the
+    distance table over the origin (index 0) and the T requests (index t for
+    request t), as ``Scenario.distances`` is.
 
     All servers start at the origin, and more than T servers cannot help, so
     k reads the cost of k' = min(k, T) servers.  Every k' <= 3 comes from a
     dynamic program (``_kserver_dp``) whose value is the least left-to-right
     float sum of per-request movement over all schedules; every k' >= 4
     from a path-cover assignment (``_kserver_cover``) that reports that sum
-    along the schedule it finds.  Both read one distance table over the
-    origin and the requests.
+    along the schedule it finds.
     """
-    T = len(solutions)
+    T = len(D) - 1
     if T < 1 or any(k < 1 for k in ks):
         raise ValueError("need T >= 1 and k >= 1")
-    D = distance_matrix([origin(solutions[0].dim)] + list(solutions), norm)
     cost = {
         kk: _kserver_dp(D, kk) if kk <= 3 else _kserver_cover(D, kk)
         for kk in {min(k, T) for k in ks}
@@ -49,9 +49,8 @@ def offline_opt_kserver(solutions: list[Point], ks: list[int], norm: str) -> lis
 
 
 def _kserver_dp(D: np.ndarray, k: int) -> float:
-    """The offline k-server optimum for k <= 3 and k <= T servers, where
-    ``D`` is the distance table over the origin (index 0) and the requests
-    (index t for request t).
+    """The offline k-server optimum for k <= 3 and k <= T servers, over the
+    distance table ``D`` of ``offline_opt_kserver``.
 
     After request t one server stands on it; the state is where the other
     k - 1 stand: request indices below t, the origin being 0.  ``V`` holds
@@ -147,10 +146,11 @@ def _kserver_cover(D: np.ndarray, k: int) -> float:
 
 
 def brute_force_best_trajectories(
-    solutions: list[Point], k: int, norm: str
+    points: list[Point], D: np.ndarray, k: int
 ) -> tuple[float, TrajectorySet]:
     """Exact best k-trajectory cost with predictions restricted to
-    {origin} union {solutions}, and a schedule that attains it.
+    ``points``, the origin and then the T solutions (``Scenario.points``),
+    and a schedule that attains it; ``D`` is the distance table over them.
 
     The restricted optimum upper-bounds the unrestricted one and contains
     every zero-hit (k-server style) schedule.  Its value is the least
@@ -159,8 +159,8 @@ def brute_force_best_trajectories(
     from its last prediction (the origin before its first day).
 
     One DP over the days keeps a symmetric table ``V`` of shape (n,)*k over
-    the n candidates: the least sum that leaves the k trajectories at those
-    candidates.  Day t moves one trajectory, put in slot 0:
+    the n distinct points (candidates): the least sum that leaves the k
+    trajectories there.  Day t moves one trajectory, put in slot 0:
     ``W[c, rest] = min_a (D[c, a] + V[a, rest]) + H[c, t]``, and ``V``
     becomes the least of ``W`` and its k - 1 transposes that swap axis 0
     with axis j.  IEEE addition is monotone, so each entry is the least sum
@@ -172,25 +172,19 @@ def brute_force_best_trajectories(
     each day's parent is its first argmin, the moving trajectory is the
     lowest slot that reaches the day's least value, and labels are numbered
     by first use.  k = 1 runs at any T; k >= 2 is capped at T <= TRAJ_MAX_T
-    and k <= TRAJ_MAX_K, checked before any table is built.
+    and k <= TRAJ_MAX_K, checked before the DP's tables are built.
     """
-    T = len(solutions)
+    T = len(points) - 1
     if k > 1 and (T > TRAJ_MAX_T or k > TRAJ_MAX_K):
         raise CapExceeded(
             f"trajectory DP capped at T<={TRAJ_MAX_T}, k<={TRAJ_MAX_K} for k>=2"
         )
     if T < 1 or k < 1:
         raise ValueError("need T >= 1 and k >= 1")
-    o = origin(solutions[0].dim)
-    candidates: list[Point] = [o]
-    seen = {o.coords}
-    for s in solutions:
-        if s.coords not in seen:
-            seen.add(s.coords)
-            candidates.append(s)
-    D = distance_matrix(candidates, norm)
-    H = distance_matrix(candidates, norm, solutions)
-    n = len(candidates)
+    first: dict[tuple, int] = {}
+    idx = [i for i, p in enumerate(points) if first.setdefault(p.coords, i) == i]
+    D, H = D[np.ix_(idx, idx)], D[idx, 1:]
+    n = len(idx)
     shape = (n,) * k
     hits = H.T.reshape((T, n) + (1,) * (k - 1))
     D_c = D.reshape((n,) + (1,) * (k - 1) + (n,))
@@ -232,7 +226,7 @@ def brute_force_best_trajectories(
     witness = TrajectorySet(
         k=k,
         assignment={t + 1: label[j] for t, j in enumerate(moved)},
-        predictions={t + 1: candidates[c] for t, c in enumerate(choices)},
+        predictions={t + 1: points[idx[c]] for t, c in enumerate(choices)},
     )
     return cost, witness
 

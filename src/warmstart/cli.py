@@ -82,6 +82,8 @@ def _load_config(args) -> dict:
         raise UserError(f"depth must be 0, 1 or 2, got {config['depth']!r}")
     if not (isinstance(config["train_frac"], float) and 0 < config["train_frac"] < 1):
         raise UserError(f"train_frac must be a number in (0, 1), got {config['train_frac']!r}")
+    if "seed" in config and not (_is_int(config["seed"]) and 0 <= config["seed"] < 2**128):
+        raise UserError(f"seed must be an integer in [0, 2**128), got {config['seed']!r}")
     if out is not None:
         if not (isinstance(out, str) and Path(out).parent.is_dir() and not Path(out).is_dir()):
             raise UserError(f"out must be a file path in an existing directory, got {out!r}")
@@ -119,12 +121,11 @@ def _check_magnitudes(scenario: Scenario, search: bool) -> None:
     of origin and solutions below 2**53.  ``learn`` takes no search steps
     and skips this rule.
     """
-    center = [origin(scenario.dim)]
+    D = scenario.distances
+    d_max = float(D.max())
     planted = list(scenario.planted.predictions.values()) if scenario.planted else []
     with np.errstate(over="ignore"):
-        D = distance_matrix(center + scenario.solution_list(), scenario.norm)
-        r = float(distance_matrix(planted, scenario.norm, center).max()) if planted else 0.0
-        d_max = float(D.max())
+        r = float(distance_matrix(planted, scenario.norm, [origin(scenario.dim)]).max()) if planted else 0.0
     d_min = min(float(D.min(where=D > 0, initial=1.0)), r or 1.0)
     f_max = max(abs(c) for inst in scenario.days for c in inst.features.coords)
     bound = (scenario.T + 1) ** 3 * scenario.dim * max(d_max + 2 * r, f_max, 1.0) / d_min
@@ -163,13 +164,12 @@ def _read_scenario(config: dict) -> Scenario:
 
 
 def _attach_baselines(ledger: CostLedger, scenario: Scenario, config: dict) -> None:
-    sols = scenario.solution_list()
     ledger.attach_baseline("planted", planted_baseline(scenario))
     ks = config["baseline_ks"]
-    server_costs = offline_opt_kserver(sols, ks, scenario.norm)
+    server_costs = offline_opt_kserver(scenario.distances, ks)
     for k, server_cost in zip(ks, server_costs):
         try:
-            cost, _ = brute_force_best_trajectories(sols, k, scenario.norm)
+            cost, _ = brute_force_best_trajectories(scenario.points, scenario.distances, k)
         except CapExceeded:
             cost = None
         name = "opt_1_traj" if k == 1 else f"opt_{k}_traj_restricted"
@@ -251,13 +251,20 @@ def cmd_learn(args) -> int:
 REPORT_COLUMNS = ("scenario", "strategy", "radius", "overhead", "wall_estimate")
 
 
+def _csv_line(fields: list[str]) -> str:
+    """The fields joined by commas; one that holds a comma, a quote or a line
+    break is quoted, with its quotes doubled."""
+    quoted = ('"' + f.replace('"', '""') + '"' if any(c in f for c in ',"\n\r') else f for f in fields)
+    return ",".join(quoted)
+
+
 def cmd_report(args) -> int:
     ledgers = [_read(p, "ledger", CostLedger.from_json_text) for p in args.ledgers]
     baseline_names = sorted({name for lg in ledgers for name in lg.baselines})
     header = list(REPORT_COLUMNS)
     for name in baseline_names:
         header += [f"baseline:{name}", f"ratio:{name}"]
-    rows = [",".join(header)]
+    rows = [_csv_line(header)]
     for lg in sorted(ledgers, key=lambda x: (x.scenario, x.strategy)):
         row = [
             lg.scenario,
@@ -272,7 +279,7 @@ def cmd_report(args) -> int:
                 row += ["NA", "NA"]
             else:
                 row += [repr(v), repr(lg.total_radius / v) if v > 0 else "NA"]
-        rows.append(",".join(row))
+        rows.append(_csv_line(row))
     _write(args.out, "\n".join(rows) + "\n")
     return 0
 
@@ -297,7 +304,6 @@ def cmd_selftest(args) -> int:
             HiddenInstance(2, origin(1), Point.of(3.0), L2),
             HiddenInstance(3, origin(1), Point.of(5.0), L2),
         ],
-        d_max=5.0,
     )
     lg = predict_yesterday(scen)
     assert lg.total_radius == 6, f"predict-yesterday sanity: got {lg.total_radius}"

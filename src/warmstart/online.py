@@ -391,7 +391,7 @@ def parallel_k(scenario, k: int) -> CostLedger:
     centers learned offline from all of the scenario's solutions.  When
     subset ERM is over its cap and local search found the centers,
     ``params["centers_method"]`` says so."""
-    C, method = learn_centers(scenario.solution_list(), k, scenario.norm)
+    C, method = learn_centers(scenario.points[1:], k, scenario.norm)
     params = {"k": k}
     if method == "local-search":
         params["centers_method"] = method

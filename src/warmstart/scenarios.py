@@ -10,13 +10,14 @@ and full-precision floats.
 
 from __future__ import annotations
 
+import functools
 import json
 import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metric import L2, NORMS, Point, origin, pairwise_max_distance
+from .metric import L2, NORMS, Point, distance_matrix, origin
 from .oracle import HiddenInstance, hidden_solution
 from .trajectories import TrajectorySet, trajectory_cost
 
@@ -43,7 +44,6 @@ class Scenario:
     norm: str
     days: list[HiddenInstance]
     meta: dict = field(default_factory=dict)
-    d_max: float = 0.0
     planted: TrajectorySet | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
@@ -83,8 +83,21 @@ class Scenario:
     def solutions(self) -> dict[int, Point]:
         return {inst.day: hidden_solution(inst) for inst in self.days}
 
-    def solution_list(self) -> list[Point]:
-        return [hidden_solution(inst) for inst in self.days]
+    @functools.cached_property
+    def points(self) -> list[Point]:
+        """The origin, then the solutions of days 1..T: index t is day t."""
+        return [origin(self.dim)] + [hidden_solution(inst) for inst in self.days]
+
+    @functools.cached_property
+    def distances(self) -> np.ndarray:
+        """The distance table over ``points``; an entry may overflow to inf."""
+        with np.errstate(over="ignore"):
+            return distance_matrix(self.points, self.norm)
+
+    @property
+    def d_max(self) -> float:
+        """The largest distance between two solutions (0.0 for T = 1)."""
+        return float(self.distances[1:, 1:].max())
 
     def to_json_text(self) -> str:
         d = {
@@ -127,7 +140,6 @@ class Scenario:
             norm=d["norm"],
             days=days,
             meta=d["meta"],
-            d_max=d["d_max"],
         )
 
 
@@ -232,19 +244,6 @@ def _pt(arr: np.ndarray) -> Point:
     return Point(tuple(float(x) for x in arr))
 
 
-def _finish(name, seed, dim, norm, days, meta) -> Scenario:
-    sols = [hidden_solution(i) for i in days]
-    return Scenario(
-        name=name,
-        seed=seed,
-        dim=dim,
-        norm=norm,
-        days=days,
-        meta=meta,
-        d_max=pairwise_max_distance(sols, norm),
-    )
-
-
 def gen_static_clusters(
     seed: int, k: int, sep: float, spread: float, T: int, dim: int, norm: str = L2
 ) -> Scenario:
@@ -271,7 +270,7 @@ def gen_static_clusters(
         "centers": [list(map(float, c)) for c in centers],
         "labels": labels,
     }
-    return _finish(f"static_clusters_k{k}_s{seed}", seed, dim, norm, days, meta)
+    return Scenario(f"static_clusters_k{k}_s{seed}", seed, dim, norm, days, meta)
 
 
 def gen_drifting_trajectories(
@@ -332,7 +331,7 @@ def gen_drifting_trajectories(
         "planted": traj_to_jsonable(planted),
         "planted_cost": hit + movement,
     }
-    return _finish(f"drifting_k{k}_s{seed}", seed, dim, norm, days, meta)
+    return Scenario(f"drifting_k{k}_s{seed}", seed, dim, norm, days, meta)
 
 
 def gen_planted_lower_bound(
@@ -359,7 +358,7 @@ def gen_planted_lower_bound(
         "planted_points": [list(map(float, p)) for p in planted],
         "choices": choices,
     }
-    return _finish(f"planted_lb_k{k}_s{seed}", seed, dim, norm, days, meta)
+    return Scenario(f"planted_lb_k{k}_s{seed}", seed, dim, norm, days, meta)
 
 
 def gen_adversarial_switch(
@@ -396,7 +395,7 @@ def gen_adversarial_switch(
             "jitter": jitter,
         },
     }
-    return _finish(f"switch_p{phases}_s{seed}", seed, dim, norm, days, meta)
+    return Scenario(f"switch_p{phases}_s{seed}", seed, dim, norm, days, meta)
 
 
 GENERATORS = {

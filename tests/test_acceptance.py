@@ -53,7 +53,7 @@ def _inline_scenario(sols, norm=L2):
     days = [
         HiddenInstance(t + 1, origin(dim), s, norm) for t, s in enumerate(sols)
     ]
-    return Scenario("inline", 0, dim, norm, days, {}, 0.0)
+    return Scenario("inline", 0, dim, norm, days, {})
 
 
 def test_criterion_01_parallel_radius_bound():
@@ -118,7 +118,7 @@ def test_criterion_03_planted_lower_bound_exhibit():
     mean_parallel = total / scen.T
     assert k <= mean_parallel <= 2 * k
 
-    best_single = median_point(scen.solution_list(), scen.norm)
+    best_single = median_point(scen.points[1:], scen.norm)
     mean_single = sum(
         distance(best_single, hidden_solution(i), scen.norm) for i in scen.days
     ) / scen.T
@@ -182,7 +182,7 @@ def test_criterion_06_predict_yesterday_vs_single_trajectory():
         sols = [_rand_point(rng, dim, 20.0) for _ in range(T)]
         scen = _inline_scenario(sols, norm)
         lg = ws.predict_yesterday(scen)
-        opt1, _ = ws.brute_force_best_trajectories(sols, 1, norm)
+        opt1, _ = ws.brute_force_best_trajectories(scen.points, scen.distances, 1)
         assert lg.total_radius <= 2 * opt1 + T + 1e-9
     _ok(6)
 
@@ -195,8 +195,9 @@ def test_criterion_07_trajectory_kserver_sandwich():
         dim = rng.randint(1, 3)
         norm = rng.choice(NORMS)
         sols = [_rand_point(rng, dim, 20.0) for _ in range(T)]
-        traj, _ = ws.brute_force_best_trajectories(sols, k, norm)
-        server = ws.offline_opt_kserver(sols, [k], norm)[0]
+        scen = _inline_scenario(sols, norm)
+        traj, _ = ws.brute_force_best_trajectories(scen.points, scen.distances, k)
+        server = ws.offline_opt_kserver(scen.distances, [k])[0]
         assert traj <= server + 1e-9
         assert server <= 2 * traj + 1e-9
     _ok(7)

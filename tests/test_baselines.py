@@ -6,7 +6,6 @@ from itertools import combinations_with_replacement, permutations
 import numpy as np
 import pytest
 
-from warmstart import baselines
 from warmstart.baselines import (
     _EPS,
     TRAJ_MAX_K,
@@ -21,6 +20,18 @@ from warmstart.baselines import (
 from warmstart.errors import CapExceeded
 from warmstart.metric import L1, L2, NORMS, Point, distance, distance_matrix, origin
 from warmstart.trajectories import TrajectorySet, trajectory_cost
+
+
+def kserver_costs(solutions, ks, norm):
+    """``offline_opt_kserver`` on the table a scenario with these solutions
+    holds: the distances over the origin, then the solutions."""
+    return offline_opt_kserver(distance_matrix([origin(solutions[0].dim)] + solutions, norm), ks)
+
+
+def best_trajectories(solutions, k, norm):
+    """``brute_force_best_trajectories`` on a scenario's points and table."""
+    points = [origin(solutions[0].dim)] + solutions
+    return brute_force_best_trajectories(points, distance_matrix(points, norm), k)
 
 
 def independent_kserver_opt(solutions, k, norm):
@@ -336,7 +347,7 @@ def test_kserver_optimum_matches_exhaustive():
         dim = rng.randint(1, 3)
         norm = rng.choice(NORMS)
         sols = _rand_points(rng, T, dim)
-        got = offline_opt_kserver(sols, [k], norm)[0]
+        got = kserver_costs(sols, [k], norm)[0]
         exp = independent_kserver_opt(sols, k, norm)
         assert got == pytest.approx(exp, abs=1e-6)
 
@@ -344,14 +355,14 @@ def test_kserver_optimum_matches_exhaustive():
 def test_kserver_optimum_hand_example():
     # two far requests, two servers: each server takes one
     sols = [Point.of(10.0), Point.of(-10.0)]
-    assert offline_opt_kserver(sols, [2], L1)[0] == pytest.approx(20.0)
-    assert offline_opt_kserver(sols, [1], L1)[0] == pytest.approx(30.0)
+    assert kserver_costs(sols, [2], L1)[0] == pytest.approx(20.0)
+    assert kserver_costs(sols, [1], L1)[0] == pytest.approx(30.0)
 
 
 def test_extra_servers_never_hurt():
     rng = random.Random(53)
     sols = _rand_points(rng, 5, 2)
-    costs = [offline_opt_kserver(sols, [k], L2)[0] for k in (1, 2, 3, 4)]
+    costs = [kserver_costs(sols, [k], L2)[0] for k in (1, 2, 3, 4)]
     assert costs == sorted(costs, reverse=True)
 
 
@@ -362,7 +373,7 @@ def test_brute_force_trajectories_witness_consistent():
         k = rng.randint(1, 3)
         norm = rng.choice(NORMS)
         sols = _rand_points(rng, T, 1)
-        cost, witness = brute_force_best_trajectories(sols, k, norm)
+        cost, witness = best_trajectories(sols, k, norm)
         sol_map = {t + 1: s for t, s in enumerate(sols)}
         _, _, total = trajectory_cost(witness, sol_map, norm)
         assert total == pytest.approx(cost, abs=1e-9)
@@ -371,7 +382,7 @@ def test_brute_force_trajectories_witness_consistent():
 def test_trajectories_k1_stationary_beats_chasing():
     # staying at 0 pays hit 100 twice (200); chasing pays movement 300
     sols = [Point.of(0.0), Point.of(100.0), Point.of(-100.0)]
-    cost, witness = brute_force_best_trajectories(sols, 1, L1)
+    cost, witness = best_trajectories(sols, 1, L1)
     assert cost == pytest.approx(200.0)
     sol_map = {t + 1: s for t, s in enumerate(sols)}
     hit, movement, total = trajectory_cost(witness, sol_map, L1)
@@ -386,28 +397,22 @@ def test_trajectory_witness_follows_the_tie_rule():
     # moved: it gets day 1 and, numbered by first use, label 1.
     sols = [Point.of(0.0), Point.of(1.0), Point.of(1.0)]
     for k in (2, 3):
-        cost, witness = brute_force_best_trajectories(sols, k, L1)
+        cost, witness = best_trajectories(sols, k, L1)
         assert cost == 1.0
         assert witness.assignment == {1: 1, 2: 2, 3: 2}
         assert witness.predictions == {1: Point.of(0.0), 2: Point.of(1.0), 3: Point.of(1.0)}
 
 
-def test_trajectories_cap(monkeypatch):
+def test_trajectories_cap():
     # The caps bound the (n,)*k table of k >= 2; k = 1 runs at any T.  A
-    # capped call raises before it builds any table: the distance tables are
-    # the first an uncapped call builds, and with k = 10**9 the DP table
-    # could not exist at all.
+    # capped call raises before it builds the DP's tables: with k = 10**9
+    # they could not exist at all.
     sols = [Point.of(float(i)) for i in range(TRAJ_MAX_T + 1)]
-    cost, _ = brute_force_best_trajectories(sols, 1, L2)
+    cost, _ = best_trajectories(sols, 1, L2)
     assert isinstance(cost, float)
-
-    def no_tables(*args, **kwargs):
-        raise AssertionError("a capped call built a table")
-
-    monkeypatch.setattr(baselines, "distance_matrix", no_tables)
     for T, k in [(TRAJ_MAX_T + 1, 2), (4, TRAJ_MAX_K + 1), (1, 10**9), (TRAJ_MAX_T, 10**9)]:
         with pytest.raises(CapExceeded):
-            brute_force_best_trajectories(sols[:T], k, L2)
+            best_trajectories(sols[:T], k, L2)
 
 
 def _canonical_assignments(T, k):
@@ -559,7 +564,7 @@ def test_trajectory_dp_is_the_least_day_order_sum():
     # the witness is a schedule whose day-order sum is that value, with
     # labels numbered by first use and at most k of them.
     for case, T, k, norm, sols in _trajectory_cases():
-        cost, witness = brute_force_best_trajectories(sols, k, norm)
+        cost, witness = best_trajectories(sols, k, norm)
         assert repr(cost) == repr(configuration_traj_opt(sols, k, norm)), (case, T, k, norm)
         assert repr(day_order_cost(witness, sols, norm)) == repr(cost), (case, T, k, norm)
         labels = [witness.assignment[t] for t in range(1, T + 1)]
@@ -574,7 +579,7 @@ def test_trajectory_dp_is_within_two_ulps_a_day_of_the_per_label_sum():
     # exact least sum, so they are within 2T ulps of each other.  With one
     # label the two sums are the same, and so are the witnesses.
     for case, T, k, norm, sols in _trajectory_cases():
-        cost, witness = brute_force_best_trajectories(sols, k, norm)
+        cost, witness = best_trajectories(sols, k, norm)
         old_cost, old_witness = reference_best_trajectories(sols, k, norm)
         assert abs(cost - old_cost) <= 2 * T * 2**-52 * old_cost, (case, T, k, norm)
         if k == 1:
@@ -603,9 +608,101 @@ def test_one_trajectory_beyond_the_cap_is_the_plain_dp():
         dp = D[0] + H[:, 0]
         for t in range(1, T):
             dp = (dp[:, None] + D).min(axis=0) + H[:, t]
-        cost, witness = brute_force_best_trajectories(sols, 1, norm)
+        cost, witness = best_trajectories(sols, 1, norm)
         assert repr(cost) == repr(float(dp.min())), (case, T, norm)
         assert witness == reference_witness((1,) * T, candidates, D, H, 1, sols), (case, T, norm)
+
+
+def table_building_best_trajectories(solutions, k, norm):
+    """Reference: the trajectory DP as it was before it read a scenario's
+    table.  It takes the solutions and a norm, lists the candidates itself
+    (the origin, then each distinct solution at its first day) and builds two
+    tables over them: candidate to candidate and candidate to solution.  The
+    DP and the walk back are the ones ``brute_force_best_trajectories`` runs."""
+    T = len(solutions)
+    if k > 1 and (T > TRAJ_MAX_T or k > TRAJ_MAX_K):
+        raise CapExceeded(
+            f"trajectory DP capped at T<={TRAJ_MAX_T}, k<={TRAJ_MAX_K} for k>=2"
+        )
+    if T < 1 or k < 1:
+        raise ValueError("need T >= 1 and k >= 1")
+    o = origin(solutions[0].dim)
+    candidates = [o]
+    seen = {o.coords}
+    for s in solutions:
+        if s.coords not in seen:
+            seen.add(s.coords)
+            candidates.append(s)
+    D = distance_matrix(candidates, norm)
+    H = distance_matrix(candidates, norm, solutions)
+    n = len(candidates)
+    shape = (n,) * k
+    hits = H.T.reshape((T, n) + (1,) * (k - 1))
+    D_c = D.reshape((n,) + (1,) * (k - 1) + (n,))
+    step = np.empty(shape + (n,))  # step[c, rest, a] = D[c, a] + V[rest, a]
+    flat = step.reshape(-1, n)
+    rows = np.arange(n**k).reshape(shape)
+    W = np.full(shape, math.inf)
+    W[(slice(None),) + (0,) * (k - 1)] = D[0] + H[:, 0]
+    parents, tables = [np.zeros(shape, dtype=np.intp)], [W]
+    for t in range(1, T + 1):
+        V = W
+        for j in range(1, k):
+            V = np.minimum(V, W.swapaxes(0, j))
+        if t == T:
+            break
+        np.add(D_c, V, out=step)
+        parent = step.argmin(axis=-1)
+        W = flat[rows, parent]
+        W += hits[t]
+        parents.append(parent)
+        tables.append(W)
+
+    x = np.unravel_index(V.argmin(), shape)
+    cost = float(V[x])
+    moved, choices = [0] * T, [0] * T
+    for t in reversed(range(T)):
+        j = 0
+        if k > 1:
+            reached = [tables[t].item((x[i],) + x[:i] + x[i + 1 :]) for i in range(k)]
+            j = reached.index(min(reached))
+        c, rest = x[j], x[:j] + x[j + 1 :]
+        moved[t], choices[t] = j, c
+        x = x[:j] + (parents[t].item((c,) + rest),) + x[j + 1 :]
+    label = {}
+    for j in moved:
+        label.setdefault(j, len(label) + 1)
+    witness = TrajectorySet(
+        k=k,
+        assignment={t + 1: label[j] for t, j in enumerate(moved)},
+        predictions={t + 1: candidates[c] for t, c in enumerate(choices)},
+    )
+    return cost, witness
+
+
+def _repeating_grid(rng, T, dim):
+    """T points of a small integer grid, so solutions repeat, with the
+    origin (sometimes as -0.0, which is the same point) on at least one day."""
+    sols = _grid_points(rng, T, dim, rng.randint(1, 2), 1.0)
+    for t in rng.sample(range(T), rng.randint(1, max(1, T // 3))):
+        sols[t] = Point((rng.choice((0.0, -0.0)),) * dim)
+    return sols
+
+
+def test_trajectory_dp_on_the_scenario_table_matches_the_table_building_reference():
+    # The DP reads the first-occurrence rows and columns of the scenario's
+    # table instead of building its own tables over the distinct candidates;
+    # the value must match in repr and the witness must be equal.
+    rng = random.Random(137)
+    cases = [(rng.randint(1, TRAJ_MAX_T), rng.randint(1, TRAJ_MAX_K)) for _ in range(600)]
+    cases += [(rng.randint(TRAJ_MAX_T + 1, 40), 1) for _ in range(150)]
+    for case, (T, k) in enumerate(cases):
+        norm = NORMS[case % 3]
+        sols = _repeating_grid(rng, T, rng.randint(1, 3))
+        cost, witness = best_trajectories(sols, k, norm)
+        ref_cost, ref_witness = table_building_best_trajectories(sols, k, norm)
+        assert repr(cost) == repr(ref_cost), (case, T, k, norm, sols)
+        assert witness == ref_witness, (case, T, k, norm, sols)
 
 
 def test_sandwich_against_kserver_opt():
@@ -615,8 +712,8 @@ def test_sandwich_against_kserver_opt():
         k = rng.randint(1, 3)
         norm = rng.choice(NORMS)
         sols = _rand_points(rng, T, 2)
-        traj, _ = brute_force_best_trajectories(sols, k, norm)
-        server = offline_opt_kserver(sols, [k], norm)[0]
+        traj, _ = best_trajectories(sols, k, norm)
+        server = kserver_costs(sols, [k], norm)[0]
         assert traj <= server + 1e-9
         assert server <= 2 * traj + 1e-9
 
@@ -635,9 +732,9 @@ def test_trajectory_optimum_never_exceeds_the_kserver_optimum():
             sols = _grid_points(rng, T, dim, rng.randint(1, 5), 0.1)
         else:
             sols = _rand_points(rng, T, dim, spread=rng.choice([1.0, 15.0, 1e4, 1e7]))
-        servers = offline_opt_kserver(sols, [1, 2, 3], norm)
+        servers = kserver_costs(sols, [1, 2, 3], norm)
         for k, server in zip((1, 2, 3), servers):
-            traj, _ = brute_force_best_trajectories(sols, k, norm)
+            traj, _ = best_trajectories(sols, k, norm)
             assert traj <= server, (case, k, norm, sols)
 
 
@@ -714,7 +811,7 @@ def test_kserver_matches_the_reference_solvers():
         step = 0.1 if case % 5 else 1.0
         sols = _grid_points(rng, T, dim, rng.choice((1, 2, 3, 5)), step)
         ks = list(range(1, T + 4))
-        got = offline_opt_kserver(sols, ks, norm)
+        got = kserver_costs(sols, ks, norm)
         for k, c in zip(ks, got):
             if min(k, T) <= 3:
                 exp = configuration_kserver_opt(sols, k, norm)
@@ -730,7 +827,7 @@ def test_more_servers_than_requests_cost_the_same_as_t():
         T = rng.randint(1, 12)
         sols = _grid_points(rng, T, rng.randint(1, 3), 3, 0.1)
         norm = NORMS[case % 3]
-        costs = offline_opt_kserver(sols, list(range(T, T + 11)), norm)
+        costs = kserver_costs(sols, list(range(T, T + 11)), norm)
         assert [repr(c) for c in costs] == [repr(costs[0])] * 11
         if T <= 3:
             assert repr(independent_kserver_opt(sols, T + 10, norm)) == repr(costs[0])
@@ -757,7 +854,7 @@ def test_kserver_dp_is_the_least_schedule_sum_bit_for_bit():
         else:
             sols = _rand_points(rng, T, dim, spread=rng.choice([1.0, 15.0, 1e4, 1e8]))
         ks = [1, 2, 3, rng.randint(4, 10)]
-        for k, c in zip(ks, offline_opt_kserver(sols, ks, norm)):
+        for k, c in zip(ks, kserver_costs(sols, ks, norm)):
             if min(k, T) <= 3:
                 exp = independent_kserver_opt(sols, k, norm)
                 assert repr(c) == repr(exp), (case, k, norm, sols)
@@ -781,8 +878,8 @@ def test_rounding_beyond_the_tie_margin_fails_loudly():
         Point.of(e, -e, e), Point.of(-2 * e, -2 * e, 2 * e), Point.of(-e, -2 * e, 0),
         Point.of(-e, 0, -e), Point.of(-2 * e, -2 * e, -2 * e), Point.of(2 * e, -e, -e),
     ]
-    assert len(offline_opt_kserver(sols, [1, 2, 3], L2)) == 3
-    got = offline_opt_kserver(sols, [4], L2)[0]
+    assert len(kserver_costs(sols, [1, 2, 3], L2)) == 3
+    got = kserver_costs(sols, [4], L2)[0]
     assert repr(got) == repr(configuration_kserver_opt(sols, 4, L2)) == "191005039.55039376"
 
 
@@ -799,7 +896,7 @@ def test_four_servers_never_cost_more_than_three():
             sols = _grid_points(rng, T, dim, rng.randint(1, 5), rng.choice((0.1, 1.0)))
         else:
             sols = _rand_points(rng, T, dim, spread=rng.choice([1.0, 15.0, 1e4, 1e8]))
-        k3, k4 = offline_opt_kserver(sols, [3, 4], norm)
+        k3, k4 = kserver_costs(sols, [3, 4], norm)
         assert k4 <= k3 * (1 + 2 * T * 2**-52), (case, norm, sols)
 
 
@@ -828,7 +925,7 @@ def test_path_cover_at_forty_requests_is_within_2t_ulps_of_the_least_sum():
         else:
             sols = _rand_points(rng, T, 2, spread=1e7)
         ref = four_server_dp(distance_matrix([origin(2)] + sols, norm))
-        got = offline_opt_kserver(sols, [4], norm)[0]
+        got = kserver_costs(sols, [4], norm)[0]
         assert ref <= got <= ref * (1 + 2 * T * 2**-52), (case, norm)
 
 

@@ -1,9 +1,11 @@
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
 import math
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warmstart import cli, kmedians
+from warmstart import cli, kmedians, metric
 from warmstart.cli import build_parser, main
 from warmstart.ledger import CostLedger
 from warmstart.metric import origin, search_steps
@@ -256,6 +258,11 @@ BAD_INPUTS = [
     ("learn", {"learner": "centers", "k": 1}, (["dim"], True)),
     ("simulate", {"strategy": "predict-yesterday"}, (["meta", "planted"], PLANTED_NO_DAYS)),
     ("simulate", {"strategy": "predict-yesterday"}, (["meta", "planted", "k"], 1.5)),
+    ("simulate", {"strategy": "predict-yesterday", "seed": "x"}, None),
+    ("simulate", {"strategy": "predict-yesterday", "seed": True}, None),
+    ("simulate", {"strategy": "predict-yesterday", "seed": -1}, None),
+    ("learn", {"learner": "centers", "k": 1, "seed": 2**128}, None),
+    ("simulate", {"strategy": "predict-yesterday", "seed": 1.0}, None),
 ]
 BAD_INPUT_IDS = [
     "unknown-norm",
@@ -305,6 +312,11 @@ BAD_INPUT_IDS = [
     "dim-bool",
     "planted-no-days",
     "planted-float-k",
+    "seed-string",
+    "seed-bool",
+    "seed-negative",
+    "seed-2-to-the-128",
+    "seed-float",
 ]
 
 
@@ -438,8 +450,9 @@ def test_an_unwritable_out_exits_one_before_the_strategy_runs(scen_file, tmp_pat
         ("learn", {"k": 1, "learner": "partition", "depth": 3}, "depth"),
         ("learn", {"k": 1, "train_frac": 1e308}, "train_frac"),
         ("simulate", {"strategy": "predict-yesterday", "out": 5}, "out"),
+        ("simulate", {"strategy": "predict-yesterday", "seed": "x"}, "seed"),
     ],
-    ids=["strategy", "k", "learn-no-k", "learner", "depth", "train_frac", "out"],
+    ids=["strategy", "k", "learn-no-k", "learner", "depth", "train_frac", "out", "seed"],
 )
 def test_a_malformed_config_key_is_reported_before_the_scenario_is_read(tmp_path, capsys, command, config, names):
     cfg = tmp_path / "cfg.json"
@@ -520,6 +533,49 @@ def test_report_joins_ledgers_with_na_cells(scen_file, tmp_path):
     assert cells["baseline:opt_2_traj_restricted"] == cells["ratio:opt_2_traj_restricted"] == "NA"
     assert float(cells["baseline:opt_1_traj"]) > 0
     assert "NA" not in (cells["ratio:opt_1_traj"], cells["baseline:opt_kserver_k2"])
+
+
+def test_report_quotes_a_field_that_holds_a_separator(scen_file, tmp_path):
+    # A scenario or baseline name may hold a comma, a quote, \n or \r; the
+    # report quotes such a field, so csv.reader reads the names back whole.
+    out = tmp_path / "ledger.json"
+    assert main(["simulate", "--scenario", str(scen_file), "--strategy", "predict-yesterday", "--out", str(out)]) == 0
+    ledger = json.loads(out.read_text())
+    name = 'a,b "c"\nd\re'
+    ledger["scenario"] = name
+    ledger["baselines"][name] = 2.0
+    out.write_text(json.dumps(ledger))
+    report = tmp_path / "report.csv"
+    assert main(["report", str(out), "--out", str(report)]) == 0
+    header, row = csv.reader(io.StringIO(report.read_bytes().decode()))
+    assert len(header) == len(row) == 5 + 2 * len(ledger["baselines"])
+    cells = dict(zip(header, row))
+    assert cells["scenario"] == name and cells[f"baseline:{name}"] == "2.0"
+
+
+def test_simulate_builds_one_distance_table(tmp_path, monkeypatch):
+    # The magnitude rule and every offline baseline read the scenario's one
+    # table over the origin and the solutions.  The scenario (T = 6, nothing
+    # planted) is written before the count starts: writing reads the table.
+    scen = gen_adversarial_switch(9, phases=3, T=6, dim=2)
+    assert scen.planted is None
+    p = tmp_path / "scen.json"
+    p.write_text(scen.to_json_text())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": str(p), "strategy": "predict-yesterday", "baseline_ks": [1, 2, 3]}))
+    built = []
+    table = metric.distance_matrix
+
+    def counted(*args, **kwargs):
+        built.append(len(args[0]))
+        return table(*args, **kwargs)
+
+    for module in [m for n, m in sys.modules.items() if n == "warmstart" or n.startswith("warmstart.")]:
+        for attr, value in list(vars(module).items()):
+            if value is table:
+                monkeypatch.setattr(module, attr, counted)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "ledger.json")]) == 0
+    assert built == [7]
 
 
 def test_report_ratios_recomputable(scen_file, tmp_path):
@@ -645,7 +701,7 @@ def test_learn_records_the_centers_method(tmp_path, monkeypatch, learner):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scenario": str(p), "learner": learner, "k": 2}))
     out = tmp_path / "art.json"
-    train = scen.solution_list()[:6]
+    train = scen.points[1:7]
     for cap, method, learn in (
         (15, "subset-erm", kmedians.learn_centers_subset_erm),
         (14, "local-search", kmedians.learn_centers_local_search),

@@ -30,7 +30,7 @@ def _scen(solutions, norm=L2):
         HiddenInstance(t + 1, origin(dim), Point.of(s), norm)
         for t, s in enumerate(solutions)
     ]
-    return Scenario("inline", 0, dim, norm, days, {}, 0.0)
+    return Scenario("inline", 0, dim, norm, days, {})
 
 
 def test_rate_values():
@@ -144,7 +144,7 @@ def test_invalid_strategy_arguments():
     with pytest.raises(ValueError):
         kserver_reduction(scen, "lru", 2)
     with pytest.raises(ValueError):  # an empty scenario cannot be built, so no strategy meets one
-        predict_yesterday(Scenario("empty", 0, 1, L2, [], {}, 0.0))
+        predict_yesterday(Scenario("empty", 0, 1, L2, [], {}))
 
 
 def test_wfa_fallback_day_is_recorded():
@@ -199,7 +199,7 @@ def test_kserver_reduction_matches_the_full_server_list():
         half = rng.choice((1, 2, 4))
         sols = [Point(tuple(float(rng.randint(-half, half)) for _ in range(dim))) for _ in range(T)]
         days = [HiddenInstance(t + 1, origin(dim), s, norm) for t, s in enumerate(sols)]
-        scen = Scenario("grid", case, dim, norm, days, {}, 0.0)
+        scen = Scenario("grid", case, dim, norm, days, {})
         for alg, ks in (("greedy", range(1, T + 4)), ("wfa", range(1, 4))):
             for k in ks:
                 got = kserver_reduction(scen, alg, k).to_json_text()
@@ -318,7 +318,7 @@ def test_decay_matches_the_tick_by_tick_reference(monkeypatch):
     for case in range(1000):
         kind, dim, norm, sols = _fuzz_solutions(rng, case)
         days = [HiddenInstance(t + 1, origin(dim), s, norm) for t, s in enumerate(sols)]
-        scen = Scenario(kind, case, dim, norm, days, {}, 0.0)
+        scen = Scenario(kind, case, dim, norm, days, {})
         for mode in ("quadratic", "harmonic"):
             history, ref_days = [], []
             for inst in days:
@@ -379,7 +379,7 @@ def test_parallel_k_records_a_local_search_fallback(monkeypatch):
     monkeypatch.setattr(kmedians, "ENUMERATION_CAP", 14)
     lg = parallel_k(scen, 2)
     assert lg.params == {"k": 2, "centers_method": "local-search"}
-    centers = kmedians.learn_centers_local_search(scen.solution_list(), 2, L2).centers
+    centers = kmedians.learn_centers_local_search(scen.points[1:], 2, L2).centers
     assert [d.radius_searched for d in lg.days] == [
         run_parallel_k_detail(inst, list(centers))[1] for inst in scen.days
     ]

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import random
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from warmstart import scenarios
-from warmstart.metric import NORMS, distance
+from warmstart.metric import NORMS, distance, origin, pairwise_max_distance
 from warmstart.scenarios import (
     Scenario,
     _Philox,
@@ -57,15 +58,41 @@ def test_round_trip_exact():
         text = scen.to_json_text()
         back = Scenario.from_json_text(text)
         assert back.to_json_text() == text
-        assert back.solution_list() == scen.solution_list()
+        assert back.points == scen.points
 
 
 def test_d_max_bounds_every_pair():
     for scen in _all_generated():
-        sols = scen.solution_list()
+        sols = scen.points[1:]
         for i in range(len(sols)):
             for j in range(i + 1, len(sols)):
                 assert distance(sols[i], sols[j], scen.norm) <= scen.d_max + 1e-12
+
+
+def test_d_max_is_the_largest_distance_between_solutions():
+    # d_max is read off the scenario's one table, without the origin's row
+    # and column, so it is what pairwise_max_distance gives on the solutions.
+    scens = _all_generated() + [
+        gen_static_clusters(6, k=2, sep=20.0, spread=1.0, T=9, dim=3, norm=norm) for norm in NORMS
+    ]
+    scens.append(gen_adversarial_switch(7, phases=1, T=1, dim=2))
+    for scen in scens:
+        expected = pairwise_max_distance(scen.points[1:], scen.norm)
+        assert repr(scen.d_max) == repr(expected), scen.name
+        assert scen.points == [origin(scen.dim)] + list(scen.solutions().values())
+        assert scen.distances.shape == (scen.T + 1, scen.T + 1)
+
+
+def test_a_file_d_max_is_not_read():
+    # A scenario file's d_max is written from the solutions, never read: an
+    # altered one loads, and the scenario writes the true value back.
+    scen = gen_drifting_trajectories(8, k=2, drift_per_day=1.0, noise=0.5, T=10, dim=2)
+    text = scen.to_json_text()
+    altered = json.loads(text)
+    altered["d_max"] = 12345.0
+    back = Scenario.from_json_text(json.dumps(altered))
+    assert back.d_max == scen.d_max != 12345.0
+    assert back.to_json_text() == text
 
 
 def test_planted_cost_matches_trajectory_cost():
@@ -120,7 +147,7 @@ def test_planted_lower_bound_features_uninformative():
     feats = {inst.features.coords for inst in scen.days}
     assert len(feats) == 1
     planted = {tuple(p) for p in scen.meta["planted_points"]}
-    for sol in scen.solution_list():
+    for sol in scen.points[1:]:
         assert sol.coords in planted
 
 
