@@ -32,7 +32,7 @@ print(f"hypothesis class size: {len(hyps)}")
 print(f"chosen split: feature {h.feature_indices[0]} at {h.thresholds[0]}")
 print(f"rotation applied: {phi}")
 print("per-partition centers:", [c.coords for c in centers])
-print("training loss:", round(c_loss(g, None, centers, data, 'L1'), 4))
+print("training loss:", round(c_loss(g, centers, data, 'L1'), 4))
 
 inst = HiddenInstance(day=1, features=Point.of(103.0), solution=Point.of(200.55), norm="L1")
 found, work = predict_and_solve(h, phi, centers, inst)

@@ -6,9 +6,10 @@ k <= 3, exact to the bit, and from a least-cost path cover of the requests
 beyond, within a few ulps.  The best k-trajectory cost (hit + movement,
 predictions restricted to the solutions and the origin) is one DP
 over the days and the placements of the k trajectories, at any T for k = 1
-and up to T = 8, k = 3 beyond.  The two sandwich each other within a factor
-of two.  Both read one distance table over the origin and the solutions, the
-table a ``Scenario`` holds as ``distances`` over its ``points``.
+and up to T = 8, k = 3 beyond; it returns the cost only, not a schedule.
+The two sandwich each other within a factor of two.  Both are values of one
+distance table over the origin and the solutions, the table a ``Scenario``
+holds as ``distances``; a repeated solution is one more row of it.
 """
 
 import random
@@ -34,7 +35,7 @@ D = distance_matrix(points, "L1")
 
 for k in (1, 2, 3):
     server = offline_opt_kserver(D, [k])[0]
-    traj, witness = brute_force_best_trajectories(points, D, k)
+    traj = brute_force_best_trajectories(D, k)
     print(
         f"k={k}: kserver optimum {server:7.2f}   "
         f"trajectory optimum {traj:7.2f}   "

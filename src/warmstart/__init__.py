@@ -19,7 +19,6 @@ from .kmedians import (
     learn_centers,
     learn_centers_local_search,
     learn_centers_subset_erm,
-    median_point,
 )
 from .ledger import CostLedger, DayLedger
 from .metric import (
@@ -43,7 +42,6 @@ from .online import (
 from .oracle import (
     HiddenInstance,
     SearchThread,
-    open_thread,
     run_parallel_k,
     run_parallel_k_detail,
 )
@@ -56,7 +54,6 @@ from .partition import (
     construct_rotation,
     cost_of_partition,
     enumerate_threshold_trees,
-    erm_partition,
     predict_and_solve,
     rc_erm,
     rotate_centers,
@@ -106,7 +103,6 @@ __all__ = [
     "distance",
     "distance_matrix",
     "enumerate_threshold_trees",
-    "erm_partition",
     "gen_adversarial_switch",
     "gen_drifting_trajectories",
     "gen_planted_lower_bound",
@@ -116,9 +112,7 @@ __all__ = [
     "learn_centers",
     "learn_centers_local_search",
     "learn_centers_subset_erm",
-    "median_point",
     "offline_opt_kserver",
-    "open_thread",
     "origin",
     "planted_baseline",
     "predict_and_solve",

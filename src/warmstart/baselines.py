@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import CapExceeded
 from .metric import Point, distance_matrix, origin
-from .trajectories import TrajectorySet
 
 TRAJ_MAX_T = 8
 TRAJ_MAX_K = 3
@@ -145,12 +144,10 @@ def _kserver_cover(D: np.ndarray, k: int) -> float:
     return float(np.cumsum(D[pred, np.arange(1, T + 1)])[-1])
 
 
-def brute_force_best_trajectories(
-    points: list[Point], D: np.ndarray, k: int
-) -> tuple[float, TrajectorySet]:
-    """Exact best k-trajectory cost with predictions restricted to
-    ``points``, the origin and then the T solutions (``Scenario.points``),
-    and a schedule that attains it; ``D`` is the distance table over them.
+def brute_force_best_trajectories(D: np.ndarray, k: int) -> float:
+    """Exact best k-trajectory cost with predictions restricted to the
+    origin and the T solutions, over their distance table ``D`` (index 0 the
+    origin, t the solution of day t), as ``Scenario.distances`` is.
 
     The restricted optimum upper-bounds the unrestricted one and contains
     every zero-hit (k-server style) schedule.  Its value is the least
@@ -159,76 +156,45 @@ def brute_force_best_trajectories(
     from its last prediction (the origin before its first day).
 
     One DP over the days keeps a symmetric table ``V`` of shape (n,)*k over
-    the n distinct points (candidates): the least sum that leaves the k
-    trajectories there.  Day t moves one trajectory, put in slot 0:
-    ``W[c, rest] = min_a (D[c, a] + V[a, rest]) + H[c, t]``, and ``V``
+    the n = T + 1 candidates: the least sum that leaves the k trajectories
+    there.  All k start on the origin: ``V`` is 0 there and inf elsewhere.
+    Day t moves one trajectory, put in slot 0:
+    ``W[c, rest] = min_a (D[c, a] + V[a, rest]) + D[t, c]``, and ``V``
     becomes the least of ``W`` and its k - 1 transposes that swap axis 0
     with axis j.  IEEE addition is monotone, so each entry is the least sum
     over every schedule that reaches its state.  ``D`` is symmetric to the
     bit and ``V`` is symmetric, so the min over a is a contiguous argmin
-    along the last axis of ``D[c, a] + V[rest, a]``.
+    along the last axis of ``D[c, a] + V[rest, a]``.  A repeated point has
+    bit-identical rows and columns in ``D``, so its copies reach the same
+    sums and change no minimum.
 
-    The witness is walked back from the first least final state in C order:
-    each day's parent is its first argmin, the moving trajectory is the
-    lowest slot that reaches the day's least value, and labels are numbered
-    by first use.  k = 1 runs at any T; k >= 2 is capped at T <= TRAJ_MAX_T
-    and k <= TRAJ_MAX_K, checked before the DP's tables are built.
+    k = 1 runs at any T; k >= 2 is capped at T <= TRAJ_MAX_T and
+    k <= TRAJ_MAX_K, checked before the DP's tables are built.
     """
-    T = len(points) - 1
+    T = len(D) - 1
     if k > 1 and (T > TRAJ_MAX_T or k > TRAJ_MAX_K):
         raise CapExceeded(
             f"trajectory DP capped at T<={TRAJ_MAX_T}, k<={TRAJ_MAX_K} for k>=2"
         )
     if T < 1 or k < 1:
         raise ValueError("need T >= 1 and k >= 1")
-    first: dict[tuple, int] = {}
-    idx = [i for i, p in enumerate(points) if first.setdefault(p.coords, i) == i]
-    D, H = D[np.ix_(idx, idx)], D[idx, 1:]
-    n = len(idx)
+    n = T + 1
     shape = (n,) * k
-    hits = H.T.reshape((T, n) + (1,) * (k - 1))
+    hits = D[1:].reshape((T, n) + (1,) * (k - 1))  # hits[t - 1][c] = D[t, c]
     D_c = D.reshape((n,) + (1,) * (k - 1) + (n,))
     step = np.empty(shape + (n,))  # step[c, rest, a] = D[c, a] + V[rest, a]
     flat = step.reshape(-1, n)
     rows = np.arange(n**k).reshape(shape)
-    # Day 1 moves one trajectory off the origin, where all k start: the
-    # same floats as a step from V = 0 there and inf elsewhere.
-    W = np.full(shape, math.inf)
-    W[(slice(None),) + (0,) * (k - 1)] = D[0] + H[:, 0]
-    parents, tables = [np.zeros(shape, dtype=np.intp)], [W]
-    for t in range(1, T + 1):
-        V = W  # V after day t: the least of W over the slot that moved
+    V = np.full(shape, math.inf)
+    V[(0,) * k] = 0.0
+    for hit in hits:
+        np.add(D_c, V, out=step)
+        W = flat[rows, step.argmin(axis=-1)]
+        W += hit
+        V = W  # the least of W over the slot that moved
         for j in range(1, k):
             V = np.minimum(V, W.swapaxes(0, j))
-        if t == T:
-            break
-        np.add(D_c, V, out=step)
-        parent = step.argmin(axis=-1)
-        W = flat[rows, parent]
-        W += hits[t]
-        parents.append(parent)
-        tables.append(W)
-
-    x = np.unravel_index(V.argmin(), shape)
-    cost = float(V[x])
-    moved, choices = [0] * T, [0] * T
-    for t in reversed(range(T)):
-        j = 0  # the slot that moved: the lowest whose move reaches V[x]
-        if k > 1:
-            reached = [tables[t].item((x[i],) + x[:i] + x[i + 1 :]) for i in range(k)]
-            j = reached.index(min(reached))
-        c, rest = x[j], x[:j] + x[j + 1 :]
-        moved[t], choices[t] = j, c
-        x = x[:j] + (parents[t].item((c,) + rest),) + x[j + 1 :]
-    label: dict[int, int] = {}
-    for j in moved:
-        label.setdefault(j, len(label) + 1)
-    witness = TrajectorySet(
-        k=k,
-        assignment={t + 1: label[j] for t, j in enumerate(moved)},
-        predictions={t + 1: points[idx[c]] for t, c in enumerate(choices)},
-    )
-    return cost, witness
+    return float(V.min())
 
 
 class WorkFunctionState:

@@ -92,14 +92,18 @@ def _load_config(args) -> dict:
 
 def _load_scenario(config: dict, search: bool = False) -> Scenario:
     scenario = _read_scenario(config)
-    _check_magnitudes(scenario, search)
+    bound = _check_magnitudes(scenario, search)
+    # A k-server day charges k * sweeps however large k is: k threads, where the bound counts T + 1.
+    k_max = (scenario.T + 1) * (sys.float_info.max / bound)
+    if search and config["strategy"].startswith("kserver-") and config["k"] > k_max:
+        raise UserError("k is too large for this scenario: k threads a day could overflow a cost or ratio")
     return scenario
 
 
-def _check_magnitudes(scenario: Scenario, search: bool) -> None:
+def _check_magnitudes(scenario: Scenario, search: bool) -> float:
     """Reject a scenario whose sums or ratios could overflow (exit 1), or,
     when the run searches (``search``), one whose unit-step counts the
-    search could not keep exact.
+    search could not keep exact; return the bound below.
 
     Between two of origin and solutions a distance is 0 or in [d_min,
     d_max].  One to a planted prediction p is at most |p| + |x| (|.| the
@@ -139,6 +143,7 @@ def _check_magnitudes(scenario: Scenario, search: bool) -> None:
             f"scenario distances reach {d_max:.6g}, at or beyond 2**53 unit "
             "search steps, where step counts are no longer exact"
         )
+    return bound
 
 
 def _read_scenario(config: dict) -> Scenario:
@@ -169,7 +174,7 @@ def _attach_baselines(ledger: CostLedger, scenario: Scenario, config: dict) -> N
     server_costs = offline_opt_kserver(scenario.distances, ks)
     for k, server_cost in zip(ks, server_costs):
         try:
-            cost, _ = brute_force_best_trajectories(scenario.points, scenario.distances, k)
+            cost = brute_force_best_trajectories(scenario.distances, k)
         except CapExceeded:
             cost = None
         name = "opt_1_traj" if k == 1 else f"opt_{k}_traj_restricted"
@@ -178,14 +183,20 @@ def _attach_baselines(ledger: CostLedger, scenario: Scenario, config: dict) -> N
 
 
 def _write(path: str | None, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path``, or to standard output if it is None.
+    Text UTF-8 cannot encode (a lone surrogate) is a user error either way."""
+    try:
+        data = text.encode()
+    except UnicodeEncodeError as e:
+        raise UserError(f"cannot write {path or 'standard output'}: {e}") from e
     if path is None:
         sys.stdout.write(text)
         return
     try:
-        Path(path).write_text(text)
+        Path(path).write_bytes(data)
     except OSError as e:
         raise UserError(f"cannot write {path}: {e.strerror}") from e
-    except ValueError as e:  # a NUL byte or an unencodable character
+    except ValueError as e:  # a NUL byte in the path
         raise UserError(f"cannot write {path}: {e}") from e
 
 
@@ -242,8 +253,8 @@ def cmd_learn(args) -> int:
             "rotation": list(phi),
         }
         out["centers"] = [list(c.coords) for c in C_h.centers]
-        out["train_c_loss"] = c_loss(g, None, C_h, train, scenario.norm)
-        out["holdout_c_loss"] = c_loss(g, None, C_h, test, scenario.norm)
+        out["train_c_loss"] = c_loss(g, C_h, train, scenario.norm)
+        out["holdout_c_loss"] = c_loss(g, C_h, test, scenario.norm)
     _write(config.get("out"), dumps_strict(out))
     return 0
 

@@ -160,19 +160,15 @@ def learn_centers(X: Sequence[Point], k: int, norm: str) -> tuple[CenterSet, str
 MEDIAN_MAX_ITER = 1000
 
 
-def median_point(points: Sequence[Point], norm: str) -> Point:
-    """Empirical 1-median of a nonempty point set under the given norm.
+def median_point_detail(points: Sequence[Point], norm: str) -> tuple[Point, bool]:
+    """Empirical 1-median of a nonempty point set under the given norm, and
+    whether it stopped at ``MEDIAN_MAX_ITER`` iterations before converging
+    (only the L2 median iterates).
 
     Conventions: coordinate-wise lower median under L1 (exact), geometric
     median by iteratively reweighted averaging under L2, coordinate-wise
     midpoint of extremes under Linf.
     """
-    return median_point_detail(points, norm)[0]
-
-
-def median_point_detail(points: Sequence[Point], norm: str) -> tuple[Point, bool]:
-    """``median_point`` and whether it stopped at ``MEDIAN_MAX_ITER``
-    iterations before converging (only the L2 median iterates)."""
     if not points:
         raise ValueError("empty point set")
     dim = points[0].dim

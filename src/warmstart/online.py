@@ -24,7 +24,7 @@ from .errors import CapExceeded, InvariantViolation
 from .kmedians import learn_centers
 from .ledger import CostLedger, DayLedger
 from .metric import Point, distance, origin
-from .oracle import HiddenInstance, open_thread, run_parallel_k_detail
+from .oracle import HiddenInstance, SearchThread, run_parallel_k_detail
 
 ORIGIN_DAY = 0
 
@@ -180,7 +180,7 @@ class _DecayDay:
         while stop < len(self.sources) and self.first[rank] <= bound:
             stop, rank = stop + 1, rank + 1
         for day, src in self.sources[self.opened : stop]:
-            thread = open_thread(self.inst, src)
+            thread = SearchThread(self.inst, src)
             self.active.append(ThreadEntry(day, src, thread, needed=thread.needed))
         self.opened = stop
 

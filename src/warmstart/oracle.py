@@ -80,11 +80,6 @@ class SearchThread:
         return self.inst._solution
 
 
-def open_thread(inst: HiddenInstance, p: Point) -> SearchThread:
-    """Open a fresh search thread from prediction ``p``."""
-    return SearchThread(inst, p)
-
-
 def run_parallel_k_detail(inst: HiddenInstance, preds: list[Point]):
     """Round-robin parallel search from ``preds``.
 

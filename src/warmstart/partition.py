@@ -178,20 +178,15 @@ def enumerate_threshold_trees(
 
 
 def c_loss(
-    h: ThresholdTree,
-    phi: Rotation | None,
-    C: CenterSet,
-    data: Sequence[LabeledSample],
-    norm: str,
+    h: ThresholdTree, C: CenterSet, data: Sequence[LabeledSample], norm: str
 ) -> float:
-    """Mean distance from each solution to the center the hypothesis routes to."""
+    """Mean distance from each solution to the center the hypothesis routes
+    to; a rotated hypothesis phi o h is ``compose(h, phi)``."""
     if not data:
         raise ValueError("empty data")
-    if phi is None:
-        phi = identity_rotation(C.k)
     total = 0.0
     for s in data:
-        total += distance(s.solution, C[phi[h.label(s.features) - 1] - 1], norm)
+        total += distance(s.solution, C[h.label(s.features) - 1], norm)
     return total / len(data)
 
 
@@ -295,19 +290,6 @@ def _erm_per_rotation(
                 best[r] = (float(losses[i]), lo + i)
         lo += len(labels)
     return [(loss, None if i is None else hyps[i]) for loss, i in best]
-
-
-def erm_partition(
-    hyps: Sequence[ThresholdTree],
-    C: CenterSet,
-    data: Sequence[LabeledSample],
-    norm: str,
-) -> ThresholdTree:
-    """Exact minimizer of empirical C-loss under the identity rotation.
-
-    Ties go to the earliest hypothesis in the given enumeration order.
-    """
-    return _erm_per_rotation(hyps, C, data, norm, [identity_rotation(C.k)])[0][1]
 
 
 def all_rotations(k: int) -> list[Rotation]:

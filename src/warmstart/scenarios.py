@@ -117,7 +117,11 @@ class Scenario:
             ],
             "meta": self.meta,
         }
-        return json.dumps(d, sort_keys=True, indent=1) + "\n"
+        try:
+            return json.dumps(d, sort_keys=True, indent=1, allow_nan=False) + "\n"
+        except ValueError as e:  # NaN and the infinities are not JSON
+            what = "meta holds one" if np.isfinite(self.d_max) else f"d_max is {self.d_max!r}"
+            raise ValueError(f"scenario {self.name!r} has a non-finite number: {what}") from e
 
     @staticmethod
     def from_json_text(text: str) -> "Scenario":

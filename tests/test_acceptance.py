@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import warmstart as ws
-from warmstart.kmedians import cost_of_centers, learn_centers_subset_erm, median_point
+from warmstart.kmedians import cost_of_centers, learn_centers_subset_erm, median_point_detail
 from warmstart.metric import L1, L2, NORMS, Point, distance, origin, search_steps
 from warmstart.oracle import HiddenInstance, hidden_solution, run_parallel_k
 from warmstart.partition import (
@@ -118,7 +118,7 @@ def test_criterion_03_planted_lower_bound_exhibit():
     mean_parallel = total / scen.T
     assert k <= mean_parallel <= 2 * k
 
-    best_single = median_point(scen.points[1:], scen.norm)
+    best_single, _ = median_point_detail(scen.points[1:], scen.norm)
     mean_single = sum(
         distance(best_single, hidden_solution(i), scen.norm) for i in scen.days
     ) / scen.T
@@ -142,7 +142,7 @@ def test_criterion_04_constructed_rotation_constants():
         phi = construct_rotation(h, C, data, norm)
         part_cost, _, _ = cost_of_partition(h, data, norm)
         center_cost = cost_of_centers(C, [s.solution for s in data], norm)
-        assert c_loss(h, phi, C, data, norm) <= 2 * part_cost + center_cost + 1e-9
+        assert c_loss(compose(h, phi), C, data, norm) <= 2 * part_cost + center_cost + 1e-9
     _ok(4)
 
 
@@ -159,13 +159,13 @@ def test_criterion_05_rotation_completion_erm():
         hyps = enumerate_threshold_trees([s.features for s in data], k, depth=1)[:50]
         for h in hyps[:8]:
             for phi in all_rotations(k):
-                assert c_loss(compose(h, phi), None, C, data, norm) == c_loss(
-                    h, None, rotate_centers(C, phi), data, norm
+                assert c_loss(compose(h, phi), C, data, norm) == c_loss(
+                    h, rotate_centers(C, phi), data, norm
                 )
         h, phi = rc_erm(hyps, C, data, norm)
-        got = c_loss(compose(h, phi), None, C, data, norm)
+        got = c_loss(compose(h, phi), C, data, norm)
         exp = min(
-            c_loss(compose(hh, pp), None, C, data, norm)
+            c_loss(compose(hh, pp), C, data, norm)
             for hh in hyps
             for pp in all_rotations(k)
         )
@@ -182,7 +182,7 @@ def test_criterion_06_predict_yesterday_vs_single_trajectory():
         sols = [_rand_point(rng, dim, 20.0) for _ in range(T)]
         scen = _inline_scenario(sols, norm)
         lg = ws.predict_yesterday(scen)
-        opt1, _ = ws.brute_force_best_trajectories(scen.points, scen.distances, 1)
+        opt1 = ws.brute_force_best_trajectories(scen.distances, 1)
         assert lg.total_radius <= 2 * opt1 + T + 1e-9
     _ok(6)
 
@@ -196,7 +196,7 @@ def test_criterion_07_trajectory_kserver_sandwich():
         norm = rng.choice(NORMS)
         sols = [_rand_point(rng, dim, 20.0) for _ in range(T)]
         scen = _inline_scenario(sols, norm)
-        traj, _ = ws.brute_force_best_trajectories(scen.points, scen.distances, k)
+        traj = ws.brute_force_best_trajectories(scen.distances, k)
         server = ws.offline_opt_kserver(scen.distances, [k])[0]
         assert traj <= server + 1e-9
         assert server <= 2 * traj + 1e-9

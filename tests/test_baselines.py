@@ -19,7 +19,6 @@ from warmstart.baselines import (
 )
 from warmstart.errors import CapExceeded
 from warmstart.metric import L1, L2, NORMS, Point, distance, distance_matrix, origin
-from warmstart.trajectories import TrajectorySet, trajectory_cost
 
 
 def kserver_costs(solutions, ks, norm):
@@ -29,9 +28,9 @@ def kserver_costs(solutions, ks, norm):
 
 
 def best_trajectories(solutions, k, norm):
-    """``brute_force_best_trajectories`` on a scenario's points and table."""
+    """``brute_force_best_trajectories`` on a scenario's table."""
     points = [origin(solutions[0].dim)] + solutions
-    return brute_force_best_trajectories(points, distance_matrix(points, norm), k)
+    return brute_force_best_trajectories(distance_matrix(points, norm), k)
 
 
 def independent_kserver_opt(solutions, k, norm):
@@ -366,41 +365,10 @@ def test_extra_servers_never_hurt():
     assert costs == sorted(costs, reverse=True)
 
 
-def test_brute_force_trajectories_witness_consistent():
-    rng = random.Random(61)
-    for _ in range(25):
-        T = rng.randint(1, 6)
-        k = rng.randint(1, 3)
-        norm = rng.choice(NORMS)
-        sols = _rand_points(rng, T, 1)
-        cost, witness = best_trajectories(sols, k, norm)
-        sol_map = {t + 1: s for t, s in enumerate(sols)}
-        _, _, total = trajectory_cost(witness, sol_map, norm)
-        assert total == pytest.approx(cost, abs=1e-9)
-
-
 def test_trajectories_k1_stationary_beats_chasing():
     # staying at 0 pays hit 100 twice (200); chasing pays movement 300
     sols = [Point.of(0.0), Point.of(100.0), Point.of(-100.0)]
-    cost, witness = best_trajectories(sols, 1, L1)
-    assert cost == pytest.approx(200.0)
-    sol_map = {t + 1: s for t, s in enumerate(sols)}
-    hit, movement, total = trajectory_cost(witness, sol_map, L1)
-    assert total == pytest.approx(200.0)
-
-
-def test_trajectory_witness_follows_the_tie_rule():
-    # Solutions 0, 1, 1 cost 1 with one trajectory or two.  The walk back
-    # starts from the first least placement, (origin, 1): days 3 and 2 move
-    # the trajectory in slot 1.  After day 1 both stand on the origin, so
-    # both slots tie and the lowest, the trajectory that ends on the origin,
-    # moved: it gets day 1 and, numbered by first use, label 1.
-    sols = [Point.of(0.0), Point.of(1.0), Point.of(1.0)]
-    for k in (2, 3):
-        cost, witness = best_trajectories(sols, k, L1)
-        assert cost == 1.0
-        assert witness.assignment == {1: 1, 2: 2, 3: 2}
-        assert witness.predictions == {1: Point.of(0.0), 2: Point.of(1.0), 3: Point.of(1.0)}
+    assert best_trajectories(sols, 1, L1) == pytest.approx(200.0)
 
 
 def test_trajectories_cap():
@@ -408,8 +376,7 @@ def test_trajectories_cap():
     # capped call raises before it builds the DP's tables: with k = 10**9
     # they could not exist at all.
     sols = [Point.of(float(i)) for i in range(TRAJ_MAX_T + 1)]
-    cost, _ = best_trajectories(sols, 1, L2)
-    assert isinstance(cost, float)
+    assert isinstance(best_trajectories(sols, 1, L2), float)
     for T, k in [(TRAJ_MAX_T + 1, 2), (4, TRAJ_MAX_K + 1), (1, 10**9), (TRAJ_MAX_T, 10**9)]:
         with pytest.raises(CapExceeded):
             best_trajectories(sols[:T], k, L2)
@@ -453,46 +420,14 @@ def reference_best_trajectories(solutions, k, norm):
         return memo[days]
 
     best_cost = math.inf
-    best_assign = None
     for assign in _canonical_assignments(T, k):
         cost = 0.0
         for traj in range(1, max(assign) + 1):
             cost += traj_min_cost(tuple(t for t in range(T) if assign[t] == traj))
             if cost >= best_cost:
                 break
-        if cost < best_cost:
-            best_cost = cost
-            best_assign = assign
-    return best_cost, reference_witness(best_assign, candidates, D, H, k, solutions)
-
-
-def reference_witness(assign, candidates, D, H, k, solutions):
-    """Each label's one-trajectory DP over its days, run forward with the
-    first argmin over the previous day's candidates as parent, and walked
-    back from the first least candidate of its last day."""
-    T = len(solutions)
-    predictions = {}
-    for traj in range(1, max(assign) + 1):
-        days = [t for t in range(T) if assign[t] == traj]
-        dp = D[0, :] + H[:, days[0]]
-        parents = []
-        for t in days[1:]:
-            step = dp[:, None] + D
-            parents.append(step.argmin(axis=0))
-            dp = step.min(axis=0) + H[:, t]
-        c = int(dp.argmin())
-        choices = [c]
-        for parent in reversed(parents):
-            c = int(parent[c])
-            choices.append(c)
-        choices.reverse()
-        for day, ci in zip(days, choices):
-            predictions[day + 1] = candidates[ci]
-    return TrajectorySet(
-        k=k,
-        assignment={t + 1: assign[t] for t in range(T)},
-        predictions=predictions,
-    )
+        best_cost = min(best_cost, cost)
+    return best_cost
 
 
 def configuration_traj_opt(solutions, k, norm):
@@ -529,23 +464,9 @@ def configuration_traj_opt(solutions, k, norm):
     return min(best.values())
 
 
-def day_order_cost(witness, solutions, norm):
-    """A schedule's cost summed day by day: each day adds its trajectory's
-    move from its last prediction (the origin at first), then its hit."""
-    last = {}
-    cost = 0.0
-    for t, s in enumerate(solutions, 1):
-        p = witness.predictions[t]
-        label = witness.assignment[t]
-        cost = (cost + distance(last.get(label, origin(s.dim)), p, norm)) + distance(p, s, norm)
-        last[label] = p
-    return cost
-
-
 def _trajectory_cases():
     # Half the cases sit on a small integer grid, where ties between
-    # schedules and repeated solutions are common, so the tie rule and the
-    # candidate order both show.
+    # schedules and repeated solutions are common.
     rng = random.Random(83)
     for case in range(1200):
         T = rng.randint(1, TRAJ_MAX_T)
@@ -560,16 +481,10 @@ def _trajectory_cases():
 
 
 def test_trajectory_dp_is_the_least_day_order_sum():
-    # The value is the least day-order sum over every schedule, bit for bit;
-    # the witness is a schedule whose day-order sum is that value, with
-    # labels numbered by first use and at most k of them.
+    # The value is the least day-order sum over every schedule, bit for bit.
     for case, T, k, norm, sols in _trajectory_cases():
-        cost, witness = best_trajectories(sols, k, norm)
+        cost = best_trajectories(sols, k, norm)
         assert repr(cost) == repr(configuration_traj_opt(sols, k, norm)), (case, T, k, norm)
-        assert repr(day_order_cost(witness, sols, norm)) == repr(cost), (case, T, k, norm)
-        labels = [witness.assignment[t] for t in range(1, T + 1)]
-        assert all(lab <= max(labels[:i], default=0) + 1 for i, lab in enumerate(labels))
-        assert witness.k == k and max(labels) <= k
 
 
 def test_trajectory_dp_is_within_two_ulps_a_day_of_the_per_label_sum():
@@ -577,19 +492,17 @@ def test_trajectory_dp_is_within_two_ulps_a_day_of_the_per_label_sum():
     # day-order sum interleaves them.  Both round sums of the same 2T
     # nonnegative terms per schedule, each within about 2T half-ulps of the
     # exact least sum, so they are within 2T ulps of each other.  With one
-    # label the two sums are the same, and so are the witnesses.
+    # label the two sums are the same.
     for case, T, k, norm, sols in _trajectory_cases():
-        cost, witness = best_trajectories(sols, k, norm)
-        old_cost, old_witness = reference_best_trajectories(sols, k, norm)
+        cost = best_trajectories(sols, k, norm)
+        old_cost = reference_best_trajectories(sols, k, norm)
         assert abs(cost - old_cost) <= 2 * T * 2**-52 * old_cost, (case, T, k, norm)
         if k == 1:
             assert repr(cost) == repr(old_cost), (case, T, norm)
-            assert witness == old_witness, (case, T, norm)
 
 
 def test_one_trajectory_beyond_the_cap_is_the_plain_dp():
-    # k = 1 runs at any T: its value is a plain day-by-day DP over all days,
-    # and its witness is that DP walked back.
+    # k = 1 runs at any T: its value is a plain day-by-day DP over all days.
     rng = random.Random(89)
     for case in range(60):
         T = rng.randint(TRAJ_MAX_T + 1, 60)
@@ -608,17 +521,16 @@ def test_one_trajectory_beyond_the_cap_is_the_plain_dp():
         dp = D[0] + H[:, 0]
         for t in range(1, T):
             dp = (dp[:, None] + D).min(axis=0) + H[:, t]
-        cost, witness = best_trajectories(sols, 1, norm)
-        assert repr(cost) == repr(float(dp.min())), (case, T, norm)
-        assert witness == reference_witness((1,) * T, candidates, D, H, 1, sols), (case, T, norm)
+        assert repr(best_trajectories(sols, 1, norm)) == repr(float(dp.min())), (case, T, norm)
 
 
 def table_building_best_trajectories(solutions, k, norm):
     """Reference: the trajectory DP as it was before it read a scenario's
     table.  It takes the solutions and a norm, lists the candidates itself
     (the origin, then each distinct solution at its first day) and builds two
-    tables over them: candidate to candidate and candidate to solution.  The
-    DP and the walk back are the ones ``brute_force_best_trajectories`` runs."""
+    tables over them: candidate to candidate and candidate to solution.  Its
+    DP is the one ``brute_force_best_trajectories`` runs over every point of
+    the scenario's table, repeats included, with day 1 written out."""
     T = len(solutions)
     if k > 1 and (T > TRAJ_MAX_T or k > TRAJ_MAX_K):
         raise CapExceeded(
@@ -644,7 +556,6 @@ def table_building_best_trajectories(solutions, k, norm):
     rows = np.arange(n**k).reshape(shape)
     W = np.full(shape, math.inf)
     W[(slice(None),) + (0,) * (k - 1)] = D[0] + H[:, 0]
-    parents, tables = [np.zeros(shape, dtype=np.intp)], [W]
     for t in range(1, T + 1):
         V = W
         for j in range(1, k):
@@ -652,32 +563,9 @@ def table_building_best_trajectories(solutions, k, norm):
         if t == T:
             break
         np.add(D_c, V, out=step)
-        parent = step.argmin(axis=-1)
-        W = flat[rows, parent]
+        W = flat[rows, step.argmin(axis=-1)]
         W += hits[t]
-        parents.append(parent)
-        tables.append(W)
-
-    x = np.unravel_index(V.argmin(), shape)
-    cost = float(V[x])
-    moved, choices = [0] * T, [0] * T
-    for t in reversed(range(T)):
-        j = 0
-        if k > 1:
-            reached = [tables[t].item((x[i],) + x[:i] + x[i + 1 :]) for i in range(k)]
-            j = reached.index(min(reached))
-        c, rest = x[j], x[:j] + x[j + 1 :]
-        moved[t], choices[t] = j, c
-        x = x[:j] + (parents[t].item((c,) + rest),) + x[j + 1 :]
-    label = {}
-    for j in moved:
-        label.setdefault(j, len(label) + 1)
-    witness = TrajectorySet(
-        k=k,
-        assignment={t + 1: label[j] for t, j in enumerate(moved)},
-        predictions={t + 1: candidates[c] for t, c in enumerate(choices)},
-    )
-    return cost, witness
+    return float(V.min())
 
 
 def _repeating_grid(rng, T, dim):
@@ -690,19 +578,17 @@ def _repeating_grid(rng, T, dim):
 
 
 def test_trajectory_dp_on_the_scenario_table_matches_the_table_building_reference():
-    # The DP reads the first-occurrence rows and columns of the scenario's
-    # table instead of building its own tables over the distinct candidates;
-    # the value must match in repr and the witness must be equal.
+    # The DP reads every row of the scenario's table, repeated points and
+    # the origin's copies included, instead of building its own tables over
+    # the distinct candidates; the value must match in repr.
     rng = random.Random(137)
     cases = [(rng.randint(1, TRAJ_MAX_T), rng.randint(1, TRAJ_MAX_K)) for _ in range(600)]
     cases += [(rng.randint(TRAJ_MAX_T + 1, 40), 1) for _ in range(150)]
     for case, (T, k) in enumerate(cases):
         norm = NORMS[case % 3]
         sols = _repeating_grid(rng, T, rng.randint(1, 3))
-        cost, witness = best_trajectories(sols, k, norm)
-        ref_cost, ref_witness = table_building_best_trajectories(sols, k, norm)
-        assert repr(cost) == repr(ref_cost), (case, T, k, norm, sols)
-        assert witness == ref_witness, (case, T, k, norm, sols)
+        cost = best_trajectories(sols, k, norm)
+        assert repr(cost) == repr(table_building_best_trajectories(sols, k, norm)), (case, T, k, norm, sols)
 
 
 def test_sandwich_against_kserver_opt():
@@ -712,7 +598,7 @@ def test_sandwich_against_kserver_opt():
         k = rng.randint(1, 3)
         norm = rng.choice(NORMS)
         sols = _rand_points(rng, T, 2)
-        traj, _ = best_trajectories(sols, k, norm)
+        traj = best_trajectories(sols, k, norm)
         server = kserver_costs(sols, [k], norm)[0]
         assert traj <= server + 1e-9
         assert server <= 2 * traj + 1e-9
@@ -734,7 +620,7 @@ def test_trajectory_optimum_never_exceeds_the_kserver_optimum():
             sols = _rand_points(rng, T, dim, spread=rng.choice([1.0, 15.0, 1e4, 1e7]))
         servers = kserver_costs(sols, [1, 2, 3], norm)
         for k, server in zip((1, 2, 3), servers):
-            traj, _ = best_trajectories(sols, k, norm)
+            traj = best_trajectories(sols, k, norm)
             assert traj <= server, (case, k, norm, sols)
 
 

@@ -5,6 +5,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -263,6 +265,7 @@ BAD_INPUTS = [
     ("simulate", {"strategy": "predict-yesterday", "seed": -1}, None),
     ("learn", {"learner": "centers", "k": 1, "seed": 2**128}, None),
     ("simulate", {"strategy": "predict-yesterday", "seed": 1.0}, None),
+    ("simulate", {"strategy": "kserver-greedy", "k": 10**400}, None),
 ]
 BAD_INPUT_IDS = [
     "unknown-norm",
@@ -317,6 +320,7 @@ BAD_INPUT_IDS = [
     "seed-negative",
     "seed-2-to-the-128",
     "seed-float",
+    "kserver-k-overflows",
 ]
 
 
@@ -551,6 +555,27 @@ def test_report_quotes_a_field_that_holds_a_separator(scen_file, tmp_path):
     assert len(header) == len(row) == 5 + 2 * len(ledger["baselines"])
     cells = dict(zip(header, row))
     assert cells["scenario"] == name and cells[f"baseline:{name}"] == "2.0"
+
+
+def test_report_of_a_name_utf8_cannot_encode_exits_one(scen_file, tmp_path):
+    # A lone surrogate is valid JSON but not UTF-8.  The report exits 1 with
+    # one line whether it goes to a file or to standard output; a fresh
+    # interpreter gives it a real standard output, which pytest's capture
+    # does not.
+    out = tmp_path / "ledger.json"
+    assert main(["simulate", "--scenario", str(scen_file), "--strategy", "predict-yesterday", "--out", str(out)]) == 0
+    ledger = json.loads(out.read_text())
+    ledger["scenario"] = "\ud800"
+    out.write_text(json.dumps(ledger))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for extra in ([], ["--out", str(tmp_path / "report.csv")]):
+        proc = subprocess.run(
+            [sys.executable, "-c", "from warmstart.cli import entry; entry()", "report", str(out), *extra],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+        assert proc.stderr.startswith("error: cannot write ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_simulate_builds_one_distance_table(tmp_path, monkeypatch):

@@ -10,7 +10,6 @@ from warmstart.kmedians import (
     learn_centers_local_search,
     learn_centers_subset_erm,
     _geometric_median,
-    median_point,
     median_point_detail,
 )
 from warmstart.metric import L1, L2, LINF, NORMS, Point, distance
@@ -84,18 +83,18 @@ def test_local_search_never_worse_than_start_and_exact_on_small():
 def test_median_point_l1_lower_median():
     pts = [Point.of(1.0, 5.0), Point.of(2.0, 7.0), Point.of(9.0, 6.0), Point.of(4.0, 8.0)]
     # even count: lower median per coordinate
-    assert median_point(pts, L1) == Point.of(2.0, 6.0)
+    assert median_point_detail(pts, L1)[0] == Point.of(2.0, 6.0)
 
 
 def test_median_point_linf_midrange():
     pts = [Point.of(0.0), Point.of(3.0), Point.of(10.0)]
-    assert median_point(pts, LINF) == Point.of(5.0)
+    assert median_point_detail(pts, LINF)[0] == Point.of(5.0)
 
 
 def test_median_point_l2_geometric_median():
     # symmetric cross: geometric median is the center
     pts = [Point.of(1.0, 0.0), Point.of(-1.0, 0.0), Point.of(0.0, 1.0), Point.of(0.0, -1.0)]
-    m = median_point(pts, L2)
+    m, _ = median_point_detail(pts, L2)
     assert distance(m, Point.of(0.0, 0.0), L2) < 1e-6
 
 
@@ -105,7 +104,7 @@ def test_median_point_minimizes_total_distance():
     rng = random.Random(31)
     for norm in (L1, L2):
         pts = [Point.of(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(7)]
-        m = median_point(pts, norm)
+        m, _ = median_point_detail(pts, norm)
         total = sum(distance(m, p, norm) for p in pts)
         for _ in range(200):
             q = Point.of(rng.uniform(-5, 5), rng.uniform(-5, 5))
@@ -115,7 +114,7 @@ def test_median_point_minimizes_total_distance():
 
 def test_median_point_empty_rejected():
     with pytest.raises(ValueError):
-        median_point([], L2)
+        median_point_detail([], L2)
 
 
 def ref_geometric_median(points, tol=1e-9, max_iter=1000):
@@ -171,4 +170,4 @@ def test_geometric_median_starts_from_a_left_to_right_mean():
 
 def test_l2_median_rejects_a_non_finite_estimate():
     with pytest.raises(ValueError):
-        median_point([Point.of(1.5e308), Point.of(1.6e308)], L2)  # the mean overflows
+        median_point_detail([Point.of(1.5e308), Point.of(1.6e308)], L2)  # the mean overflows

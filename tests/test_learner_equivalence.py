@@ -33,7 +33,6 @@ from warmstart.partition import (
     construct_rotation,
     cost_of_partition,
     enumerate_threshold_trees,
-    erm_partition,
     rc_erm,
     rotate_centers,
 )
@@ -119,7 +118,7 @@ def ref_erm_partition(hyps, C, data, norm):
     best = None
     best_loss = math.inf
     for h in hyps:
-        loss = c_loss(h, None, C, data, norm)
+        loss = c_loss(h, C, data, norm)
         if loss < best_loss:
             best, best_loss = h, loss
     return best
@@ -130,7 +129,7 @@ def ref_rc_erm(hyps, C, data, norm):
     best_loss = math.inf
     for phi in all_rotations(C.k):
         h = ref_erm_partition(hyps, rotate_centers(C, phi), data, norm)
-        loss = c_loss(h, phi, C, data, norm)
+        loss = c_loss(compose(h, phi), C, data, norm)
         if loss < best_loss:
             best, best_loss = (h, phi), loss
     return best
@@ -194,10 +193,11 @@ def test_rc_erm_matches_enumerating_reference(norm, depth):
         h, phi = rc_erm(hyps, C, data, norm)
         ref_h, ref_phi = ref_rc_erm(hyps, C, data, norm)
         assert h is ref_h and phi == ref_phi
-        assert erm_partition(hyps, C, data, norm) is ref_erm_partition(hyps, C, data, norm)
         rotations = all_rotations(C.k)
-        for rot, (loss, best) in zip(rotations, partition._erm_per_rotation(hyps, C, data, norm, rotations)):
-            assert loss == c_loss(best, rot, C, data, norm)  # bit for bit
+        per_rotation = partition._erm_per_rotation(hyps, C, data, norm, rotations)
+        assert per_rotation[0][1] is ref_erm_partition(hyps, C, data, norm)  # the identity row
+        for rot, (loss, best) in zip(rotations, per_rotation):
+            assert loss == c_loss(compose(best, rot), C, data, norm)  # bit for bit
 
 
 @pytest.mark.parametrize("depth", (0, 1, 2))

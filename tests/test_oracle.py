@@ -5,8 +5,8 @@ import pytest
 from warmstart.metric import L2, NORMS, Point, distance, search_steps
 from warmstart.oracle import (
     HiddenInstance,
+    SearchThread,
     hidden_solution,
-    open_thread,
     required_steps,
     run_parallel_k,
     run_parallel_k_detail,
@@ -35,7 +35,7 @@ def stepped_round_robin(inst, preds):
     prediction stepped a unit at a time, in list order, sweep by sweep."""
     if not preds:
         raise ValueError("need at least one prediction")
-    threads = [open_thread(inst, p) for p in preds]
+    threads = [SearchThread(inst, p) for p in preds]
     sweeps = 0
     while True:
         sweeps += 1
@@ -78,7 +78,7 @@ def test_closed_form_matches_stepped_round_robin():
 
 def test_single_thread_steps_and_result_guard():
     inst = _inst(Point.of(7.0))
-    t = open_thread(inst, Point.of(0.0))
+    t = SearchThread(inst, Point.of(0.0))
     with pytest.raises(RuntimeError):
         t.result()
     for _ in range(6):
@@ -91,7 +91,7 @@ def test_single_thread_steps_and_result_guard():
 
 def test_advance_takes_many_steps_but_never_past_completion():
     inst = _inst(Point.of(7.0))
-    t = open_thread(inst, Point.of(0.0))
+    t = SearchThread(inst, Point.of(0.0))
     assert not t.advance(0) and not t.advance(4)
     assert t.radius == 4
     with pytest.raises(RuntimeError):
@@ -109,7 +109,7 @@ def test_advance_takes_many_steps_but_never_past_completion():
 
 def test_exact_prediction_pays_one_step():
     inst = _inst(Point.of(3.0, 4.0))
-    t = open_thread(inst, Point.of(3.0, 4.0))
+    t = SearchThread(inst, Point.of(3.0, 4.0))
     assert t.step()
     assert t.radius == 1
 

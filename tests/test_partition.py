@@ -14,7 +14,6 @@ from warmstart.partition import (
     construct_rotation,
     cost_of_partition,
     enumerate_threshold_trees,
-    erm_partition,
     identity_rotation,
     rc_erm,
     rotate_centers,
@@ -80,8 +79,8 @@ def test_rotation_conversion_identity_exact():
         hyps = enumerate_threshold_trees([s.features for s in data], k, depth=1)
         for h in hyps[:10]:
             for phi in all_rotations(k):
-                lhs = c_loss(compose(h, phi), None, C, data, norm)
-                rhs = c_loss(h, None, rotate_centers(C, phi), data, norm)
+                lhs = c_loss(compose(h, phi), C, data, norm)
+                rhs = c_loss(h, rotate_centers(C, phi), data, norm)
                 assert lhs == rhs  # exact, same float operations
 
 
@@ -100,9 +99,9 @@ def test_rc_erm_matches_joint_brute_force():
         )
         hyps = enumerate_threshold_trees([s.features for s in data], k, depth=1)[:50]
         h, phi = rc_erm(hyps, C, data, norm)
-        got = c_loss(compose(h, phi), None, C, data, norm)
+        got = c_loss(compose(h, phi), C, data, norm)
         exp = min(
-            c_loss(compose(hh, pp), None, C, data, norm)
+            c_loss(compose(hh, pp), C, data, norm)
             for hh in hyps
             for pp in all_rotations(k)
         )
@@ -127,7 +126,7 @@ def test_constructed_rotation_loss_bound():
         phi = construct_rotation(h, C, data, norm)
         part_cost, _, _ = cost_of_partition(h, data, norm)
         center_cost = cost_of_centers(C, [s.solution for s in data], norm)
-        assert c_loss(h, phi, C, data, norm) <= 2 * part_cost + center_cost + 1e-9
+        assert c_loss(compose(h, phi), C, data, norm) <= 2 * part_cost + center_cost + 1e-9
 
 
 def test_cost_of_partition_handles_empty_parts():
@@ -145,7 +144,8 @@ def test_erm_ties_go_to_earliest_hypothesis():
     data = [LabeledSample(Point.of(0.0), Point.of(0.0))]
     C = CenterSet((Point.of(0.0), Point.of(0.0)))
     hyps = enumerate_threshold_trees([Point.of(0.0)], 2, depth=0)
-    assert erm_partition(hyps, C, data, L2) is hyps[0]
+    h, phi = rc_erm(hyps, C, data, L2)
+    assert h is hyps[0] and phi == identity_rotation(2)
 
 
 def test_two_step_learn_recovers_separable_clusters():
@@ -161,7 +161,7 @@ def test_two_step_learn_recovers_separable_clusters():
         norm=L1,
     )
     g = compose(h, phi)
-    assert c_loss(g, None, C_h, data, L1) == pytest.approx(0.0, abs=1e-9)
+    assert c_loss(g, C_h, data, L1) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_identity_rotation_first_in_enumeration():

@@ -95,6 +95,18 @@ def test_a_file_d_max_is_not_read():
     assert back.to_json_text() == text
 
 
+def test_a_scenario_with_a_non_finite_number_is_not_written():
+    # Solutions 2e200 apart are finite, but their distance overflows to inf,
+    # which JSON cannot hold; nor can a NaN or an infinity in meta.
+    with pytest.raises(ValueError, match="d_max is inf"):
+        gen_planted_lower_bound(3, k=2, sep=1e200, T=8, dim=1).to_json_text()
+    scen = gen_planted_lower_bound(3, k=2, sep=10.0, T=8, dim=1)
+    for bad in (float("inf"), float("nan")):
+        scen.meta["params"]["sep"] = bad
+        with pytest.raises(ValueError, match="meta holds one"):
+            scen.to_json_text()
+
+
 def test_planted_cost_matches_trajectory_cost():
     for seed, k in [(2, 1), (2, 2), (5, 3)]:
         scen = gen_drifting_trajectories(seed, k=k, drift_per_day=1.0, noise=0.5, T=15, dim=2)
