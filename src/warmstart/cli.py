@@ -184,13 +184,21 @@ def _attach_baselines(ledger: CostLedger, scenario: Scenario, config: dict) -> N
 
 def _write(path: str | None, text: str) -> None:
     """Write ``text`` as UTF-8 to ``path``, or to standard output if it is None.
-    Text UTF-8 cannot encode (a lone surrogate) is a user error either way."""
+    Text UTF-8 cannot encode (a lone surrogate) is a user error either way.
+    Standard output gets the UTF-8 bytes through its binary buffer, whatever
+    its own encoding; a text stream without one (``io.StringIO``) gets
+    ``text``."""
     try:
         data = text.encode()
     except UnicodeEncodeError as e:
         raise UserError(f"cannot write {path or 'standard output'}: {e}") from e
     if path is None:
-        sys.stdout.write(text)
+        buffer = getattr(sys.stdout, "buffer", None)
+        if buffer is None:
+            sys.stdout.write(text)
+        else:
+            sys.stdout.flush()
+            buffer.write(data)
         return
     try:
         Path(path).write_bytes(data)

@@ -2,7 +2,9 @@
 
 Ledgers serialize to a versioned, sorted-key JSON text with full-precision
 decimal floats, so identical runs produce byte-identical files and files
-round-trip exactly.
+round-trip exactly.  The writer emits that fixed layout itself, the same
+bytes as ``dumps_strict`` of the ledger's fields, without ``json``'s
+pure-Python indenting encoder.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii
 
 from .errors import InvariantViolation
 
@@ -44,6 +47,42 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not valid JSON")
 
 
+def _value(v, pad: str) -> str:
+    """``dumps_strict`` text of ``v`` as it stands in a line that starts
+    with ``pad``: a scalar directly, anything else through ``dumps_strict``
+    and re-indented, which raises on a non-finite float."""
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float) and math.isfinite(v):
+        return float.__repr__(v)
+    return dumps_strict(v)[:-1].replace("\n", "\n" + pad)
+
+
+def _object(d: dict[str, object], pad: str) -> str:
+    """``dumps_strict`` text of ``d``, a dict with string keys, whose first
+    line starts with ``pad``: sorted keys, one ``_value`` each."""
+    if not d:
+        return "{}"
+    inner = pad + " "
+    items = [f"{inner}{encode_basestring_ascii(k)}: {_value(d[k], inner)}" for k in sorted(d)]
+    return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+
+
+# One ``days`` row: the five fields of a DayLedger in sorted key order.
+_DAY_ROW = (
+    '  {\n   "day": %d,\n   "overhead_work": %d,\n   "radius_searched": %d,'
+    '\n   "solver_thread": %d,\n   "virtual_radius": %d\n  }'
+)
+
+
 @dataclass
 class DayLedger:
     """Accounting for one simulated day.
@@ -60,6 +99,11 @@ class DayLedger:
     solver_thread: int
 
     def __post_init__(self):
+        if not (
+            type(self.day) is type(self.radius_searched) is type(self.overhead_work)
+            is type(self.virtual_radius) is type(self.solver_thread) is int
+        ):
+            raise ValueError("day ledger fields must be integers")
         if not (self.radius_searched >= self.virtual_radius >= 1):
             raise ValueError("need radius_searched >= virtual_radius >= 1")
         if self.overhead_work < 0:
@@ -96,33 +140,26 @@ class CostLedger:
         if value is not None and value > 0:
             self.ratios[name] = self.total_radius / value
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "scenario": self.scenario,
-            "strategy": self.strategy,
-            "params": self.params,
-            "days": [
-                {
-                    "day": d.day,
-                    "radius_searched": d.radius_searched,
-                    "overhead_work": d.overhead_work,
-                    "virtual_radius": d.virtual_radius,
-                    "solver_thread": d.solver_thread,
-                }
-                for d in self.days
-            ],
-            "totals": {
-                "radius": self.total_radius,
-                "overhead": self.total_overhead,
-                "wall_estimate": self.wall_estimate,
-            },
-            "baselines": self.baselines,
-            "ratios": self.ratios,
-        }
-
     def to_json_text(self) -> str:
-        return dumps_strict(self.to_dict())
+        """``dumps_strict`` of the ledger's fields and totals, emitted in
+        its fixed layout; ``InvariantViolation`` on a non-finite float."""
+        days = ",\n".join(
+            _DAY_ROW % (d.day, d.overhead_work, d.radius_searched, d.solver_thread, d.virtual_radius)
+            for d in self.days
+        )
+        radius, overhead = self.total_radius, self.total_overhead
+        totals = {"overhead": overhead, "radius": radius, "wall_estimate": radius + overhead}
+        return (
+            '{\n "baselines": ' + _object(self.baselines, " ")
+            + ',\n "days": ' + (f"[\n{days}\n ]" if self.days else "[]")
+            + ',\n "params": ' + _object(self.params, " ")
+            + ',\n "ratios": ' + _object(self.ratios, " ")
+            + ',\n "scenario": ' + _value(self.scenario, " ")
+            + ',\n "schema_version": ' + _value(self.schema_version, " ")
+            + ',\n "strategy": ' + _value(self.strategy, " ")
+            + ',\n "totals": ' + _object(totals, " ")
+            + "\n}\n"
+        )
 
     @staticmethod
     def from_dict(d: dict) -> "CostLedger":

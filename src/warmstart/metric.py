@@ -22,19 +22,20 @@ LINF = "Linf"
 NORMS = (L1, L2, LINF)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Point:
     """An immutable point in R^dim. All coordinates must be finite."""
 
     coords: tuple[float, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(float(c) for c in self.coords))
-        if len(self.coords) == 0:
+    def __init__(self, coords: Iterable[float]):
+        coords = tuple(map(float, coords))
+        if not coords:
             raise ValueError("a point needs at least one coordinate")
-        for c in self.coords:
-            if not math.isfinite(c):
-                raise ValueError(f"non-finite coordinate {c!r}")
+        if not all(map(math.isfinite, coords)):
+            bad = next(c for c in coords if not math.isfinite(c))
+            raise ValueError(f"non-finite coordinate {bad!r}")
+        object.__setattr__(self, "coords", coords)
 
     @property
     def dim(self) -> int:
@@ -52,19 +53,15 @@ def origin(dim: int) -> Point:
     return Point((0.0,) * dim)
 
 
-def _check_dims(u: Point, v: Point) -> None:
-    if u.dim != v.dim:
-        raise DimensionMismatch(f"dimension mismatch: {u.dim} vs {v.dim}")
-
-
 def distance(u: Point, v: Point, norm: str = L2) -> float:
     """Norm distance between two points of equal dimension.
 
     Coordinates are accumulated strictly left to right so replays are
     bit-identical.
     """
-    _check_dims(u, v)
     uc, vc = u.coords, v.coords
+    if len(uc) != len(vc):
+        raise DimensionMismatch(f"dimension mismatch: {len(uc)} vs {len(vc)}")
     if norm == L1:
         total = 0.0
         for a, b in zip(uc, vc):

@@ -46,7 +46,7 @@ class SearchThread:
     count from its origin."""
 
     def __init__(self, inst: HiddenInstance, origin: Point):
-        if origin.dim != inst.dim:
+        if len(origin.coords) != len(inst._solution.coords):
             raise DimensionMismatch(
                 f"prediction dim {origin.dim} != solution dim {inst.dim}"
             )

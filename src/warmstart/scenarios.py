@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .ledger import _reject_constant
 from .metric import L2, NORMS, Point, distance_matrix, origin
 from .oracle import HiddenInstance, hidden_solution
 from .trajectories import TrajectorySet, trajectory_cost
@@ -58,8 +59,9 @@ class Scenario:
         days = [inst.day for inst in self.days]
         if not all(map(_is_int, days)) or days != list(range(1, self.T + 1)):
             raise ValueError(f"scenario days must be numbered 1..{self.T} in order")
+        dim, norm = self.dim, self.norm
         for inst in self.days:
-            if inst.features.dim != self.dim or inst.dim != self.dim or inst.norm != self.norm:
+            if len(inst.features.coords) != dim or len(hidden_solution(inst).coords) != dim or inst.norm != norm:
                 raise ValueError(f"day {inst.day} is not in dimension {self.dim} and norm {self.norm}")
         if not isinstance(self.meta, dict):
             raise ValueError("scenario meta must be an object")
@@ -125,14 +127,14 @@ class Scenario:
 
     @staticmethod
     def from_json_text(text: str) -> "Scenario":
-        d = json.loads(text)
+        d = json.loads(text, parse_constant=_reject_constant)
         if d["schema_version"] != SCHEMA_VERSION:
             raise ValueError(f"unsupported scenario schema {d['schema_version']}")
         days = [
             HiddenInstance(
                 day=e["day"],
-                features=Point(tuple(e["features"])),
-                solution=Point(tuple(e["solution"])),
+                features=Point(e["features"]),
+                solution=Point(e["solution"]),
                 norm=d["norm"],
             )
             for e in d["days"]

@@ -1022,3 +1022,85 @@ def test_report_rejects_a_ledger_of_the_wrong_types(scen_file, tmp_path, capsys,
     assert main(["report", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: bad ledger file") and err.count("\n") == 1
+
+
+# The planted scenario of the golden ledgers and artifacts: T = 8, so every
+# k-trajectory baseline up to k = 3 is a number.
+GOLDEN_SPEC = {
+    "generator": "drifting_trajectories",
+    "params": {"seed": 55, "k": 2, "drift_per_day": 0.5, "noise": 0.5, "T": 8, "dim": 2},
+}
+GOLDEN_RUNS = [("simulate", f"ledger_{s}.json", {"strategy": s, "k": 2, "baseline_ks": [1, 2, 3]}) for s in STRATEGIES]
+GOLDEN_RUNS += [("learn", f"learn_{lr}.json", {"learner": lr, "k": 2}) for lr in ("centers", "partition")]
+
+
+@pytest.mark.parametrize("command, golden, config", GOLDEN_RUNS, ids=[g for _, g, _ in GOLDEN_RUNS])
+def test_outputs_match_the_golden_files(tmp_path, command, golden, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": GOLDEN_SPEC, **config}))
+    out = tmp_path / "out.json"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # Each hash seed runs one simulate and one learn of the same config in a
+    # fresh interpreter.
+    cfg = tmp_path / "cfg.json"
+    config = {"strategy": "kserver-wfa", "k": 2, "baseline_ks": [1, 2], "learner": "partition"}
+    cfg.write_text(json.dumps({"scenario": GOLDEN_SPEC, **config}))
+    code = (
+        f"import sys; from warmstart.cli import main; d = sys.argv[1]; "
+        f"assert main(['simulate', '--config', {str(cfg)!r}, '--out', d + '/ledger.json']) == 0; "
+        f"assert main(['learn', '--config', {str(cfg)!r}, '--out', d + '/art.json']) == 0"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = set()
+    for seed in ("0", "1", "98765"):
+        run_dir = tmp_path / f"hash{seed}"
+        run_dir.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(run_dir)], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(((run_dir / "ledger.json").read_bytes(), (run_dir / "art.json").read_bytes()))
+    assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("where", ["meta", "solution"])
+def test_a_scenario_file_with_nan_or_infinity_exits_one(scen_file, tmp_path, capsys, where):
+    # NaN and Infinity are not JSON: json.dumps writes them, json.loads reads
+    # them, and the scenario reader refuses them.
+    scen = json.loads(scen_file.read_text())
+    if where == "meta":
+        scen["meta"]["params"]["noise"] = math.inf
+    else:
+        scen["days"][2]["solution"][1] = math.nan
+    scen_file.write_text(json.dumps(scen))
+    out = tmp_path / "ledger.json"
+    assert main(["simulate", "--scenario", str(scen_file), "--strategy", "predict-yesterday", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad scenario file") and err.count("\n") == 1, err
+    assert ("Infinity" if where == "meta" else "NaN") in err
+    assert not out.exists()
+
+
+def test_report_to_an_ascii_standard_output_writes_utf8(scen_file, tmp_path):
+    # Standard output gets UTF-8 bytes whatever its encoding; a fresh
+    # interpreter gives it a real standard output, which pytest's capture
+    # does not.
+    out = tmp_path / "ledger.json"
+    assert main(["simulate", "--scenario", str(scen_file), "--strategy", "predict-yesterday", "--out", str(out)]) == 0
+    ledger = json.loads(out.read_text())
+    ledger["scenario"] = "café"
+    out.write_text(json.dumps(ledger))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "from warmstart.cli import entry; entry()", "report", str(out)],
+        capture_output=True, env={**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "ascii"},
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert main(["report", str(out), "--out", str(tmp_path / "report.csv")]) == 0
+    assert proc.stdout == (tmp_path / "report.csv").read_bytes()
+    assert proc.stdout.split(b"\n")[1].startswith("café,".encode())
