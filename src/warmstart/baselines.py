@@ -31,55 +31,56 @@ def offline_opt_kserver(D: np.ndarray, ks: list[int]) -> list[float]:
     request t), as ``Scenario.distances`` is.
 
     All servers start at the origin, and more than T servers cannot help, so
-    k reads the cost of k' = min(k, T) servers.  Every k' <= 3 comes from a
-    dynamic program (``_kserver_dp``) whose value is the least left-to-right
-    float sum of per-request movement over all schedules; every k' >= 4
-    from a path-cover assignment (``_kserver_cover``) that reports that sum
-    along the schedule it finds.
+    k reads the cost of k' = min(k, T) servers.  Every k' <= 3 comes from one
+    dynamic program (``_kserver_dp``), run for the largest such k', whose
+    value is the least left-to-right float sum of per-request movement over
+    all schedules; every k' >= 4 from a path-cover assignment
+    (``_kserver_cover``) that reports that sum along the schedule it finds.
     """
     T = len(D) - 1
     if T < 1 or any(k < 1 for k in ks):
         raise ValueError("need T >= 1 and k >= 1")
-    cost = {
-        kk: _kserver_dp(D, kk) if kk <= 3 else _kserver_cover(D, kk)
-        for kk in {min(k, T) for k in ks}
-    }
+    wanted = {min(k, T) for k in ks}
+    small = max((kk for kk in wanted if kk <= 3), default=0)
+    cost = dict(enumerate(_kserver_dp(D, small), start=1)) if small else {}
+    cost.update((kk, _kserver_cover(D, kk)) for kk in wanted if kk > 3)
     return [cost[min(k, T)] for k in ks]
 
 
-def _kserver_dp(D: np.ndarray, k: int) -> float:
-    """The offline k-server optimum for k <= 3 and k <= T servers, over the
+def _kserver_dp(D: np.ndarray, k: int) -> list[float]:
+    """The offline optimum for 1..k servers, k <= 3 and k <= T, over the
     distance table ``D`` of ``offline_opt_kserver``.
 
-    After request t one server stands on it; the state is where the other
-    k - 1 stand: request indices below t, the origin being 0.  ``V`` holds
-    the least cost of each state.  Request t + 1 is served either by the
+    One server is the chain of requests.  For more, after request t one
+    server stands on it; the state is where the other k - 1 stand: request
+    indices below t, the origin being 0.  ``V[i, j]`` holds the least cost of
+    the state with the others on i and j; two servers keep column 0 only,
+    where the other one is on i.  Request t + 1 is served either by the
     server on t (every state adds ``D[t, t + 1]``) or by another one, which
     leaves the server on t among the others at the least cost ``moved``.
-    k = 3 keeps a symmetric table over the two other servers (entries i = j > 0
-    cannot occur and stay inf).  IEEE addition is monotone, so the least of
-    ``V + d`` is the least sum over every schedule, summed left to right in
-    request order, and the value does not depend on ties.
+    Entries i = j > 0 cannot occur and stay inf.  IEEE addition is monotone,
+    so the least of ``V + d`` is the least sum over every schedule, summed
+    left to right in request order, and the value does not depend on ties.
+
+    Servers never return to the origin and column 0 is updated from column
+    0 alone, so column 0 of the three-server table is the two-server table,
+    sum for sum, and ``V[0, 0]`` is the chain: every value comes from the one
+    table of the largest k.
     """
-    T = len(D) - 1
     if k == 1:
-        return float(np.cumsum(D.diagonal(1))[-1])  # cumsum adds left to right
-    if k == 2:
-        V = np.empty(T)
-        V[0] = D[0, 1]
-        for t in range(1, T):
-            moved = (V[:t] + D[:t, t + 1]).min()
-            V[:t] += D[t, t + 1]
-            V[t] = moved
-        return float(V.min())
-    V = np.full((T, T), math.inf)
+        return [float(np.cumsum(D.diagonal(1))[-1])]  # cumsum adds left to right
+    T = len(D) - 1
+    cols = T if k == 3 else 1
+    V = np.full((T, cols), math.inf)
     V[0, 0] = D[0, 1]
     for t in range(1, T):
-        moved = (V[:t, :t] + D[:t, t + 1, None]).min(axis=0)
-        V[:t, :t] += D[t, t + 1]
-        V[:t, t] = moved
-        V[t, :t] = moved
-    return float(V.min())
+        w = min(t, cols)
+        moved = (V[:t, :w] + D[:t, t + 1, None]).min(axis=0)
+        V[:t, :w] += D[t, t + 1]
+        V[t, :w] = moved
+        if cols > 1:
+            V[:t, t] = moved
+    return [float(V[0, 0]), float(V[:, 0].min()), float(V.min())][:k]
 
 
 def _kserver_cover(D: np.ndarray, k: int) -> float:

@@ -131,7 +131,7 @@ def _check_magnitudes(scenario: Scenario, search: bool) -> float:
     with np.errstate(over="ignore"):
         r = float(distance_matrix(planted, scenario.norm, [origin(scenario.dim)]).max()) if planted else 0.0
     d_min = min(float(D.min(where=D > 0, initial=1.0)), r or 1.0)
-    f_max = max(abs(c) for inst in scenario.days for c in inst.features.coords)
+    f_max = float(np.abs(scenario.features).max())
     bound = (scenario.T + 1) ** 3 * scenario.dim * max(d_max + 2 * r, f_max, 1.0) / d_min
     if not math.isfinite(bound):
         raise UserError(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -29,7 +29,10 @@ class Point:
     coords: tuple[float, ...]
 
     def __init__(self, coords: Iterable[float]):
-        coords = tuple(map(float, coords))
+        try:
+            coords = tuple(map(float, coords))
+        except OverflowError as e:  # an int beyond the float range
+            raise ValueError(f"coordinate out of the float range: {e}") from None
         if not coords:
             raise ValueError("a point needs at least one coordinate")
         if not all(map(math.isfinite, coords)):
@@ -83,28 +86,25 @@ def distance(u: Point, v: Point, norm: str = L2) -> float:
     raise ValueError(f"unknown norm {norm!r}; expected one of {NORMS}")
 
 
-def distance_matrix(
-    X: Sequence[Point], norm: str, Y: Sequence[Point] | None = None
-) -> np.ndarray:
+def distance_matrix(X, norm: str, Y=None) -> np.ndarray:
     """Float64 table with ``D[i, j] = distance(X[i], Y[j], norm)``; ``Y``
-    defaults to ``X``.
+    defaults to ``X``.  Each of ``X`` and ``Y`` is a sequence of Points or
+    an array of their coordinates, one point per row.
 
     The table is accumulated one coordinate column at a time, in the same
     order and with the same operations as ``distance``, so every entry is
     bit-identical to the direct call.  One temporary of the table's shape is
     reused for every column.
     """
-    cols = X if Y is None else Y
-    acc = np.zeros((len(X), len(cols)))
+    A = _coordinate_rows(X)
+    B = A if Y is None else _coordinate_rows(Y)
+    acc = np.zeros((len(A), len(B)))
     if acc.size == 0:
         return acc
-    dims = sorted({p.dim for p in X} | {p.dim for p in cols})
-    if len(dims) > 1:
-        raise DimensionMismatch(f"dimension mismatch: {dims[0]} vs {dims[1]}")
+    if A.shape[1] != B.shape[1]:
+        raise DimensionMismatch(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
     if norm not in NORMS:
         raise ValueError(f"unknown norm {norm!r}; expected one of {NORMS}")
-    A = np.array([p.coords for p in X])
-    B = A if Y is None else np.array([p.coords for p in cols])
     tmp = np.empty_like(acc)
     for c in range(A.shape[1]):
         np.subtract(A[:, c, None], B[None, :, c], out=tmp)
@@ -120,6 +120,16 @@ def distance_matrix(
     if norm == L2:
         np.sqrt(acc, out=acc)
     return acc
+
+
+def _coordinate_rows(X) -> np.ndarray:
+    """``X`` as an array with one row of coordinates per point."""
+    if isinstance(X, np.ndarray):
+        return X
+    dims = sorted({p.dim for p in X})
+    if len(dims) > 1:
+        raise DimensionMismatch(f"dimension mismatch: {dims[0]} vs {dims[1]}")
+    return np.array([p.coords for p in X])
 
 
 def mean_left_to_right(rows: np.ndarray) -> np.ndarray:

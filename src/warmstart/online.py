@@ -17,14 +17,13 @@ radius reaching its needed steps) run the rank loop one rank at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from . import baselines
 from .errors import CapExceeded, InvariantViolation
 from .kmedians import learn_centers
 from .ledger import CostLedger, DayLedger
-from .metric import Point, distance, origin
-from .oracle import HiddenInstance, SearchThread, run_parallel_k_detail
+from .metric import Point, distance, distance_matrix, origin
+from .oracle import HiddenInstance, SearchThread, hidden_solution, run_parallel_k_detail, table_steps
 
 ORIGIN_DAY = 0
 
@@ -71,27 +70,30 @@ def _tick_of(c: int, r: float) -> int:
     return t
 
 
-@dataclass
-class ThreadEntry:
-    """One search thread in the rate-decay scheduler.
+class ThreadEntry(SearchThread):
+    """One search thread in the rate-decay scheduler, opened at the scenario
+    point of index ``source``: the solution of day ``source``, or the origin
+    (0).  The scheduler reads the day's solution by its index, so an entry
+    has no instance to return it from.
 
     ``radius`` counts real steps taken while alive; ``shadow_radius`` keeps
     accruing after subsumption, at the (ultimate) subsumer's rate, so the
     subsuming identity stays checkable.  ``needed`` is the oracle-side step
-    count, read by the invariant checks and to schedule events; the solution
-    still comes only from the thread.  ``dependents`` lists the dead entries
-    whose ultimate subsumer this entry is.
+    count, read by the invariant checks and to schedule events.
+    ``dependents`` lists the dead entries whose ultimate subsumer this entry
+    is.
     """
 
-    source_day: int
-    source: Point
-    thread: object
-    radius: int = 0
-    alive: bool = True
-    subsumed_by: "ThreadEntry | None" = None
-    shadow_radius: int = 0
-    needed: int = 0
-    dependents: list = field(default_factory=list)
+    __slots__ = ("source", "alive", "subsumed_by", "shadow_radius", "dependents")
+
+    def __init__(self, source: int, needed: int):
+        self.source = source
+        self.needed = needed
+        self.radius = 0
+        self.alive = True
+        self.subsumed_by: ThreadEntry | None = None
+        self.shadow_radius = 0
+        self.dependents: list[ThreadEntry] = []
 
     def ultimate_subsumer(self) -> "ThreadEntry":
         e = self
@@ -100,17 +102,18 @@ class ThreadEntry:
         return e
 
 
-def subsume_check(slow: ThreadEntry, fast: ThreadEntry, norm: str) -> bool:
-    """True iff the fast thread's searched ball fully contains the slow one's."""
-    return distance(slow.source, fast.source, norm) <= fast.radius - slow.radius
+def subsume_check(slow: ThreadEntry, fast: ThreadEntry, rows) -> bool:
+    """True iff the fast thread's searched ball fully contains the slow one's;
+    ``rows`` is the distance table over the scenario points."""
+    return rows[slow.source][fast.source] <= fast.radius - slow.radius
 
 
-def _assert_subsuming_identity(dead: list[ThreadEntry], norm: str) -> None:
+def _assert_subsuming_identity(dead: list[ThreadEntry], rows) -> None:
     for j in dead:
         i = j.ultimate_subsumer()
-        if distance(i.source, j.source, norm) > i.radius - j.shadow_radius + _IDENTITY_TOL:
+        if rows[i.source][j.source] > i.radius - j.shadow_radius + _IDENTITY_TOL:
             raise InvariantViolation(
-                f"subsuming identity violated: d(S_{i.source_day}, S_{j.source_day}) "
+                f"subsuming identity violated: d(S_{i.source}, S_{j.source}) "
                 f"> {i.radius} - {j.shadow_radius}"
             )
 
@@ -149,24 +152,27 @@ def _first_kill(slow_f, slow_r, fast_f, fast_r, lead, d, M):
 
 
 class _DecayDay:
-    """One day of the rate-decay search, from event tick to event tick.
+    """Day t of the rate-decay search, from event tick to event tick, over
+    ``rows``, the distance table of the scenario's points as nested lists
+    (index 0 the origin, s the solution of day s).
 
+    The sources are days t - 1, ..., 1 and then the origin.  Their distances
+    to each other are read from ``rows``; row t only through the oracle
+    (``table_steps``), which gives an opened thread its needed steps.
     ``active`` holds the open alive entries, rank order; the sources not yet
-    opened rank below all of them, in order.  A source is opened (entry,
-    thread and needed steps) only when its rank can step, so a rank whose
-    first step from tick 0 lies beyond the day costs nothing: every rank
-    slower than it starts later still, and an unopened source has taken no
-    step.
+    opened rank below all of them, in order.  A source is opened (entry and
+    needed steps) only when its rank can step, so a rank whose first step
+    from tick 0 lies beyond the day costs nothing: every rank slower than it
+    starts later still, and an unopened source has taken no step.
     """
 
-    def __init__(self, history, inst, rates, first, trace):
-        self.inst = inst
-        self.norm = inst.norm
+    def __init__(self, rows, t, rates, first, trace):
+        self.rows = rows
+        self.row = rows[t]
         self.rates = rates
         self.first = first
         self.trace = trace
-        self.sources = list(zip(range(len(history), 0, -1), reversed(history)))
-        self.sources.append((ORIGIN_DAY, origin(inst.dim)))
+        self.sources = range(t - 1, ORIGIN_DAY - 1, -1)
         self.opened = 0
         self.active: list[ThreadEntry] = []
         self.dead: list[ThreadEntry] = []
@@ -179,9 +185,8 @@ class _DecayDay:
         stop, rank = self.opened, len(self.active)  # 0-based rank of sources[stop]
         while stop < len(self.sources) and self.first[rank] <= bound:
             stop, rank = stop + 1, rank + 1
-        for day, src in self.sources[self.opened : stop]:
-            thread = SearchThread(self.inst, src)
-            self.active.append(ThreadEntry(day, src, thread, needed=thread.needed))
+        for s in self.sources[self.opened : stop]:
+            self.active.append(ThreadEntry(s, table_steps(self.row, s)))
         self.opened = stop
 
     def next_event(self, V: int) -> tuple[int, list[int]]:
@@ -193,7 +198,7 @@ class _DecayDay:
         current candidate cannot act before it, and neither can any slower
         rank.
         """
-        active, rates, first = self.active, self.rates, self.first
+        active, rates, first, rows = self.active, self.rates, self.first, self.rows
         E = math.inf
         base: list[int] = []
         i = 0
@@ -212,12 +217,13 @@ class _DecayDay:
                 room = min(room, j.needed - j.shadow_radius)
             E = min(E, _tick_of(f + room, r))
             M = _steps_by(E - 1, r) - f  # its steps strictly before E
+            from_entry = rows[entry.source]
             for k in range(i):
                 if M <= 0:
                     break
                 fast = active[k]
                 lead = fast.radius - entry.radius
-                d = distance(entry.source, fast.source, self.norm)
+                d = from_entry[fast.source]
                 m = _first_kill(f, r, base[k], rates[k], lead, d, M)
                 if m is not None:
                     E = _tick_of(f + m, r)
@@ -231,15 +237,14 @@ class _DecayDay:
         for i, (entry, f) in enumerate(zip(self.active, base), start=1):
             steps = _steps_by(W, self.rates[i - 1]) - f
             if steps:
-                entry.thread.advance(steps)
-                entry.radius += steps
+                entry.advance(steps)
                 self.overhead += steps * (2 * i - 1)  # rank walk, i - 1 failed checks
                 for j in entry.dependents:
                     j.shadow_radius += steps
 
     def tick(self, V: int) -> ThreadEntry | None:
         """Run tick V one rank at a time; returns the completed entry, if any."""
-        active, norm = self.active, self.norm
+        active, rows = self.active, self.rows
         i = 1
         while True:
             if i > len(active):
@@ -254,8 +259,7 @@ class _DecayDay:
                 continue
             entry = active[i - 1]
             self.overhead += i  # rank walk down the active list
-            done = entry.thread.step()
-            entry.radius += 1
+            done = entry.step()
             for j in entry.dependents:
                 j.shadow_radius += 1
                 if j.shadow_radius >= j.needed:
@@ -271,7 +275,7 @@ class _DecayDay:
             for rank_j in range(1, i):
                 self.overhead += 1  # one distance query
                 faster = active[rank_j - 1]
-                if subsume_check(entry, faster, norm):
+                if subsume_check(entry, faster, rows):
                     self.overhead += 1  # list surgery
                     entry.alive = False
                     entry.subsumed_by = faster
@@ -280,15 +284,14 @@ class _DecayDay:
                     entry.dependents = []
                     active.pop(i - 1)
                     self.dead.append(entry)
-                    _assert_subsuming_identity(self.dead, norm)
+                    _assert_subsuming_identity(self.dead, rows)
                     if self.trace is not None:
-                        self.trace.append(
-                            ("kill", V, entry.source_day, faster.source_day)
-                        )
+                        self.trace.append(("kill", V, entry.source, faster.source))
                     break
             i += 1
 
-    def run(self) -> tuple[Point, DayLedger]:
+    def run(self, day: int) -> DayLedger:
+        """Search until a thread completes; the ledger row of ``day``."""
         V = 0
         solver = None
         while solver is None:
@@ -296,18 +299,17 @@ class _DecayDay:
             self.advance(base, E - 1)
             V = E
             solver = self.tick(V)
-        _assert_subsuming_identity(self.dead, self.norm)
+        _assert_subsuming_identity(self.dead, self.rows)
         total_radius = sum(e.radius for e in self.active) + sum(e.radius for e in self.dead)
-        day = DayLedger(
-            day=self.inst.day,
+        if self.trace is not None:
+            self.trace.append(("solve", V, solver.source))
+        return DayLedger(
+            day=day,
             radius_searched=total_radius,
             overhead_work=self.overhead,
             virtual_radius=self.active[0].radius,
-            solver_thread=solver.source_day,
+            solver_thread=solver.source,
         )
-        if self.trace is not None:
-            self.trace.append(("solve", V, solver.source_day))
-        return solver.thread.result(), day
 
 
 def quadratic_decay_day(
@@ -334,25 +336,27 @@ def quadratic_decay_day(
     Tick arithmetic is exact while ticks stay below 2**53.
 
     The subsuming identity and the shadow-completion implication are asserted
-    on every event; a failure raises InvariantViolation.
+    on every event; a failure raises InvariantViolation.  The day runs over
+    the distance table of the origin, the history and the solution, as
+    ``run_quadratic_decay`` runs over the scenario's.
     """
-    rates, first = _rank_table(len(history) + 1, mode)
-    return _DecayDay(history, inst, rates, first, trace).run()
+    t = len(history) + 1
+    solution = hidden_solution(inst)
+    rows = distance_matrix([origin(inst.dim), *history, solution], inst.norm).tolist()
+    rates, first = _rank_table(t, mode)
+    return solution, _DecayDay(rows, t, rates, first, trace).run(inst.day)
 
 
 def run_quadratic_decay(scenario, mode: str = "quadratic") -> CostLedger:
     """Fold the rate-decay day routine over a whole scenario.
 
     Takes no k parameter: the same run is measured against baselines for
-    every k.  Rates and first-step ticks are computed once per run.
+    every k.  Rates and first-step ticks are computed once per run, and day
+    t searches from days 1..t-1, the solutions it has found.
     """
-    rates, first = _rank_table(len(scenario.days), mode)
-    history: list[Point] = []
-    days = []
-    for inst in scenario.days:
-        solution, day = _DecayDay(history, inst, rates, first, None).run()
-        history.append(solution)
-        days.append(day)
+    rows = scenario.distances.tolist()
+    rates, first = _rank_table(scenario.T, mode)
+    days = [_DecayDay(rows, t, rates, first, None).run(t) for t in range(1, scenario.T + 1)]
     return CostLedger(
         scenario=scenario.name,
         strategy=f"{mode}-decay",
@@ -363,21 +367,19 @@ def run_quadratic_decay(scenario, mode: str = "quadratic") -> CostLedger:
 
 def predict_yesterday(scenario) -> CostLedger:
     """Search each day from the previous day's solution (origin on day 1)."""
-    prev = origin(scenario.dim)
+    D = scenario.distances
     days = []
-    prev_day = ORIGIN_DAY
-    for inst in scenario.days:
-        prev, radius, _, _ = run_parallel_k_detail(inst, [prev])
+    for t in range(1, scenario.T + 1):
+        _, radius, _, _ = run_parallel_k_detail(D[t], [t - 1])
         days.append(
             DayLedger(
-                day=inst.day,
+                day=t,
                 radius_searched=radius,
                 overhead_work=0,
                 virtual_radius=radius,
-                solver_thread=prev_day,
+                solver_thread=t - 1,
             )
         )
-        prev_day = inst.day
     return CostLedger(
         scenario=scenario.name,
         strategy="predict-yesterday",
@@ -422,7 +424,9 @@ def kserver_reduction(scenario, server_alg: str, k: int) -> CostLedger:
     chosen k-server algorithm (greedy nearest server, or the work-function
     algorithm), which moves exactly one server onto it.  If the work-function
     table outgrows its cap the run falls back to greedy for the remaining
-    days, and ``params["wfa_fallback_day"]`` records the day it did.
+    days, and ``params["wfa_fallback_day"]`` records the day it did.  Greedy
+    servers are scenario points, kept as their indices in the scenario's
+    distance table; the work function keeps its own points.
 
     Only the first min(k, T) servers are tracked, so a huge k costs what
     k = T costs.  Servers still at the origin tie with each other, and ties
@@ -435,34 +439,40 @@ def kserver_reduction(scenario, server_alg: str, k: int) -> CostLedger:
     if server_alg not in ("greedy", "wfa"):
         raise ValueError(f"unknown server algorithm {server_alg!r}")
     norm = scenario.norm
-    servers = [origin(scenario.dim)] * min(k, scenario.T)
-    wfa_state = (
-        baselines.WorkFunctionState(k, scenario.dim, norm)
-        if server_alg == "wfa"
-        else None
-    )
+    greedy = server_alg == "greedy"
+    if greedy:
+        D = scenario.distances
+        servers = [ORIGIN_DAY] * min(k, scenario.T)
+    else:
+        servers = [origin(scenario.dim)] * min(k, scenario.T)
+        wfa_state = baselines.WorkFunctionState(k, scenario.dim, norm)
     params = {"k": k, "server_alg": server_alg}
     days = []
-    for inst in scenario.days:
-        solution, _, winner, sweeps = run_parallel_k_detail(inst, servers)
+    for t in range(1, scenario.T + 1):
+        if greedy:
+            row = D[t]
+            _, _, winner, sweeps = run_parallel_k_detail(row, servers)
+            solution, idx = t, _nearest([row[s] for s in servers])
+        else:
+            solution, _, winner, sweeps = run_parallel_k_detail(scenario.days[t - 1], servers)
+            idx = None
+            if wfa_state is not None:
+                try:
+                    idx, _ = baselines.wfa_step(wfa_state, solution)
+                except CapExceeded:
+                    wfa_state = None
+                    params["wfa_fallback_day"] = t
+            if idx is None:
+                idx = _nearest([distance(s, solution, norm) for s in servers])
         days.append(
             DayLedger(
-                day=inst.day,
+                day=t,
                 radius_searched=k * sweeps,
                 overhead_work=0,
                 virtual_radius=sweeps,
                 solver_thread=winner + 1,
             )
         )
-        if wfa_state is not None:
-            try:
-                idx, _ = baselines.wfa_step(wfa_state, solution)
-            except CapExceeded:
-                wfa_state = None
-                params["wfa_fallback_day"] = inst.day
-                idx = _greedy_move(servers, solution, norm)
-        else:
-            idx = _greedy_move(servers, solution, norm)
         servers[idx] = solution
     return CostLedger(
         scenario=scenario.name,
@@ -472,13 +482,9 @@ def kserver_reduction(scenario, server_alg: str, k: int) -> CostLedger:
     )
 
 
-def _greedy_move(servers: list[Point], request: Point, norm: str) -> int:
-    best, best_d = 0, math.inf
-    for j, s in enumerate(servers):
-        d = distance(s, request, norm)
-        if d < best_d:
-            best, best_d = j, d
-    return best
+def _nearest(distances: list[float]) -> int:
+    """The greedy move: the first server at the least distance."""
+    return distances.index(min(distances))
 
 
 # Strategy name -> fn(scenario, k) -> CostLedger.  The entries look up this

@@ -4,9 +4,17 @@ The solver is modelled adversarially: a thread opened at prediction ``p``
 completes after exactly ``search_steps(p, solution)`` unit steps, i.e. the
 runtime upper bound is realized as equality.  Strategy code never reads the
 hidden solution directly; it only learns it when a thread completes.
+
+A strategy whose predictions are points of its scenario (the origin and past
+solutions) names them by their index in the scenario's distance table, and
+the oracle reads their step counts off the day's row of that table
+(``table_steps``).  Table entries are bit-identical to ``distance``, so the
+counts are the same.
 """
 
 from __future__ import annotations
+
+import math
 
 from .errors import DimensionMismatch
 from .metric import L2, Point, search_steps
@@ -40,10 +48,20 @@ def required_steps(inst: HiddenInstance, p: Point) -> int:
     return search_steps(p, inst._solution, inst.norm)
 
 
+def table_steps(row, s: int) -> int:
+    """Oracle-side accessor: steps a thread from scenario point ``s`` would
+    need on the day whose row of the scenario's distance table is ``row``:
+    ``max(1, ceil(D[t, s]))``, what ``search_steps`` gives for the two
+    points."""
+    return max(1, math.ceil(row[s]))
+
+
 class SearchThread:
     """One running copy of the warm-start solver, advanced by unit steps;
     it completes when ``radius`` reaches ``needed``, the oracle-side step
     count from its origin."""
+
+    __slots__ = ("origin", "inst", "radius", "needed")
 
     def __init__(self, inst: HiddenInstance, origin: Point):
         if len(origin.coords) != len(inst._solution.coords):
@@ -80,21 +98,27 @@ class SearchThread:
         return self.inst._solution
 
 
-def run_parallel_k_detail(inst: HiddenInstance, preds: list[Point]):
-    """Round-robin parallel search from ``preds``.
+def run_parallel_k_detail(inst, preds: list):
+    """Round-robin parallel search from ``preds``: Points, with ``inst`` the
+    day's ``HiddenInstance``, or indices of scenario points, with ``inst`` the
+    day's row of the scenario's distance table (``table_steps``).
 
     Each sweep advances every thread by one step in list order; the run stops
     at the end of the first sweep in which some thread completes, with the
     earliest-in-list completion winning.  That is a closed function of the
     step counts: the run lasts ``min(needed)`` sweeps, every thread steps in
     each of them, and the winner is the first thread needing that many.
-    Returns ``(solution, total_radius, winner_index, sweeps)``.
+    Returns ``(solution, total_radius, winner_index, sweeps)``; from a table
+    row the solution is None, since the caller knows its index.
     """
     if not preds:
         raise ValueError("need at least one prediction")
-    needed = [required_steps(inst, p) for p in preds]
+    if isinstance(inst, HiddenInstance):
+        solution, needed = inst._solution, [required_steps(inst, p) for p in preds]
+    else:
+        solution, needed = None, [table_steps(inst, s) for s in preds]
     sweeps = min(needed)
-    return inst._solution, len(preds) * sweeps, needed.index(sweeps), sweeps
+    return solution, len(preds) * sweeps, needed.index(sweeps), sweeps
 
 
 def run_parallel_k(inst: HiddenInstance, preds: list[Point]) -> tuple[Point, int]:

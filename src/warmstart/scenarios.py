@@ -11,9 +11,9 @@ and full-precision floats.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import operator
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +29,46 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-@dataclass
+def _check_numbers(vectors: list, what: str) -> None:
+    """Raise ``TypeError`` unless each of ``vectors`` (parsed JSON) is an
+    array of numbers: ``int`` or ``float``, not ``bool``, a string, null or
+    an object.  ``float`` alone would take a string, ``numpy`` a bool, and
+    ``tuple`` an object's keys or a string's characters."""
+    lists = set(map(type, vectors)) <= {list}
+    if not (lists and set(map(type, itertools.chain.from_iterable(vectors))) <= {int, float}):
+        raise TypeError(f"{what} must be an array of numbers")
+
+
+def _coordinate_array(vectors: list, dim: int, what: str) -> np.ndarray:
+    """The (T, dim) float array of the days' coordinate ``vectors`` (parsed
+    JSON), checked: ``TypeError`` unless each is an array of numbers,
+    ``ValueError`` unless each has ``dim`` of them, all finite as floats."""
+    _check_numbers(vectors, f"each day's {what}")
+    for t, v in enumerate(vectors, start=1):
+        if len(v) != dim:
+            raise ValueError(f"day {t} is not in dimension {dim}: its {what} has {len(v)} coordinates")
+    try:
+        A = np.array(vectors, dtype=float)
+    except OverflowError as e:  # an int beyond the float range
+        raise ValueError(f"a day's {what} is out of the float range: {e}") from None
+    if not np.isfinite(A).all():  # a literal such as 1e400 parses as inf
+        raise ValueError(f"a day's {what} has a non-finite coordinate")
+    return A
+
+
+def _check_frame(name, dim, norm, days: list) -> None:
+    if not isinstance(name, str):
+        raise ValueError("scenario name must be a string")
+    if not (_is_int(dim) and dim >= 1):
+        raise ValueError(f"scenario dim must be an integer >= 1, got {dim!r}")
+    if norm not in NORMS:
+        raise ValueError(f"unknown norm {norm!r}; expected one of {', '.join(NORMS)}")
+    if not days:
+        raise ValueError("scenario has no days")
+    if not set(map(type, days)) <= {int} or days != list(range(1, len(days) + 1)):
+        raise ValueError(f"scenario days must be numbered 1..{len(days)} in order")
+
+
 class Scenario:
     """Days in one dimension and one norm, each with a hidden solution.
     Construction raises ``ValueError`` unless the name is a string, ``dim``
@@ -37,64 +76,73 @@ class Scenario:
     by integers and in the scenario's norm, every feature and solution of
     length ``dim``, ``meta`` a dict, and ``meta["planted"]``, if any, a
     trajectory set with an integer k over days 1..t (1 <= t <= T) in
-    dimension ``dim``, parsed into ``planted``."""
+    dimension ``dim``, parsed into ``planted``.
 
-    name: str
-    seed: int
-    dim: int
-    norm: str
-    days: list[HiddenInstance]
-    meta: dict = field(default_factory=dict)
-    planted: TrajectorySet | None = field(default=None, init=False, compare=False)
+    A scenario holds its coordinates as arrays: ``features`` (T, dim), and
+    ``coords`` (T + 1, dim), the origin and then the solutions of days
+    1..T, over which ``distances`` is the table.  ``points`` and
+    ``solutions()`` (Points of ``coords``) and ``days`` (which holds those
+    Points) are built on first use when the scenario comes from a file.
+    """
 
-    def __post_init__(self):
-        if not isinstance(self.name, str):
-            raise ValueError("scenario name must be a string")
-        if not (_is_int(self.dim) and self.dim >= 1):
-            raise ValueError(f"scenario dim must be an integer >= 1, got {self.dim!r}")
-        if self.norm not in NORMS:
-            raise ValueError(f"unknown norm {self.norm!r}; expected one of {', '.join(NORMS)}")
-        if not self.days:
-            raise ValueError("scenario has no days")
-        days = [inst.day for inst in self.days]
-        if not all(map(_is_int, days)) or days != list(range(1, self.T + 1)):
-            raise ValueError(f"scenario days must be numbered 1..{self.T} in order")
-        dim, norm = self.dim, self.norm
-        for inst in self.days:
+    def __init__(self, name: str, seed: int, dim: int, norm: str, days: list[HiddenInstance], meta=None):
+        days = list(days)
+        _check_frame(name, dim, norm, [inst.day for inst in days])
+        for inst in days:
             if len(inst.features.coords) != dim or len(hidden_solution(inst).coords) != dim or inst.norm != norm:
-                raise ValueError(f"day {inst.day} is not in dimension {self.dim} and norm {self.norm}")
-        if not isinstance(self.meta, dict):
+                raise ValueError(f"day {inst.day} is not in dimension {dim} and norm {norm}")
+        features = np.array([inst.features.coords for inst in days])
+        solutions = np.array([hidden_solution(inst).coords for inst in days])
+        self._set(name, seed, dim, norm, features, solutions, {} if meta is None else meta)
+        self.days = days
+
+    def _set(self, name, seed, dim, norm, features, solutions, meta) -> None:
+        """Hold the checked frame and coordinates; check and parse ``meta``."""
+        self.name, self.seed, self.dim, self.norm = name, seed, dim, norm
+        self.features = features
+        self.coords = np.concatenate([np.zeros((1, dim)), solutions])
+        self.meta = meta
+        self.planted: TrajectorySet | None = None
+        if not isinstance(meta, dict):
             raise ValueError("scenario meta must be an object")
-        if "planted" in self.meta:
+        if "planted" in meta:
             try:
-                planted = traj_from_jsonable(self.meta["planted"])
+                planted = traj_from_jsonable(meta["planted"])
             except (AttributeError, KeyError, TypeError, ValueError) as e:
                 raise ValueError(f"bad planted trajectory in scenario meta: {e!r}") from e
             dims = {p.dim for p in planted.predictions.values()}
-            if not _is_int(planted.k) or not 1 <= planted.T <= self.T or dims != {self.dim}:
+            if not _is_int(planted.k) or not 1 <= planted.T <= self.T or dims != {dim}:
                 raise ValueError(
                     f"the planted trajectory must have an integer k and cover days 1..t, "
-                    f"t in 1..{self.T}, in dimension {self.dim}"
+                    f"t in 1..{self.T}, in dimension {dim}"
                 )
             self.planted = planted
 
     @property
     def T(self) -> int:
-        return len(self.days)
+        return len(self.features)
+
+    @functools.cached_property
+    def days(self) -> list[HiddenInstance]:
+        points = self.points
+        return [
+            HiddenInstance(t, Point(f), points[t], self.norm)
+            for t, f in enumerate(self.features.tolist(), start=1)
+        ]
 
     def solutions(self) -> dict[int, Point]:
-        return {inst.day: hidden_solution(inst) for inst in self.days}
+        return dict(enumerate(self.points[1:], start=1))
 
     @functools.cached_property
     def points(self) -> list[Point]:
         """The origin, then the solutions of days 1..T: index t is day t."""
-        return [origin(self.dim)] + [hidden_solution(inst) for inst in self.days]
+        return [Point(x) for x in self.coords.tolist()]
 
     @functools.cached_property
     def distances(self) -> np.ndarray:
         """The distance table over ``points``; an entry may overflow to inf."""
         with np.errstate(over="ignore"):
-            return distance_matrix(self.points, self.norm)
+            return distance_matrix(self.coords, self.norm)
 
     @property
     def d_max(self) -> float:
@@ -110,12 +158,8 @@ class Scenario:
             "norm": self.norm,
             "d_max": self.d_max,
             "days": [
-                {
-                    "day": inst.day,
-                    "features": list(inst.features.coords),
-                    "solution": list(hidden_solution(inst).coords),
-                }
-                for inst in self.days
+                {"day": t, "features": f, "solution": x}
+                for t, (f, x) in enumerate(zip(self.features.tolist(), self.coords[1:].tolist()), start=1)
             ],
             "meta": self.meta,
         }
@@ -127,26 +171,19 @@ class Scenario:
 
     @staticmethod
     def from_json_text(text: str) -> "Scenario":
+        """The scenario of a file's text.  The same rules as construction
+        hold, and every feature and solution must be a JSON array of ``dim``
+        numbers (``TypeError`` if not numbers) that are finite as floats."""
         d = json.loads(text, parse_constant=_reject_constant)
         if d["schema_version"] != SCHEMA_VERSION:
             raise ValueError(f"unsupported scenario schema {d['schema_version']}")
-        days = [
-            HiddenInstance(
-                day=e["day"],
-                features=Point(e["features"]),
-                solution=Point(e["solution"]),
-                norm=d["norm"],
-            )
-            for e in d["days"]
-        ]
-        return Scenario(
-            name=d["name"],
-            seed=d["seed"],
-            dim=d["dim"],
-            norm=d["norm"],
-            days=days,
-            meta=d["meta"],
-        )
+        entries, dim = d["days"], d["dim"]
+        _check_frame(d["name"], dim, d["norm"], [e["day"] for e in entries])
+        features = _coordinate_array([e["features"] for e in entries], dim, "features")
+        solutions = _coordinate_array([e["solution"] for e in entries], dim, "solution")
+        scenario = Scenario.__new__(Scenario)
+        scenario._set(d["name"], d["seed"], dim, d["norm"], features, solutions, d["meta"])
+        return scenario
 
 
 def traj_to_jsonable(traj: TrajectorySet) -> dict:
@@ -160,10 +197,15 @@ def traj_to_jsonable(traj: TrajectorySet) -> dict:
 
 
 def traj_from_jsonable(d: dict) -> TrajectorySet:
+    """The trajectory set of its JSON form; each prediction must be an array
+    of numbers and each assignment an integer (``TypeError`` if not)."""
+    _check_numbers(list(d["predictions"].values()), "each planted prediction")
+    if not set(map(type, d["assignment"].values())) <= {int}:
+        raise TypeError("planted assignments must be integers")
     return TrajectorySet(
         k=d["k"],
         assignment={int(t): i for t, i in d["assignment"].items()},
-        predictions={int(t): Point(tuple(c)) for t, c in d["predictions"].items()},
+        predictions={int(t): Point(c) for t, c in d["predictions"].items()},
     )
 
 

@@ -18,7 +18,14 @@ from warmstart.baselines import (
     wfa_step,
 )
 from warmstart.errors import CapExceeded
-from warmstart.metric import L1, L2, NORMS, Point, distance, distance_matrix, origin
+from warmstart.metric import L1, L2, NORMS, Point, distance, distance_matrix, origin, search_steps
+from warmstart.oracle import table_steps
+from warmstart.scenarios import (
+    default_corpus,
+    gen_adversarial_switch,
+    gen_drifting_trajectories,
+    gen_static_clusters,
+)
 
 
 def kserver_costs(solutions, ks, norm):
@@ -750,6 +757,84 @@ def test_kserver_dp_is_the_least_schedule_sum_bit_for_bit():
                 assert ref <= c <= ref * (1 + 2 * T * 2**-52), (case, k, norm, sols)
                 cover_checked += 1
     assert cover_checked >= 500
+
+
+def reference_kserver_dp(D, k):
+    """Reference: the offline optimum for one k <= 3 servers (k <= T) on its
+    own, as the DP computed it before the values for k <= 3 came from one
+    table: the chain for k = 1, a table over the other server's request for
+    k = 2, and a symmetric table over the other two servers' for k = 3."""
+    T = len(D) - 1
+    if k == 1:
+        return float(np.cumsum(D.diagonal(1))[-1])
+    if k == 2:
+        V = np.empty(T)
+        V[0] = D[0, 1]
+        for t in range(1, T):
+            moved = (V[:t] + D[:t, t + 1]).min()
+            V[:t] += D[t, t + 1]
+            V[t] = moved
+        return float(V.min())
+    V = np.full((T, T), math.inf)
+    V[0, 0] = D[0, 1]
+    for t in range(1, T):
+        moved = (V[:t, :t] + D[:t, t + 1, None]).min(axis=0)
+        V[:t, :t] += D[t, t + 1]
+        V[:t, t] = moved
+        V[t, :t] = moved
+    return float(V.min())
+
+
+def _bench_style_scenarios():
+    """Scenarios of the benchmark's kinds: the default corpus, its 8-day
+    L1/Linf variants, the drifting k = 3 horizon ladder from T = 10 to 159,
+    and far-jump switches in every norm."""
+    scens = default_corpus()
+    for norm in ("L1", "Linf"):
+        scens += [
+            gen_drifting_trajectories(11, k=2, drift_per_day=0.5, noise=0.5, T=8, dim=2, norm=norm),
+            gen_static_clusters(12, k=3, sep=100.0, spread=1.0, T=8, dim=2, norm=norm),
+            gen_adversarial_switch(13, phases=4, T=8, dim=1, norm=norm),
+        ]
+    scens += [
+        gen_drifting_trajectories(20 + i, k=3, drift_per_day=0.5, noise=0.5, T=round(10 * 1.1**i), dim=2)
+        for i in range(0, 30, 3)
+    ]
+    scens += [
+        gen_adversarial_switch(50 + i, phases=3, T=6, dim=1 + i % 3, jump=jump, norm=NORMS[i % 3])
+        for i, jump in enumerate((1e2, 1e3, 1e4, 1e5))
+    ]
+    return scens
+
+
+def test_one_table_gives_every_k_up_to_three_as_the_standalone_dps():
+    # Each k' <= 3 is read off the table of the largest k' <= 3 in the call;
+    # it must equal the standalone DP's value in repr, whichever other k'
+    # share the call.  Integer grids tie often and repeat points.  The same
+    # tables check the oracle's step answer against search_steps.
+    rng = random.Random(139)
+    cases = []
+    for T in range(1, 17):
+        for case in range(30):
+            norm, dim = NORMS[case % 3], 1 + case % 2
+            points = [origin(dim)] + _grid_points(rng, T, dim, rng.choice((1, 2, 3)), 1.0)
+            cases.append((points, norm))
+    cases += [(scen.points, scen.norm) for scen in _bench_style_scenarios()]
+    calls = [[1], [2], [3], [1, 2], [1, 3], [2, 3], [3, 2, 1], [2, 5, 1]]
+    for points, norm in cases:
+        D = distance_matrix(points, norm)
+        T = len(D) - 1
+        want = {k: repr(reference_kserver_dp(D, min(k, T))) for k in (1, 2, 3)}
+        for ks in calls if T <= 16 else calls[6:7]:
+            got = offline_opt_kserver(D, ks)
+            assert [repr(c) for k, c in zip(ks, got) if min(k, T) <= 3] == [
+                want[min(k, T)] for k in ks if min(k, T) <= 3
+            ], (ks, norm, points)
+        if T <= 16:
+            for t in range(1, T + 1):
+                for s in range(T + 1):
+                    assert table_steps(D[t], s) == search_steps(points[s], points[t], norm), (s, t, points)
+    assert len(cases) > 500
 
 
 def test_rounding_beyond_the_tie_margin_fails_loudly():

@@ -266,6 +266,15 @@ BAD_INPUTS = [
     ("learn", {"learner": "centers", "k": 1, "seed": 2**128}, None),
     ("simulate", {"strategy": "predict-yesterday", "seed": 1.0}, None),
     ("simulate", {"strategy": "kserver-greedy", "k": 10**400}, None),
+    ("simulate", {"strategy": "predict-yesterday"}, (["days", 1, "solution"], ["1.5"])),
+    ("simulate", {"strategy": "predict-yesterday"}, (["days", 1, "features"], "12")),
+    ("learn", {"learner": "centers", "k": 1}, (["days", 1, "solution"], [True])),
+    ("simulate", {"strategy": "predict-yesterday"}, (["days", 1, "solution"], {"0": 1})),
+    ("simulate", {"strategy": "predict-yesterday"}, (["meta", "planted", "assignment", "1"], True)),
+    ("simulate", {"strategy": "predict-yesterday"}, (["meta", "planted", "predictions", "1"], "1")),
+    ("simulate", {"strategy": "predict-yesterday"}, (["days", 1, "solution"], [10**400])),
+    ("learn", {"learner": "partition", "k": 1}, (["days", 1, "features"], [-(10**400)])),
+    ("simulate", {"strategy": "predict-yesterday"}, (["meta", "planted", "predictions", "1"], [10**400])),
 ]
 BAD_INPUT_IDS = [
     "unknown-norm",
@@ -321,6 +330,15 @@ BAD_INPUT_IDS = [
     "seed-2-to-the-128",
     "seed-float",
     "kserver-k-overflows",
+    "string-coordinate",
+    "features-a-string",
+    "bool-coordinate",
+    "object-for-a-vector",
+    "planted-bool-assignment",
+    "planted-string-prediction",
+    "huge-int-solution",
+    "huge-int-feature",
+    "planted-huge-int-prediction",
 ]
 
 
@@ -356,7 +374,15 @@ def test_bad_input_exits_one_with_one_line(tmp_path, capsys, command, config, pa
 # not reject with a ValueError: a JSON value of the wrong type, which parsing
 # meets first (TypeError), and the magnitude rule of a run, which the CLI
 # applies to a well-formed scenario.
-WRONG_TYPE = {"features-not-a-list", "null-coordinate", "days-not-a-list"}
+WRONG_TYPE = {
+    "features-not-a-list",
+    "null-coordinate",
+    "days-not-a-list",
+    "string-coordinate",
+    "features-a-string",
+    "bool-coordinate",
+    "object-for-a-vector",
+}
 MAGNITUDES = {
     "distances-overflow",
     "sums-overflow",
@@ -1066,6 +1092,52 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.add(((run_dir / "ledger.json").read_bytes(), (run_dir / "art.json").read_bytes()))
     assert len(outputs) == 1
+
+
+_plain_sum = sum
+
+
+def compensated_sum(iterable, /, start=0):
+    """``sum`` as Python 3.12 adds floats: with Neumaier's compensation, so
+    ``compensated_sum([0.1] * 10)`` is 1.0 where 3.11's ``sum`` gives
+    0.9999999999999999.  Sums without a float are left to ``sum``."""
+    items = list(iterable)
+    if not any(type(x) is float for x in [start, *items]):
+        return _plain_sum(items, start)
+    total = compensation = 0.0
+    for x in map(float, [start, *items]):
+        t = total + x
+        compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + compensation
+
+
+def test_outputs_do_not_depend_on_how_sum_adds_floats(tmp_path, monkeypatch):
+    # Every simulate strategy and both learners, run once with 3.11's sum and
+    # once with 3.12's compensated float sum in its place, write the same
+    # bytes.  No float goes through sum today (float sums are left-to-right
+    # loops or cumsums); this keeps the outputs from depending on the next
+    # one's Python version.
+    import builtins
+
+    assert compensated_sum([0.1] * 10) == 1.0 != sum([0.1] * 10)
+    assert compensated_sum([1, 2], 3) == 6 and compensated_sum([], 0.5) == 0.5
+    runs = [("simulate", {"strategy": s, "k": 2, "baseline_ks": [1, 2, 3]}) for s in STRATEGIES]
+    runs += [("learn", {"learner": lr, "k": 2}) for lr in ("centers", "partition")]
+
+    def outputs():
+        got = []
+        for i, (command, config) in enumerate(runs):
+            cfg = tmp_path / f"cfg{i}.json"
+            cfg.write_text(json.dumps({"scenario": GOLDEN_SPEC, **config}))
+            out = tmp_path / f"out{i}.json"
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+            got.append(out.read_bytes())
+        return got
+
+    plain = outputs()
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    assert outputs() == plain
 
 
 @pytest.mark.parametrize("where", ["meta", "solution"])

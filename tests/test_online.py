@@ -1,9 +1,11 @@
+import decimal
 import math
 import random
+from dataclasses import dataclass
 
 import pytest
 
-from warmstart import kmedians, online
+from warmstart import kmedians, online, oracle
 from warmstart.baselines import WorkFunctionState, wfa_step
 from warmstart.errors import CapExceeded, InvariantViolation
 from warmstart.ledger import CostLedger, DayLedger
@@ -11,7 +13,6 @@ from warmstart.metric import L2, NORMS, Point, distance, origin
 from warmstart.online import (
     ORIGIN_DAY,
     ThreadEntry,
-    _assert_subsuming_identity,
     kserver_reduction,
     parallel_k,
     predict_yesterday,
@@ -48,6 +49,15 @@ def test_rate_series_stays_below_one():
     assert sum(rate(i) for i in range(2, 200000)) < 1.0
 
 
+def test_math_log_is_correctly_rounded_at_every_rank_up_to_1000():
+    # Rates divide by ln(i)^2, so an ln one ulp off could move a
+    # floor(V * rate) across an integer and a ledger with it.  glibc 2.36's
+    # log is first off at 9,170; a libm that is off below 1,000 fails here.
+    with decimal.localcontext(prec=40):
+        for i in range(2, 1001):
+            assert math.log(i) == float(decimal.Decimal(i).ln()), i
+
+
 def test_predict_yesterday_hand_example():
     lg = predict_yesterday(_scen([0.0, 3.0, 5.0]))
     assert [d.radius_searched for d in lg.days] == [1, 3, 2]
@@ -78,11 +88,14 @@ def test_kill_trace_hand_computed():
 
 
 def test_subsume_check_is_ball_containment():
-    a = ThreadEntry(1, Point.of(0.0), None, radius=2)
-    b = ThreadEntry(2, Point.of(3.0), None, radius=6)
-    assert subsume_check(a, b, L2)  # d=3 <= 6-2
+    # Sources are indices into the table: the origin, then days 1 and 2 at
+    # 0.0 and 3.0.
+    rows = [[0.0, 0.0, 3.0], [0.0, 0.0, 3.0], [3.0, 3.0, 0.0]]
+    a, b = ThreadEntry(1, 10), ThreadEntry(2, 10)
+    a.radius, b.radius = 2, 6
+    assert subsume_check(a, b, rows)  # d=3 <= 6-2
     b.radius = 4
-    assert not subsume_check(a, b, L2)  # d=3 > 4-2
+    assert not subsume_check(a, b, rows)  # d=3 > 4-2
 
 
 def test_virtual_radius_dominates_half_total():
@@ -206,17 +219,43 @@ def test_kserver_reduction_matches_the_full_server_list():
                 assert got == reference_kserver_reduction(scen, alg, k).to_json_text(), (alg, k, sols)
 
 
+@dataclass(eq=False)
+class _RefEntry:
+    """A thread of the reference: its source day and point, radius and
+    subsumption state."""
+
+    source_day: int
+    source: Point
+    radius: int = 0
+    alive: bool = True
+    subsumed_by: "_RefEntry | None" = None
+    shadow_radius: int = 0
+
+    def ultimate_subsumer(self):
+        e = self
+        while not e.alive:
+            e = e.subsumed_by
+        return e
+
+
+def _ref_assert_subsuming_identity(dead, norm):
+    for j in dead:
+        i = j.ultimate_subsumer()
+        if distance(i.source, j.source, norm) > i.radius - j.shadow_radius + 1e-9:
+            raise InvariantViolation("subsuming identity violated")
+
+
 def reference_quadratic_decay_day(history, inst, mode="quadratic", trace=None):
     """Reference: the decay day stepped one virtual tick at a time, every
     rank checked on every tick and every thread moved one unit step at a
-    time.  Rates are looked up per rank instead of recomputed per tick, and
-    a thread is its radius: it completes when the radius reaches its needed
-    steps."""
+    time, with sources as points and distances from ``distance``.  Rates are
+    looked up per rank instead of recomputed per tick, and a thread is its
+    radius: it completes when the radius reaches its needed steps."""
     rates = [rate(i, mode) for i in range(1, len(history) + 2)]
     norm = inst.norm
     sources = [(day, sol) for day, sol in zip(range(len(history), 0, -1), reversed(history))]
     sources.append((ORIGIN_DAY, origin(inst.dim)))
-    active = [ThreadEntry(day, src, None) for day, src in sources]
+    active = [_RefEntry(day, src) for day, src in sources]
     needed = {id(e): required_steps(inst, e.source) for e in active}
     dead = []
     overhead = 0
@@ -245,19 +284,19 @@ def reference_quadratic_decay_day(history, inst, mode="quadratic", trace=None):
             for rank_j in range(1, i):
                 overhead += 1
                 faster = active[rank_j - 1]
-                if subsume_check(entry, faster, norm):
+                if distance(entry.source, faster.source, norm) <= faster.radius - entry.radius:
                     overhead += 1
                     entry.alive = False
                     entry.subsumed_by = faster
                     entry.shadow_radius = entry.radius
                     active.pop(i - 1)
                     dead.append(entry)
-                    _assert_subsuming_identity(dead, norm)
+                    _ref_assert_subsuming_identity(dead, norm)
                     if trace is not None:
                         trace.append(("kill", V, entry.source_day, faster.source_day))
                     break
             i += 1
-    _assert_subsuming_identity(dead, norm)
+    _ref_assert_subsuming_identity(dead, norm)
     total_radius = sum(e.radius for e in active) + sum(e.radius for e in dead)
     day = DayLedger(inst.day, total_radius, overhead, active[0].radius, solver.source_day)
     if trace is not None:
@@ -389,3 +428,92 @@ def test_parallel_k_params_stay_k_under_the_cap():
     for k in (1, 2, 3):
         for scen in (_scen([1.0, 5.0, 9.0, 2.0]), gen_adversarial_switch(7, phases=3, T=9, dim=2)):
             assert parallel_k(scen, k).params == {"k": k}
+
+
+class _RecordingRow(list):
+    """Row ``t`` of a distance table that logs each entry read as
+    ("read", t, s, whether the oracle read it)."""
+
+    def __init__(self, values, t, log, in_oracle):
+        super().__init__(values)
+        self.t, self.log, self.in_oracle = t, log, in_oracle
+
+    def __getitem__(self, s):
+        self.log.append(("read", self.t, s, self.in_oracle[0]))
+        return list.__getitem__(self, s)
+
+
+class _RecordingTable:
+    """A scenario's distance table whose rows, taken by index or all at once
+    by ``tolist``, log their reads."""
+
+    def __init__(self, D, log, in_oracle):
+        self.rows = D.tolist()
+        self.log, self.in_oracle = log, in_oracle
+
+    def __getitem__(self, t):
+        return _RecordingRow(self.rows[t], t, self.log, self.in_oracle)
+
+    def tolist(self):
+        return [self[t] for t in range(len(self.rows))]
+
+
+def test_no_strategy_reads_a_day_before_its_search_completes(monkeypatch):
+    # The information barrier: while day t is being searched, a strategy
+    # reads row t of the table only through the oracle's step answer, for a
+    # source it has already found, and reads nothing of the days after t.
+    # Each day's search completes when the decay's day ends or the parallel
+    # search that the other strategies run returns.
+    log, in_oracle = [], [False]
+    table_steps = online.table_steps
+
+    def oracle_steps(row, s):
+        in_oracle[0] = True
+        try:
+            return table_steps(row, s)
+        finally:
+            in_oracle[0] = False
+
+    def completes(fn):
+        def wrapped(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            log.append(("solved",))
+            return result
+
+        return wrapped
+
+    monkeypatch.setattr(online, "table_steps", oracle_steps)
+    monkeypatch.setattr(oracle, "table_steps", oracle_steps)
+    monkeypatch.setattr(online._DecayDay, "run", completes(online._DecayDay.run))
+    monkeypatch.setattr(online, "run_parallel_k_detail", completes(online.run_parallel_k_detail))
+    runs = [
+        lambda scen: run_quadratic_decay(scen, "quadratic"),
+        lambda scen: run_quadratic_decay(scen, "harmonic"),
+        predict_yesterday,
+    ] + [lambda scen, k=k: kserver_reduction(scen, "greedy", k) for k in (1, 2, 3)]
+    scens = [
+        gen_adversarial_switch(301, phases=4, T=20, dim=1),
+        gen_drifting_trajectories(103, k=3, drift_per_day=0.5, noise=0.5, T=40, dim=2),
+    ]
+    oracle_reads = other_reads = 0
+    for scen in scens:
+        for run in runs:
+            scen.__dict__.pop("distances", None)
+            want = run(scen).to_json_text()
+            del log[:]
+            scen.distances = _RecordingTable(scen.distances, log, in_oracle)
+            assert run(scen).to_json_text() == want
+            solved = 0
+            for event in log:
+                if event == ("solved",):
+                    solved += 1
+                    continue
+                _, i, j, by_oracle = event
+                if by_oracle:
+                    assert i == solved + 1 and j <= solved, (scen.name, event, solved)
+                    oracle_reads += 1
+                else:
+                    assert max(i, j) <= solved, (scen.name, event, solved)
+                    other_reads += 1
+            assert solved == scen.T
+    assert oracle_reads > 500 and other_reads > 500, (oracle_reads, other_reads)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from warmstart.metric import L2, NORMS, Point, distance, search_steps
+from warmstart.metric import L2, NORMS, Point, distance, distance_matrix, search_steps
 from warmstart.oracle import (
     HiddenInstance,
     SearchThread,
@@ -10,6 +10,7 @@ from warmstart.oracle import (
     required_steps,
     run_parallel_k,
     run_parallel_k_detail,
+    table_steps,
 )
 
 
@@ -184,3 +185,23 @@ def test_oracle_accessors():
     inst = _inst(Point.of(2.5))
     assert hidden_solution(inst) == Point.of(2.5)
     assert required_steps(inst, Point.of(0.0)) == 3
+
+
+def test_a_table_row_answers_as_the_instance_does():
+    # Sources given as indices into the distance table, on the day's row,
+    # search exactly as the same points do on the day's instance; the
+    # solution is then left to the caller, who knows its index.
+    rng = random.Random(23)
+    for norm in NORMS:
+        for _ in range(100):
+            dim = rng.randint(1, 3)
+            points = [Point((0.0,) * dim)] + [_grid_point(rng, dim) for _ in range(rng.randint(1, 8))]
+            D = distance_matrix(points, norm)
+            t = rng.randrange(1, len(points))
+            inst = HiddenInstance(t, points[0], points[t], norm)
+            sources = [rng.randrange(len(points)) for _ in range(rng.randint(1, 5))]
+            for s in sources:
+                assert table_steps(D[t], s) == required_steps(inst, points[s])
+            by_index = run_parallel_k_detail(D[t], sources)
+            assert by_index[0] is None
+            assert by_index[1:] == run_parallel_k_detail(inst, [points[s] for s in sources])[1:]

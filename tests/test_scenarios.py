@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import random
@@ -138,8 +137,9 @@ def test_generators_and_direct_construction_check_the_structure():
         {"meta": []},
         {"meta": {"planted": {"k": 0, "assignment": {}, "predictions": {}}}},
     ):
+        fields = dict(name=scen.name, seed=scen.seed, dim=scen.dim, norm=scen.norm, days=scen.days, meta=scen.meta)
         with pytest.raises(ValueError):
-            dataclasses.replace(scen, **bad)
+            Scenario(**{**fields, **bad})
 
 
 def test_static_cluster_geometry():
@@ -235,3 +235,16 @@ def test_generating_the_corpus_leaves_numpy_random_unloaded():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout.strip() == "False"
+
+
+def test_a_file_coordinate_must_be_a_finite_json_number():
+    # JSON reads the literal 1e400 as inf; integers are numbers.  The other
+    # types and ranges a file may hold are cases of the CLI's BAD_INPUTS.
+    scen = gen_drifting_trajectories(8, k=1, drift_per_day=1.0, noise=0.5, T=3, dim=2)
+    d = json.loads(scen.to_json_text())
+    d["days"][1]["solution"] = ["@", 0.0]
+    with pytest.raises(ValueError, match="non-finite"):
+        Scenario.from_json_text(json.dumps(d).replace('"@"', "1e400"))
+    d["days"][1]["solution"] = [3, -(10**20)]
+    back = Scenario.from_json_text(json.dumps(d))
+    assert back.points[2].coords == (3.0, -1e20) and back.coords.tolist()[2] == [3.0, -1e20]
