@@ -313,7 +313,7 @@ def cmd_selftest(args) -> int:
     assert total == 6, f"parallel-k sanity: expected 6, got {total}"
     checks += 1
 
-    scen = Scenario(
+    scen = Scenario.of_days(
         name="selftest",
         seed=0,
         dim=1,

@@ -22,8 +22,16 @@ from . import baselines
 from .errors import CapExceeded, InvariantViolation
 from .kmedians import learn_centers
 from .ledger import CostLedger, DayLedger
-from .metric import Point, distance, distance_matrix, origin
-from .oracle import HiddenInstance, SearchThread, hidden_solution, run_parallel_k_detail, table_steps
+from .metric import Point, distance_matrix, origin
+from .metric import distance  # noqa: F401  traced by bench/tracing.py until ROADMAP item 5
+from .oracle import (
+    HiddenInstance,
+    SearchThread,
+    hidden_solution,
+    parallel_search,
+    run_parallel_k_detail,
+    table_steps,
+)
 
 ORIGIN_DAY = 0
 
@@ -74,7 +82,10 @@ class ThreadEntry(SearchThread):
     """One search thread in the rate-decay scheduler, opened at the scenario
     point of index ``source``: the solution of day ``source``, or the origin
     (0).  The scheduler reads the day's solution by its index, so an entry
-    has no instance to return it from.
+    has no instance to return it from: its ``origin`` and ``inst`` stay
+    unset, and ``result`` raises.  It is a ``SearchThread`` so that
+    ``bench/tracing.py``'s count of ``SearchThread.step`` calls sees the
+    decay's steps (ROADMAP item 5).
 
     ``radius`` counts real steps taken while alive; ``shadow_radius`` keeps
     accruing after subsumption, at the (ultimate) subsumer's rate, so the
@@ -94,6 +105,9 @@ class ThreadEntry(SearchThread):
         self.subsumed_by: ThreadEntry | None = None
         self.shadow_radius = 0
         self.dependents: list[ThreadEntry] = []
+
+    def result(self) -> Point:
+        raise TypeError("a decay thread's solution is the scenario point of the day it solved")
 
     def ultimate_subsumer(self) -> "ThreadEntry":
         e = self
@@ -370,7 +384,7 @@ def predict_yesterday(scenario) -> CostLedger:
     D = scenario.distances
     days = []
     for t in range(1, scenario.T + 1):
-        _, radius, _, _ = run_parallel_k_detail(D[t], [t - 1])
+        radius, _, _ = parallel_search([table_steps(D[t], t - 1)])
         days.append(
             DayLedger(
                 day=t,
@@ -424,9 +438,9 @@ def kserver_reduction(scenario, server_alg: str, k: int) -> CostLedger:
     chosen k-server algorithm (greedy nearest server, or the work-function
     algorithm), which moves exactly one server onto it.  If the work-function
     table outgrows its cap the run falls back to greedy for the remaining
-    days, and ``params["wfa_fallback_day"]`` records the day it did.  Greedy
-    servers are scenario points, kept as their indices in the scenario's
-    distance table; the work function keeps its own points.
+    days, and ``params["wfa_fallback_day"]`` records the day it did.  Servers
+    are scenario points, the origin or past solutions, kept as their indices
+    in the scenario's distance table; the work function keeps its own points.
 
     Only the first min(k, T) servers are tracked, so a huge k costs what
     k = T costs.  Servers still at the origin tie with each other, and ties
@@ -438,32 +452,23 @@ def kserver_reduction(scenario, server_alg: str, k: int) -> CostLedger:
         raise ValueError("k must be >= 1")
     if server_alg not in ("greedy", "wfa"):
         raise ValueError(f"unknown server algorithm {server_alg!r}")
-    norm = scenario.norm
-    greedy = server_alg == "greedy"
-    if greedy:
-        D = scenario.distances
-        servers = [ORIGIN_DAY] * min(k, scenario.T)
-    else:
-        servers = [origin(scenario.dim)] * min(k, scenario.T)
-        wfa_state = baselines.WorkFunctionState(k, scenario.dim, norm)
+    D = scenario.distances
+    servers = [ORIGIN_DAY] * min(k, scenario.T)
+    wfa_state = baselines.WorkFunctionState(k, scenario.dim, scenario.norm) if server_alg == "wfa" else None
     params = {"k": k, "server_alg": server_alg}
     days = []
     for t in range(1, scenario.T + 1):
-        if greedy:
-            row = D[t]
-            _, _, winner, sweeps = run_parallel_k_detail(row, servers)
-            solution, idx = t, _nearest([row[s] for s in servers])
-        else:
-            solution, _, winner, sweeps = run_parallel_k_detail(scenario.days[t - 1], servers)
-            idx = None
-            if wfa_state is not None:
-                try:
-                    idx, _ = baselines.wfa_step(wfa_state, solution)
-                except CapExceeded:
-                    wfa_state = None
-                    params["wfa_fallback_day"] = t
-            if idx is None:
-                idx = _nearest([distance(s, solution, norm) for s in servers])
+        row = D[t]
+        _, winner, sweeps = parallel_search([table_steps(row, s) for s in servers])
+        idx = None
+        if wfa_state is not None:
+            try:
+                idx, _ = baselines.wfa_step(wfa_state, scenario.points[t])
+            except CapExceeded:
+                wfa_state = None
+                params["wfa_fallback_day"] = t
+        if idx is None:
+            idx = _nearest([row[s] for s in servers])
         days.append(
             DayLedger(
                 day=t,
@@ -473,7 +478,7 @@ def kserver_reduction(scenario, server_alg: str, k: int) -> CostLedger:
                 solver_thread=winner + 1,
             )
         )
-        servers[idx] = solution
+        servers[idx] = t
     return CostLedger(
         scenario=scenario.name,
         strategy=f"kserver-{server_alg}",

@@ -8,8 +8,9 @@ hidden solution directly; it only learns it when a thread completes.
 A strategy whose predictions are points of its scenario (the origin and past
 solutions) names them by their index in the scenario's distance table, and
 the oracle reads their step counts off the day's row of that table
-(``table_steps``).  Table entries are bit-identical to ``distance``, so the
-counts are the same.
+(``table_steps``); ``parallel_search`` runs its threads from their step
+counts.  Table entries are bit-identical to ``distance``, so the counts are
+the same.
 """
 
 from __future__ import annotations
@@ -98,27 +99,26 @@ class SearchThread:
         return self.inst._solution
 
 
-def run_parallel_k_detail(inst, preds: list):
-    """Round-robin parallel search from ``preds``: Points, with ``inst`` the
-    day's ``HiddenInstance``, or indices of scenario points, with ``inst`` the
-    day's row of the scenario's distance table (``table_steps``).
+def parallel_search(needed: list[int]) -> tuple[int, int, int]:
+    """Round-robin parallel search by threads that need ``needed`` steps.
 
     Each sweep advances every thread by one step in list order; the run stops
     at the end of the first sweep in which some thread completes, with the
     earliest-in-list completion winning.  That is a closed function of the
     step counts: the run lasts ``min(needed)`` sweeps, every thread steps in
     each of them, and the winner is the first thread needing that many.
-    Returns ``(solution, total_radius, winner_index, sweeps)``; from a table
-    row the solution is None, since the caller knows its index.
+    Returns ``(total_radius, winner_index, sweeps)``.
     """
-    if not preds:
+    if not needed:
         raise ValueError("need at least one prediction")
-    if isinstance(inst, HiddenInstance):
-        solution, needed = inst._solution, [required_steps(inst, p) for p in preds]
-    else:
-        solution, needed = None, [table_steps(inst, s) for s in preds]
     sweeps = min(needed)
-    return solution, len(preds) * sweeps, needed.index(sweeps), sweeps
+    return len(needed) * sweeps, needed.index(sweeps), sweeps
+
+
+def run_parallel_k_detail(inst: HiddenInstance, preds: list[Point]):
+    """``parallel_search`` from ``preds`` on ``inst``.  Returns
+    ``(solution, total_radius, winner_index, sweeps)``."""
+    return (inst._solution, *parallel_search([required_steps(inst, p) for p in preds]))
 
 
 def run_parallel_k(inst: HiddenInstance, preds: list[Point]) -> tuple[Point, int]:

@@ -42,69 +42,62 @@ def _check_numbers(vectors: list, what: str) -> None:
 def _coordinate_array(vectors: list, dim: int, what: str) -> np.ndarray:
     """The (T, dim) float array of the days' coordinate ``vectors`` (parsed
     JSON), checked: ``TypeError`` unless each is an array of numbers,
-    ``ValueError`` unless each has ``dim`` of them, all finite as floats."""
+    ``ValueError`` unless each has ``dim`` of them, all in the float range."""
     _check_numbers(vectors, f"each day's {what}")
     for t, v in enumerate(vectors, start=1):
         if len(v) != dim:
             raise ValueError(f"day {t} is not in dimension {dim}: its {what} has {len(v)} coordinates")
     try:
-        A = np.array(vectors, dtype=float)
+        return np.array(vectors, dtype=float)
     except OverflowError as e:  # an int beyond the float range
         raise ValueError(f"a day's {what} is out of the float range: {e}") from None
-    if not np.isfinite(A).all():  # a literal such as 1e400 parses as inf
-        raise ValueError(f"a day's {what} has a non-finite coordinate")
-    return A
 
 
-def _check_frame(name, dim, norm, days: list) -> None:
-    if not isinstance(name, str):
-        raise ValueError("scenario name must be a string")
-    if not (_is_int(dim) and dim >= 1):
-        raise ValueError(f"scenario dim must be an integer >= 1, got {dim!r}")
-    if norm not in NORMS:
-        raise ValueError(f"unknown norm {norm!r}; expected one of {', '.join(NORMS)}")
-    if not days:
-        raise ValueError("scenario has no days")
+def _check_numbering(days: list) -> None:
     if not set(map(type, days)) <= {int} or days != list(range(1, len(days) + 1)):
         raise ValueError(f"scenario days must be numbered 1..{len(days)} in order")
 
 
 class Scenario:
-    """Days in one dimension and one norm, each with a hidden solution.
-    Construction raises ``ValueError`` unless the name is a string, ``dim``
-    an integer >= 1, the norm in ``NORMS``, the days numbered 1..T (T >= 1)
-    by integers and in the scenario's norm, every feature and solution of
-    length ``dim``, ``meta`` a dict, and ``meta["planted"]``, if any, a
-    trajectory set with an integer k over days 1..t (1 <= t <= T) in
-    dimension ``dim``, parsed into ``planted``.
+    """Days 1..T in one dimension and one norm, each with a hidden solution,
+    held as arrays: ``features`` (T, dim), and ``coords`` (T + 1, dim), the
+    origin and then the solutions of days 1..T, over which ``distances`` is
+    the table.  ``points`` and ``solutions()`` (Points of ``coords``) and
+    ``days`` (the days' ``HiddenInstance``s, which hold those Points) are
+    built on first use.
 
-    A scenario holds its coordinates as arrays: ``features`` (T, dim), and
-    ``coords`` (T + 1, dim), the origin and then the solutions of days
-    1..T, over which ``distances`` is the table.  ``points`` and
-    ``solutions()`` (Points of ``coords``) and ``days`` (which holds those
-    Points) are built on first use when the scenario comes from a file.
+    Construction from the ``features`` and ``solutions`` arrays raises
+    ``ValueError`` unless the name is a string, ``dim`` an integer >= 1, the
+    norm in ``NORMS``, both arrays (T, dim) with T >= 1 and finite, ``meta``
+    a dict, and ``meta["planted"]``, if any, a trajectory set with an
+    integer k over days 1..t (1 <= t <= T) in dimension ``dim``, parsed into
+    ``planted``.  ``of_days`` builds a scenario from its days, and
+    ``from_json_text`` from a file's text.
     """
 
-    def __init__(self, name: str, seed: int, dim: int, norm: str, days: list[HiddenInstance], meta=None):
-        days = list(days)
-        _check_frame(name, dim, norm, [inst.day for inst in days])
-        for inst in days:
-            if len(inst.features.coords) != dim or len(hidden_solution(inst).coords) != dim or inst.norm != norm:
-                raise ValueError(f"day {inst.day} is not in dimension {dim} and norm {norm}")
-        features = np.array([inst.features.coords for inst in days])
-        solutions = np.array([hidden_solution(inst).coords for inst in days])
-        self._set(name, seed, dim, norm, features, solutions, {} if meta is None else meta)
-        self.days = days
-
-    def _set(self, name, seed, dim, norm, features, solutions, meta) -> None:
-        """Hold the checked frame and coordinates; check and parse ``meta``."""
+    def __init__(self, name: str, seed: int, dim: int, norm: str, features, solutions, meta=None):
+        if not isinstance(name, str):
+            raise ValueError("scenario name must be a string")
+        if not (_is_int(dim) and dim >= 1):
+            raise ValueError(f"scenario dim must be an integer >= 1, got {dim!r}")
+        if norm not in NORMS:
+            raise ValueError(f"unknown norm {norm!r}; expected one of {', '.join(NORMS)}")
+        features, solutions = np.asarray(features, dtype=float), np.asarray(solutions, dtype=float)
+        if not len(features):
+            raise ValueError("scenario has no days")
+        if features.shape != (len(features), dim) or solutions.shape != features.shape:
+            raise ValueError(f"the features and solutions must both be (T, {dim}) arrays")
+        if not (np.isfinite(features).all() and np.isfinite(solutions).all()):
+            raise ValueError("a day has a non-finite coordinate")  # a literal such as 1e400 parses as inf
+        if meta is None:
+            meta = {}
+        if not isinstance(meta, dict):
+            raise ValueError("scenario meta must be an object")
         self.name, self.seed, self.dim, self.norm = name, seed, dim, norm
         self.features = features
         self.coords = np.concatenate([np.zeros((1, dim)), solutions])
         self.meta = meta
         self.planted: TrajectorySet | None = None
-        if not isinstance(meta, dict):
-            raise ValueError("scenario meta must be an object")
         if "planted" in meta:
             try:
                 planted = traj_from_jsonable(meta["planted"])
@@ -117,6 +110,19 @@ class Scenario:
                     f"t in 1..{self.T}, in dimension {dim}"
                 )
             self.planted = planted
+
+    @classmethod
+    def of_days(cls, name: str, seed: int, dim: int, norm: str, days: list[HiddenInstance], meta=None) -> "Scenario":
+        """The scenario of ``days``, which must be numbered 1..T by integers
+        and each lie in dimension ``dim`` and norm ``norm``."""
+        days = list(days)
+        _check_numbering([inst.day for inst in days])
+        for inst in days:
+            if len(inst.features.coords) != dim or len(hidden_solution(inst).coords) != dim or inst.norm != norm:
+                raise ValueError(f"day {inst.day} is not in dimension {dim} and norm {norm}")
+        features = [inst.features.coords for inst in days]
+        solutions = [hidden_solution(inst).coords for inst in days]
+        return cls(name, seed, dim, norm, features, solutions, meta)
 
     @property
     def T(self) -> int:
@@ -172,18 +178,17 @@ class Scenario:
     @staticmethod
     def from_json_text(text: str) -> "Scenario":
         """The scenario of a file's text.  The same rules as construction
-        hold, and every feature and solution must be a JSON array of ``dim``
-        numbers (``TypeError`` if not numbers) that are finite as floats."""
+        hold, the days must be numbered 1..T, and every feature and solution
+        must be a JSON array of ``dim`` numbers (``TypeError`` if not
+        numbers) that are finite as floats."""
         d = json.loads(text, parse_constant=_reject_constant)
         if d["schema_version"] != SCHEMA_VERSION:
             raise ValueError(f"unsupported scenario schema {d['schema_version']}")
         entries, dim = d["days"], d["dim"]
-        _check_frame(d["name"], dim, d["norm"], [e["day"] for e in entries])
+        _check_numbering([e["day"] for e in entries])
         features = _coordinate_array([e["features"] for e in entries], dim, "features")
         solutions = _coordinate_array([e["solution"] for e in entries], dim, "solution")
-        scenario = Scenario.__new__(Scenario)
-        scenario._set(d["name"], d["seed"], dim, d["norm"], features, solutions, d["meta"])
-        return scenario
+        return Scenario(d["name"], d["seed"], dim, d["norm"], features, solutions, d["meta"])
 
 
 def traj_to_jsonable(traj: TrajectorySet) -> dict:
@@ -318,7 +323,7 @@ def gen_static_clusters(
         "centers": [list(map(float, c)) for c in centers],
         "labels": labels,
     }
-    return Scenario(f"static_clusters_k{k}_s{seed}", seed, dim, norm, days, meta)
+    return Scenario.of_days(f"static_clusters_k{k}_s{seed}", seed, dim, norm, days, meta)
 
 
 def gen_drifting_trajectories(
@@ -379,7 +384,7 @@ def gen_drifting_trajectories(
         "planted": traj_to_jsonable(planted),
         "planted_cost": hit + movement,
     }
-    return Scenario(f"drifting_k{k}_s{seed}", seed, dim, norm, days, meta)
+    return Scenario.of_days(f"drifting_k{k}_s{seed}", seed, dim, norm, days, meta)
 
 
 def gen_planted_lower_bound(
@@ -406,7 +411,7 @@ def gen_planted_lower_bound(
         "planted_points": [list(map(float, p)) for p in planted],
         "choices": choices,
     }
-    return Scenario(f"planted_lb_k{k}_s{seed}", seed, dim, norm, days, meta)
+    return Scenario.of_days(f"planted_lb_k{k}_s{seed}", seed, dim, norm, days, meta)
 
 
 def gen_adversarial_switch(
@@ -443,7 +448,7 @@ def gen_adversarial_switch(
             "jitter": jitter,
         },
     }
-    return Scenario(f"switch_p{phases}_s{seed}", seed, dim, norm, days, meta)
+    return Scenario.of_days(f"switch_p{phases}_s{seed}", seed, dim, norm, days, meta)
 
 
 GENERATORS = {

@@ -53,7 +53,7 @@ def _inline_scenario(sols, norm=L2):
     days = [
         HiddenInstance(t + 1, origin(dim), s, norm) for t, s in enumerate(sols)
     ]
-    return Scenario("inline", 0, dim, norm, days, {})
+    return Scenario.of_days("inline", 0, dim, norm, days, {})
 
 
 def test_criterion_01_parallel_radius_bound():

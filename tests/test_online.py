@@ -31,7 +31,7 @@ def _scen(solutions, norm=L2):
         HiddenInstance(t + 1, origin(dim), Point.of(s), norm)
         for t, s in enumerate(solutions)
     ]
-    return Scenario("inline", 0, dim, norm, days, {})
+    return Scenario.of_days("inline", 0, dim, norm, days, {})
 
 
 def test_rate_values():
@@ -98,6 +98,16 @@ def test_subsume_check_is_ball_containment():
     assert not subsume_check(a, b, rows)  # d=3 > 4-2
 
 
+def test_a_decay_thread_steps_as_a_search_thread_but_has_no_result():
+    # It names its source by index, so the day's solution is the caller's
+    # to read; stepping is the SearchThread's own.
+    entry = ThreadEntry(1, 2)
+    assert isinstance(entry, oracle.SearchThread) and not hasattr(entry, "__dict__")
+    assert not entry.step() and entry.step() and entry.completed
+    with pytest.raises(TypeError):
+        entry.result()
+
+
 def test_virtual_radius_dominates_half_total():
     rng = random.Random(13)
     sols = [rng.uniform(-40, 40) for _ in range(25)]
@@ -157,7 +167,7 @@ def test_invalid_strategy_arguments():
     with pytest.raises(ValueError):
         kserver_reduction(scen, "lru", 2)
     with pytest.raises(ValueError):  # an empty scenario cannot be built, so no strategy meets one
-        predict_yesterday(Scenario("empty", 0, 1, L2, [], {}))
+        predict_yesterday(Scenario.of_days("empty", 0, 1, L2, [], {}))
 
 
 def test_wfa_fallback_day_is_recorded():
@@ -212,7 +222,7 @@ def test_kserver_reduction_matches_the_full_server_list():
         half = rng.choice((1, 2, 4))
         sols = [Point(tuple(float(rng.randint(-half, half)) for _ in range(dim))) for _ in range(T)]
         days = [HiddenInstance(t + 1, origin(dim), s, norm) for t, s in enumerate(sols)]
-        scen = Scenario("grid", case, dim, norm, days, {})
+        scen = Scenario.of_days("grid", case, dim, norm, days, {})
         for alg, ks in (("greedy", range(1, T + 4)), ("wfa", range(1, 4))):
             for k in ks:
                 got = kserver_reduction(scen, alg, k).to_json_text()
@@ -357,7 +367,7 @@ def test_decay_matches_the_tick_by_tick_reference(monkeypatch):
     for case in range(1000):
         kind, dim, norm, sols = _fuzz_solutions(rng, case)
         days = [HiddenInstance(t + 1, origin(dim), s, norm) for t, s in enumerate(sols)]
-        scen = Scenario(kind, case, dim, norm, days, {})
+        scen = Scenario.of_days(kind, case, dim, norm, days, {})
         for mode in ("quadratic", "harmonic"):
             history, ref_days = [], []
             for inst in days:
@@ -485,12 +495,12 @@ def test_no_strategy_reads_a_day_before_its_search_completes(monkeypatch):
     monkeypatch.setattr(online, "table_steps", oracle_steps)
     monkeypatch.setattr(oracle, "table_steps", oracle_steps)
     monkeypatch.setattr(online._DecayDay, "run", completes(online._DecayDay.run))
-    monkeypatch.setattr(online, "run_parallel_k_detail", completes(online.run_parallel_k_detail))
+    monkeypatch.setattr(online, "parallel_search", completes(online.parallel_search))
     runs = [
         lambda scen: run_quadratic_decay(scen, "quadratic"),
         lambda scen: run_quadratic_decay(scen, "harmonic"),
         predict_yesterday,
-    ] + [lambda scen, k=k: kserver_reduction(scen, "greedy", k) for k in (1, 2, 3)]
+    ] + [lambda scen, k=k, alg=alg: kserver_reduction(scen, alg, k) for k in (1, 2, 3) for alg in ("greedy", "wfa")]
     scens = [
         gen_adversarial_switch(301, phases=4, T=20, dim=1),
         gen_drifting_trajectories(103, k=3, drift_per_day=0.5, noise=0.5, T=40, dim=2),

@@ -9,6 +9,7 @@ from warmstart.oracle import (
     hidden_solution,
     required_steps,
     run_parallel_k,
+    parallel_search,
     run_parallel_k_detail,
     table_steps,
 )
@@ -189,8 +190,7 @@ def test_oracle_accessors():
 
 def test_a_table_row_answers_as_the_instance_does():
     # Sources given as indices into the distance table, on the day's row,
-    # search exactly as the same points do on the day's instance; the
-    # solution is then left to the caller, who knows its index.
+    # search exactly as the same points do on the day's instance.
     rng = random.Random(23)
     for norm in NORMS:
         for _ in range(100):
@@ -202,6 +202,5 @@ def test_a_table_row_answers_as_the_instance_does():
             sources = [rng.randrange(len(points)) for _ in range(rng.randint(1, 5))]
             for s in sources:
                 assert table_steps(D[t], s) == required_steps(inst, points[s])
-            by_index = run_parallel_k_detail(D[t], sources)
-            assert by_index[0] is None
-            assert by_index[1:] == run_parallel_k_detail(inst, [points[s] for s in sources])[1:]
+            by_index = parallel_search([table_steps(D[t], s) for s in sources])
+            assert by_index == run_parallel_k_detail(inst, [points[s] for s in sources])[1:]

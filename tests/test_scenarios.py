@@ -139,7 +139,18 @@ def test_generators_and_direct_construction_check_the_structure():
     ):
         fields = dict(name=scen.name, seed=scen.seed, dim=scen.dim, norm=scen.norm, days=scen.days, meta=scen.meta)
         with pytest.raises(ValueError):
-            Scenario(**{**fields, **bad})
+            Scenario.of_days(**{**fields, **bad})
+    arrays = dict(features=scen.features, solutions=scen.coords[1:])
+    assert Scenario(scen.name, scen.seed, scen.dim, scen.norm, meta=scen.meta, **arrays).to_json_text() == scen.to_json_text()
+    for bad in (
+        {"features": scen.features[:0], "solutions": scen.coords[1:1]},
+        {"solutions": scen.coords[2:]},
+        {"solutions": scen.coords[1:, :1]},
+        {"features": [[1.0, float("nan")]] * scen.T},
+        {"solutions": [[float("inf"), 1.0]] * scen.T},
+    ):
+        with pytest.raises(ValueError):
+            Scenario(scen.name, scen.seed, scen.dim, scen.norm, **{**arrays, **bad})
 
 
 def test_static_cluster_geometry():
