@@ -162,12 +162,13 @@ MEDIAN_MAX_ITER = 1000
 
 def median_point_detail(points: Sequence[Point], norm: str) -> tuple[Point, bool]:
     """Empirical 1-median of a nonempty point set under the given norm, and
-    whether it stopped at ``MEDIAN_MAX_ITER`` iterations before converging
-    (only the L2 median iterates).
+    whether it stopped at ``MEDIAN_MAX_ITER`` steps before converging (only
+    the L2 median iterates, and it converges in a handful of steps, so the
+    cap is a safety net that reports when it fires).
 
     Conventions: coordinate-wise lower median under L1 (exact), geometric
-    median by iteratively reweighted averaging under L2, coordinate-wise
-    midpoint of extremes under Linf.
+    median by safeguarded Newton-Weiszfeld steps under L2 (see
+    ``_geometric_median``), coordinate-wise midpoint of extremes under Linf.
     """
     if not points:
         raise ValueError("empty point set")
@@ -185,7 +186,8 @@ def median_point_detail(points: Sequence[Point], norm: str) -> tuple[Point, bool
             coords.append((min(col) + max(col)) / 2.0)
         return Point(tuple(coords)), False
     if norm == L2:
-        est, capped = _geometric_median([p.coords for p in points])
+        # The cap is read here, at call time, rather than bound as a default.
+        est, capped = _geometric_median([p.coords for p in points], max_iter=MEDIAN_MAX_ITER)
         return Point(est), capped
     raise ValueError(f"unknown norm {norm!r}")
 
@@ -193,39 +195,137 @@ def median_point_detail(points: Sequence[Point], norm: str) -> tuple[Point, bool
 def _geometric_median(
     P: Sequence[tuple[float, ...]], tol: float = 1e-9, max_iter: int = MEDIAN_MAX_ITER
 ) -> tuple[tuple[float, ...], bool]:
-    """Weiszfeld's iteration from the mean, over coordinate tuples.
+    """The point minimizing the summed L2 distance to coordinate tuples ``P``,
+    and whether ``max_iter`` steps ran without converging.
 
-    The mean sums each coordinate in point order.  Each step computes every
-    distance as ``distance`` does (squares summed left to right, then
-    ``sqrt``), weighs each point by ``1 / max(d, 1e-12)`` and sums the
-    weights and the weighted coordinates in point order, so the estimate is
-    the same float at every step and on every Python version (builtin
-    ``sum`` over floats is compensated from 3.12).
-    Returns the estimate and whether ``max_iter`` steps ran without a shift
-    below ``tol``.  A non-finite estimate raises ``ValueError``.
+    Starts from the mean, each coordinate summed in point order.  Each step
+    forms Weiszfeld's point (each point weighed by ``1 / max(d, 1e-12)``)
+    and, unless the estimate sits within 1e-12 of a data point, the Newton
+    step of the distance sum (see ``_newton_step``), halved while it does
+    not beat Weiszfeld's point but still lowers the sum; it keeps whichever
+    has the lower sum.  The iteration has converged when a step shifts no
+    coordinate by ``tol`` or more (a two-point set stops at its midpoint
+    so), when the kept point does not lower the sum (floating point can do
+    no better), or when the data point nearest the new estimate passes
+    Kuhn's optimality test (see ``_is_median``) and becomes the estimate.
+
+    Distances are computed as ``distance`` does (squares summed left to
+    right, then ``sqrt``), and every sum runs left to right through
+    ``reduce``, so the estimate is the same float on every Python version
+    (builtin ``sum`` over floats is compensated from 3.12).  With
+    ``max_iter=0`` it returns the mean as capped.  A non-finite estimate
+    raises ``ValueError``.
     """
     n = len(P)
     cols = list(zip(*P))
     est = [reduce(add, col, 0.0) / n for col in cols]
+    ds = _distances(est, cols)
+    capped = True
     for _ in range(max_iter):
         _check_finite(est)
-        e = est[0]
-        sq = [(e - x) * (e - x) for x in cols[0]]
-        for e, col in zip(est[1:], cols[1:]):
-            sq = [s + (e - x) * (e - x) for s, x in zip(sq, col)]
         # 1 / max(d, 1e-12), spelled so that a NaN d stays NaN as with max
-        ws = [1.0 / (1e-12 if d < 1e-12 else d) for d in map(math.sqrt, sq)]
+        ws = [1.0 / (1e-12 if d < 1e-12 else d) for d in ds]
         denom = reduce(add, ws, 0.0)
         new = [reduce(add, map(mul, ws, col), 0.0) / denom for col in cols]
-        shift = max(abs(a - b) for a, b in zip(new, est))
-        est = new
-        if shift < tol:
+        new_ds = _distances(new, cols)
+        if min(ds) >= 1e-12:
+            step = _newton_step(est, ws, denom, cols)
+            if step is not None:
+                damped = _damped_newton(est, step, cols, _total(new_ds))
+                if damped is not None:
+                    new, new_ds = damped
+        if max(abs(a - b) for a, b in zip(new, est)) < tol:
+            est, capped = new, False
+            break
+        if not _total(new_ds) < _total(ds):
             capped = False
             break
-    else:
-        capped = True
+        est, ds = new, new_ds
+        nearest = P[ds.index(min(ds))]
+        if _is_median(nearest, cols):
+            est, capped = list(nearest), False
+            break
     _check_finite(est)
     return tuple(est), capped
+
+
+def _distances(y: Sequence[float], cols: Sequence[Sequence[float]]) -> list[float]:
+    """The L2 distance from ``y`` to each point of the columns ``cols``, as
+    ``distance`` computes it."""
+    e = y[0]
+    sq = [(e - x) * (e - x) for x in cols[0]]
+    for e, col in zip(y[1:], cols[1:]):
+        sq = [s + (e - x) * (e - x) for s, x in zip(sq, col)]
+    return list(map(math.sqrt, sq))
+
+
+def _total(xs: Sequence[float]) -> float:
+    return reduce(add, xs, 0.0)
+
+
+# The Hessian's eigenvalues lie in [0, sum of weights]; a pivot at or below
+# this share of that sum is rounding of a zero (one dimension, or every
+# point on one line through the estimate), so the Hessian counts as singular.
+SINGULAR_PIVOT = 1e-12
+
+
+def _newton_step(
+    est: Sequence[float], ws: Sequence[float], denom: float, cols: Sequence[Sequence[float]]
+) -> list[float] | None:
+    """The Newton step s of the distance sum at ``est``, which sits on no
+    data point: with ``ws`` the inverse distances summing to ``denom`` and
+    u_i the unit vectors from the points to ``est``, s solves H s = g for
+    the gradient g = sum of u_i and the Hessian H = sum of (I - u_i u_i^T)
+    w_i, by Gaussian elimination with partial pivoting.  None when H is
+    singular (see ``SINGULAR_PIVOT``)."""
+    dim = len(cols)
+    us = [[(e - x) * w for x, w in zip(col, ws)] for e, col in zip(est, cols)]
+    wus = [list(map(mul, u, ws)) for u in us]
+    M = [
+        [(denom if a == b else 0.0) - _total(map(mul, wus[a], us[b])) for b in range(dim)]
+        + [_total(us[a])]
+        for a in range(dim)
+    ]
+    for c in range(dim):
+        p = max(range(c, dim), key=lambda r: abs(M[r][c]))
+        if not abs(M[p][c]) > SINGULAR_PIVOT * denom:
+            return None
+        M[c], M[p] = M[p], M[c]
+        for r in range(c + 1, dim):
+            f = M[r][c] / M[c][c]
+            M[r] = [a - f * b for a, b in zip(M[r], M[c])]
+    step = [0.0] * dim
+    for c in reversed(range(dim)):
+        step[c] = (M[c][dim] - _total(map(mul, M[c][c + 1 : dim], step[c + 1 :]))) / M[c][c]
+    return step
+
+
+def _damped_newton(
+    est: Sequence[float], step: Sequence[float], cols: Sequence[Sequence[float]], bound: float
+) -> tuple[list[float], list[float]] | None:
+    """The first of ``est - step``, ``est - step/2``, ``est - step/4``, ...
+    whose distance sum is below ``bound``, with its distances; None once the
+    sums stop falling first.  The sum is convex, so along the step it falls
+    until the halving passes its least value."""
+    t, prev = 1.0, math.inf
+    while True:
+        trial = [e - t * s for e, s in zip(est, step)]
+        trial_ds = _distances(trial, cols)
+        f = _total(trial_ds)
+        if f < bound:
+            return trial, trial_ds
+        if not f < prev:
+            return None
+        t, prev = t / 2, f
+
+
+def _is_median(x: Sequence[float], cols: Sequence[Sequence[float]]) -> bool:
+    """Kuhn's test: a data point ``x`` minimizes the distance sum if the
+    unit vectors to it from the other points sum to a vector no longer than
+    the number of points at ``x``."""
+    dx = _distances(x, cols)
+    pull = [_total([(a - c) / d for c, d in zip(col, dx) if d > 0.0]) for a, col in zip(x, cols)]
+    return math.sqrt(_total([r * r for r in pull])) <= dx.count(0.0)
 
 
 def _check_finite(coords: Sequence[float]) -> None:

@@ -195,7 +195,9 @@ def cost_of_partition(
 ) -> tuple[float, CenterSet, tuple[int, ...]]:
     """Best per-partition 1-median cost of a hypothesis, those centers, and
     the labels of the parts whose 1-median stopped at ``MEDIAN_MAX_ITER``
-    iterations (see ``median_point_detail``).
+    steps before converging (see ``median_point_detail``): only an L2
+    median iterates, and it converges in a handful of steps, so the tuple
+    is empty unless a part defeats it.
 
     Empty partitions receive the origin as a placeholder center; they carry
     no samples, so the placeholder contributes zero cost.  Each part's
@@ -339,8 +341,8 @@ def two_step_learn(
     increases the empirical objective.  ``hyps`` may be a list of trees or
     a ``ThresholdClass``, which is scored without building its trees.  The
     last two values returned are the method step 1 used (see
-    ``learn_centers``) and the parts whose step-3 median hit its iteration
-    cap (see ``cost_of_partition``).
+    ``learn_centers``) and the parts whose step-3 median stopped at its
+    step cap before converging, normally none (see ``cost_of_partition``).
     """
     C_hat, centers_method = learn_centers([s.solution for s in train], k, norm)
     h, phi = rc_erm(hyps, C_hat, train, norm)

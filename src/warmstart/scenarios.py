@@ -203,15 +203,24 @@ def traj_to_jsonable(traj: TrajectorySet) -> dict:
 
 def traj_from_jsonable(d: dict) -> TrajectorySet:
     """The trajectory set of its JSON form; each prediction must be an array
-    of numbers and each assignment an integer (``TypeError`` if not)."""
+    of numbers and each assignment an integer (``TypeError`` if not), and
+    each day key the day as ``str`` writes it (``ValueError`` if not: ``int``
+    would also read ``"01"``, ``" 1"``, ``"+1"`` and ``"0_1"`` as day 1)."""
     _check_numbers(list(d["predictions"].values()), "each planted prediction")
     if not set(map(type, d["assignment"].values())) <= {int}:
         raise TypeError("planted assignments must be integers")
     return TrajectorySet(
         k=d["k"],
-        assignment={int(t): i for t, i in d["assignment"].items()},
-        predictions={int(t): Point(c) for t, c in d["predictions"].items()},
+        assignment={_day(t): i for t, i in d["assignment"].items()},
+        predictions={_day(t): Point(c) for t, c in d["predictions"].items()},
     )
+
+
+def _day(key: str) -> int:
+    t = int(key)
+    if key != str(t):
+        raise ValueError(f"planted day key {key!r} is not written as {str(t)!r}")
+    return t
 
 
 _MASK64 = (1 << 64) - 1
@@ -338,7 +347,8 @@ def gen_drifting_trajectories(
     """k latent trajectories, each moving at most ``drift_per_day`` per day;
     days emit from the trajectories round-robin, with solutions within
     ``noise`` of the emitting trajectory's position.  The latent trajectory
-    set and its cost are planted in the metadata as the scenario baseline."""
+    set is planted in the metadata; its cost (``planted_baseline``) is the
+    scenario baseline."""
     if k < 1:
         raise ValueError("need k >= 1")
     if drift_per_day < 0 or noise < 0:
@@ -348,15 +358,9 @@ def gen_drifting_trajectories(
     for j in range(k):
         pos[j] = rng.uniform(0.0, 10.0, dim)
         pos[j, 0] += 15.0 * j
-    start = origin(dim)
     assignment: dict[int, int] = {}
     predictions: dict[int, Point] = {}
     days = []
-    from .metric import distance
-
-    hit = 0.0
-    movement = 0.0
-    prev_pred = {i: start for i in range(1, k + 1)}
     for t in range(1, T + 1):
         for j in range(k):
             pos[j] = _uniform_point(rng, pos[j], drift_per_day)
@@ -368,9 +372,6 @@ def gen_drifting_trajectories(
         days.append(HiddenInstance(t, _pt(feat), sol, norm))
         assignment[t] = i
         predictions[t] = pred
-        movement += distance(prev_pred[i], pred, norm)
-        prev_pred[i] = pred
-        hit += distance(pred, sol, norm)
     planted = TrajectorySet(k=k, assignment=assignment, predictions=predictions)
     meta = {
         "generator": "drifting_trajectories",
@@ -382,7 +383,6 @@ def gen_drifting_trajectories(
             "dim": dim,
         },
         "planted": traj_to_jsonable(planted),
-        "planted_cost": hit + movement,
     }
     return Scenario.of_days(f"drifting_k{k}_s{seed}", seed, dim, norm, days, meta)
 

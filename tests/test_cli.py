@@ -275,6 +275,11 @@ BAD_INPUTS = [
     ("simulate", {"strategy": "predict-yesterday"}, (["days", 1, "solution"], [10**400])),
     ("learn", {"learner": "partition", "k": 1}, (["days", 1, "features"], [-(10**400)])),
     ("simulate", {"strategy": "predict-yesterday"}, (["meta", "planted", "predictions", "1"], [10**400])),
+    (
+        "simulate",
+        {"strategy": "predict-yesterday"},
+        [(["meta", "planted", "assignment", "0_1"], 1), (["meta", "planted", "predictions", "0_1"], [500.0])],
+    ),
 ]
 BAD_INPUT_IDS = [
     "unknown-norm",
@@ -339,6 +344,7 @@ BAD_INPUT_IDS = [
     "huge-int-solution",
     "huge-int-feature",
     "planted-huge-int-prediction",
+    "planted-day-key-not-canonical",
 ]
 
 
@@ -907,10 +913,10 @@ def test_decay_beyond_2_53_unit_steps_exits_one(strategy, tmp_path, capsys):
     assert err.startswith("error: ") and "2**53" in err and err.count("\n") == 1
 
 
-# Each learn artifact's sha256.  The artifacts of the version before
-# ``median_capped`` was recorded are these, byte for byte, once that key is
-# taken out; the three L2 partition artifacts with it are the only ones that
-# carry it.
+# Each learn artifact's sha256.  The L2 partition artifacts k2-d0, k2-d1
+# and k3-d1 carried ``median_capped`` until the L2 median took Newton steps;
+# now none does, and their centers and losses are those of the converged
+# medians.
 LEARN_LOCK_SHA256 = {
     "L1/centers-k2": "d35944245031a257af6e7dc1ac36dd651e771c810c64ed3c7308432a5e6e9789",
     "L1/centers-k3": "be5ff0bdd1bcaf259551b467387495b2819b16744f8ba7c2df929e92111cc1a2",
@@ -920,9 +926,9 @@ LEARN_LOCK_SHA256 = {
     "L1/partition-k3-d2": "1b7b2b02a159a13402462cb2ebb73d19905bacacc10d183aaba5e1a39fa2cd46",
     "L2/centers-k2": "c1d4392b1413466be829594a0fddbd1270a9529b8e59f57226346c18f79c5852",
     "L2/centers-k3": "eefd7f9d6e17378297e1269f43eced0b011a65b116e2f5ec053d7079e384ff53",
-    "L2/partition-k2-d0": "c802c9eeeabce1b5ccb296e05454c14416fe7c08b8d1f0d4c2a46250f3414b96",
-    "L2/partition-k2-d1": "c9c102ba1ae2bc1f4f488e577db3d456bc7fb7768260f7c7a022e583f172cd3b",
-    "L2/partition-k3-d1": "09d8baa883734cf6a2f03b599450e5650fbecc8cf03037581defa246cdb78344",
+    "L2/partition-k2-d0": "9f3fb5f8b605ac8c0eb76472f60ef0cc22d43bb9343157731f23be1cb7cbf5db",
+    "L2/partition-k2-d1": "4a1b30c5a60c6d8ff2b85f732245a35c9c0b2542309c7b975c1114a3288b7db0",
+    "L2/partition-k3-d1": "7e30061dfd5e572c1d4daf5e2fc38c2e7cfe36128203d30e14f5d60c7e886939",
     "L2/partition-k3-d2": "45d00c92bd67642f6848cb668f485a1444dd7e6555882fe3e45622ddf9f57dac",
     "Linf/centers-k2": "35bc7b2a7811ad539da5091a7205a1dc19fd0df2e4a8e51142dd5f6ad119ef1e",
     "Linf/centers-k3": "6a55bfe8c8ca31578dc43ac169dcc05539e22c65d7acf391cdaaebe3efbf7570",
@@ -941,28 +947,43 @@ LEARN_LOCK_JOBS = {
 }
 
 
-def test_learn_artifacts_are_byte_locked(tmp_path):
-    scens = {
-        "L1": gen_drifting_trajectories(71, k=2, drift_per_day=0.5, noise=0.5, T=12, dim=2, norm="L1"),
-        "L2": gen_static_clusters(3, k=3, sep=20.0, spread=1.0, T=12, dim=2, norm="L2"),
-        "Linf": gen_adversarial_switch(72, phases=3, T=12, dim=1, norm="Linf"),
-    }
-    got, capped = {}, set()
-    for norm, scen in scens.items():
+LEARN_LOCK_SCENARIOS = {
+    "L1": lambda: gen_drifting_trajectories(71, k=2, drift_per_day=0.5, noise=0.5, T=12, dim=2, norm="L1"),
+    "L2": lambda: gen_static_clusters(3, k=3, sep=20.0, spread=1.0, T=12, dim=2, norm="L2"),
+    "Linf": lambda: gen_adversarial_switch(72, phases=3, T=12, dim=1, norm="Linf"),
+}
+
+
+def _learn_lock_artifacts(tmp_path, norms):
+    """Each learn artifact of LEARN_LOCK_JOBS on the scenarios of ``norms``,
+    as bytes, by "norm/job" name."""
+    arts = {}
+    for norm in norms:
         p = tmp_path / f"{norm}.json"
-        p.write_text(scen.to_json_text())
+        p.write_text(LEARN_LOCK_SCENARIOS[norm]().to_json_text())
         for name, config in LEARN_LOCK_JOBS.items():
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps({"scenario": str(p), **config}))
             out = tmp_path / "art.json"
             assert main(["learn", "--config", str(cfg), "--out", str(out)]) == 0
-            got[f"{norm}/{name}"] = hashlib.sha256(out.read_bytes()).hexdigest()
-            art = json.loads(out.read_text())
-            if "median_capped" in art:
-                assert art["median_capped"]["max_iter"] == kmedians.MEDIAN_MAX_ITER
-                capped.add(f"{norm}/{name}")
-    assert got == LEARN_LOCK_SHA256
-    assert capped == {"L2/partition-k2-d0", "L2/partition-k2-d1", "L2/partition-k3-d1"}
+            arts[f"{norm}/{name}"] = out.read_bytes()
+    return arts
+
+
+def test_learn_artifacts_are_byte_locked(tmp_path):
+    arts = _learn_lock_artifacts(tmp_path, LEARN_LOCK_SCENARIOS)
+    assert {name: hashlib.sha256(art).hexdigest() for name, art in arts.items()} == LEARN_LOCK_SHA256
+    assert [name for name, art in arts.items() if b"median_capped" in art] == []
+
+
+def test_a_capped_l2_median_reaches_the_artifact(tmp_path, monkeypatch):
+    # k3-d2 splits the L2 scenario into parts whose medians one step settles.
+    monkeypatch.setattr(kmedians, "MEDIAN_MAX_ITER", 1)
+    monkeypatch.setattr(cli, "MEDIAN_MAX_ITER", 1)
+    arts = _learn_lock_artifacts(tmp_path, ["L2"])
+    capped = {name: json.loads(art)["median_capped"] for name, art in arts.items() if b"median_capped" in art}
+    assert set(capped) == {"L2/partition-k2-d0", "L2/partition-k2-d1", "L2/partition-k3-d1"}
+    assert all(entry["max_iter"] == 1 and entry["parts"] for entry in capped.values())
 
 
 def test_depth_two_partition_learning_on_a_forty_day_scenario(tmp_path):
@@ -983,7 +1004,7 @@ def test_depth_two_partition_learning_on_a_forty_day_scenario(tmp_path):
         "rotation": [1, 2],
         "thresholds": [8.086756384359276],
     }
-    assert art["centers"] == [[0.03903916112334388, 2.564671974829913], [16.148322274644887, 8.139657277920545]]
+    assert art["centers"] == [[0.03903915924050525, 2.564671974513185], [16.148322273401256, 8.139657278231391]]
 
 
 def test_a_non_finite_output_exits_two(tmp_path, monkeypatch, capsys):

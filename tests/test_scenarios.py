@@ -106,20 +106,47 @@ def test_a_scenario_with_a_non_finite_number_is_not_written():
             scen.to_json_text()
 
 
+def running_planted_cost(planted, solutions, norm):
+    """The planted cost as the drifting generator once summed it, day by
+    day into one running total of hits and one of moves."""
+    hit = movement = 0.0
+    prev = {i: origin(planted.predictions[1].dim) for i in range(1, planted.k + 1)}
+    for t in range(1, planted.T + 1):
+        i, pred = planted.assignment[t], planted.predictions[t]
+        movement += distance(prev[i], pred, norm)
+        prev[i] = pred
+        hit += distance(pred, solutions[t], norm)
+    return hit + movement
+
+
 def test_planted_cost_matches_trajectory_cost():
     for seed, k in [(2, 1), (2, 2), (5, 3)]:
         scen = gen_drifting_trajectories(seed, k=k, drift_per_day=1.0, noise=0.5, T=15, dim=2)
         planted = traj_from_jsonable(scen.meta["planted"])
         _, _, total = trajectory_cost(planted, scen.solutions(), scen.norm)
-        assert total == pytest.approx(scen.meta["planted_cost"], abs=1e-6)
+        assert total == pytest.approx(running_planted_cost(planted, scen.solutions(), scen.norm), abs=1e-6)
         assert planted_baseline(scen) == pytest.approx(total, abs=1e-12)
         assert scen.planted == planted
+        assert "planted_cost" not in scen.meta  # planted_baseline is the one sum
+
+
+@pytest.mark.parametrize("key", ["0_1", " 1", "+1", "01", "1 "])
+def test_planted_day_keys_are_canonical(key):
+    # int() reads each of these keys as day 1, so it would silently replace
+    # the planted day 1 of the canonical key "1".
+    planted = {"k": 1, "assignment": {"1": 1, key: 1}, "predictions": {"1": [0.0], key: [500.0]}}
+    with pytest.raises(ValueError, match="planted day key"):
+        traj_from_jsonable(planted)
+    planted = {"k": 1, "assignment": {key: 1}, "predictions": {key: [0.0]}}
+    with pytest.raises(ValueError, match="planted day key"):
+        traj_from_jsonable(planted)
 
 
 def test_planted_baseline_reads_the_trajectory_parsed_with_the_scenario(monkeypatch):
     scen = gen_drifting_trajectories(2, k=2, drift_per_day=1.0, noise=0.5, T=6, dim=2)
+    expected = running_planted_cost(scen.planted, scen.solutions(), scen.norm)
     monkeypatch.setattr(scenarios, "traj_from_jsonable", lambda d: pytest.fail("parsed again"))
-    assert planted_baseline(scen) == pytest.approx(scen.meta["planted_cost"], abs=1e-9)
+    assert planted_baseline(scen) == pytest.approx(expected, abs=1e-9)
 
 
 def test_generators_and_direct_construction_check_the_structure():
