@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -224,6 +225,72 @@ def test_golden_scenario_unchanged():
     scen = gen_drifting_trajectories(102, k=2, drift_per_day=0.5, noise=0.5, T=40, dim=2)
     golden = (GOLDEN / "drifting_k2_s102.json").read_text()
     assert scen.to_json_text() == golden
+
+
+# The sha256 of each generator's scenario text, in every norm and in dims
+# 1-3, each case at its own seed.  drifting_k2_s102.json locks one more.
+GENERATOR_LOCK_SHA256 = {
+    "static_clusters/L1/d1": "758c7d78415187bb76ff7b8bbf8a5c29acf910712ed2567d12c7965e729f0f65",
+    "static_clusters/L1/d2": "f6ad847c2e5ca199c19960a4cd7a3b99b578ba789657cfeca5da2c141688dd02",
+    "static_clusters/L1/d3": "1ec19a559bff2db7a571e5b7e3eb1075bf994182d376693bd3b3272ed18fb8ab",
+    "static_clusters/L2/d1": "d7b4df9334fe60c2d021509fce073a0bb9166be627787bd8d4a9e48e9ee609de",
+    "static_clusters/L2/d2": "2038dddfd2ec45e3e393eaa7cc368c62a702ff56ff92b23403da6d7829d86c79",
+    "static_clusters/L2/d3": "ee46acf4b16bddfc2bc74c5723657a6d608219dc4c90048f00c60fb0bbb6e023",
+    "static_clusters/Linf/d1": "ccc0d5fa080080eeb3cc1adde0f37cd1fcec25b0c70b349cc2cb0f2684d0dc56",
+    "static_clusters/Linf/d2": "20751d6b653e0fd501f83e58baf8966481bd9a616cc512cfc87c620fd74a08bc",
+    "static_clusters/Linf/d3": "db76a0d6c7c30f9acae56977978dcca0aa5293511cd5ce297ef0f3debdc48e9a",
+    "drifting_trajectories/L1/d1": "88ed52927419809d8db7730323257d59c79ec896ccaeb2f299bdf1bc225dad10",
+    "drifting_trajectories/L1/d2": "d9b98d87b6316fed02177c2dccc1a7bdb8ebf9b533e7118810ee3aaa91635976",
+    "drifting_trajectories/L1/d3": "40d078edf6410e8f1f3ce11e5bbb740b07a75ea86d51c2de57d85764b6599450",
+    "drifting_trajectories/L2/d1": "0712aef1f72787252559d2817facbd5f7f1372279d0be4bed245a86878a08865",
+    "drifting_trajectories/L2/d2": "493f80df9d95b571b56ba1ebeef9013826887251b0a7de694035d9dba2e081d4",
+    "drifting_trajectories/L2/d3": "f6fee9f4eb04031a0bd6376fdb56327684700c689024a12348d0b7863c003ba4",
+    "drifting_trajectories/Linf/d1": "77be1de638de512599c7f9ea0595b262db036787acaa86e61f7a5eab8c6be142",
+    "drifting_trajectories/Linf/d2": "4b3547d4cc224a3808629e6a950c830c8d6eec6dc37b010fcdd9677716593fcd",
+    "drifting_trajectories/Linf/d3": "064a2f42add33c2265e4954f0ac8cf20cee35a707179398f59811e5847c7824e",
+    "planted_lower_bound/L1/d1": "27f6c54519f6ef72bc3882710e2d79adb6eb558dd90d22f6648d0ea28a2fa546",
+    "planted_lower_bound/L1/d2": "600c4340f5035a6cd2ccd9b806077adb3efe44c7907a18605cd63aeaeca719ee",
+    "planted_lower_bound/L1/d3": "f0e37c5dd0a6afd6d8ba3431142feab530e0af615df23522b99cc9aa7c279687",
+    "planted_lower_bound/L2/d1": "7f61f6d6f459b1681f88242ceb2fe4796ec126aa2a1aa9cd833395dc8bde9a67",
+    "planted_lower_bound/L2/d2": "a506f807f8fc4fd25c48b3d25bf552f4d8a2e8e2de6981daf8a5f3e5ed7f4c5f",
+    "planted_lower_bound/L2/d3": "7107a416b36e7cca4677ff94fabe8c3858cb5194467dc82d2bb7da8c9f0d08ed",
+    "planted_lower_bound/Linf/d1": "3fa5e93be25366708acfe9c2b48a0aa05cfb9d5bb5c6c7faee4198b445d6ed80",
+    "planted_lower_bound/Linf/d2": "0438cbc6bfa5d3efbbaaf467f02cb72c21dc32aaf0c8a1f9065960a80341af5e",
+    "planted_lower_bound/Linf/d3": "a05b9c7a463c1d8210fff158e7fb5b2975eef9214b9926b526eaab23c074e09c",
+    "adversarial_switch/L1/d1": "11900dd0d4dfc4111e2efbfb609c332691c18be1a11cfb449491c4c031d0dee2",
+    "adversarial_switch/L1/d2": "f7dbf0f2ba5e30c5547bd3d30dccf023126d6e806925474d952e7d7990b9ebb6",
+    "adversarial_switch/L1/d3": "134e78619030107a9a4e5bdc160ac704586c6bc083a8d375e7d7a08685c3b755",
+    "adversarial_switch/L2/d1": "c98c1d27313c94dd68ecf6fba879fabd81abddb05209c5402bb5c8a2e710be38",
+    "adversarial_switch/L2/d2": "97c6716748529428985e19c02a6ea561ce35e3e6cdc71820122c0f85b8a98cf2",
+    "adversarial_switch/L2/d3": "e8bc2f5d324109f037145653ab09ba57174fb76d987053f512258e1766c6ec0d",
+    "adversarial_switch/Linf/d1": "5259bfe03f22d0d66d8e4d95203e0df3296ad8822eceb31cde596ec8f88f6acb",
+    "adversarial_switch/Linf/d2": "c1a293e97732f9f66061e90b19c3c30b061e6ae8259545a2d44ca99828bcfd6c",
+    "adversarial_switch/Linf/d3": "43708334ebb9f1dc4c3393840c404d8386d8dffdeaf86e180f022ff36d99cd52",
+}
+GENERATOR_LOCK_SCENARIOS = {
+    "static_clusters": lambda seed, dim, norm: gen_static_clusters(
+        seed, k=3, sep=30.0, spread=2.0, T=9, dim=dim, norm=norm
+    ),
+    "drifting_trajectories": lambda seed, dim, norm: gen_drifting_trajectories(
+        seed, k=2, drift_per_day=1.0, noise=0.5, T=9, dim=dim, norm=norm
+    ),
+    "planted_lower_bound": lambda seed, dim, norm: gen_planted_lower_bound(
+        seed, k=3, sep=500.0, T=9, dim=dim, norm=norm
+    ),
+    "adversarial_switch": lambda seed, dim, norm: gen_adversarial_switch(
+        seed, phases=3, T=9, dim=dim, jitter=2.0, norm=norm
+    ),
+}
+
+
+def test_generated_scenarios_are_byte_locked():
+    texts = {
+        f"{name}/{norm}/d{dim}": make(40 + 10 * dim + NORMS.index(norm), dim, norm).to_json_text()
+        for name, make in GENERATOR_LOCK_SCENARIOS.items()
+        for norm in NORMS
+        for dim in (1, 2, 3)
+    }
+    assert {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()} == GENERATOR_LOCK_SHA256
 
 
 def test_default_corpus_shape():
