@@ -23,9 +23,9 @@ from .baselines import brute_force_best_trajectories, offline_opt_kserver
 from .errors import CapExceeded, InvariantViolation
 from .kmedians import MEDIAN_MAX_ITER, cost_of_centers, learn_centers
 from .ledger import CostLedger, dumps_strict
-from .metric import Point, distance_matrix, origin
+from .metric import L2, Point, distance_matrix, origin, search_steps
 from .online import NEEDS_K, STRATEGIES, predict_yesterday, run_quadratic_decay
-from .oracle import hidden_solution, run_parallel_k
+from .oracle import parallel_search
 from .partition import (
     LabeledSample,
     ThresholdClass,
@@ -229,8 +229,7 @@ def cmd_learn(args) -> int:
         raise UserError(f"train split of {m} days is invalid for T={T}")
     if k > m:
         raise UserError(f"learn needs k <= the {m} training days, got k={k}")
-    train_days = scenario.days[:m]
-    test_days = scenario.days[m:]
+    sols = scenario.points[1:]
     out: dict = {
         "schema_version": 1,
         "scenario": scenario.name,
@@ -240,15 +239,13 @@ def cmd_learn(args) -> int:
         "holdout_days": T - m,
     }
     if learner == "centers":
-        sols = [hidden_solution(i) for i in train_days]
-        C, out["centers_method"] = learn_centers(sols, k, scenario.norm)
-        holdout = [hidden_solution(i) for i in test_days]
+        C, out["centers_method"] = learn_centers(sols[:m], k, scenario.norm)
         out["centers"] = [list(c.coords) for c in C.centers]
-        out["train_cost"] = cost_of_centers(C, sols, scenario.norm)
-        out["holdout_cost"] = cost_of_centers(C, holdout, scenario.norm)
+        out["train_cost"] = cost_of_centers(C, sols[:m], scenario.norm)
+        out["holdout_cost"] = cost_of_centers(C, sols[m:], scenario.norm)
     else:
-        train = [LabeledSample(i.features, hidden_solution(i)) for i in train_days]
-        test = [LabeledSample(i.features, hidden_solution(i)) for i in test_days]
+        samples = [LabeledSample(Point(f), x) for f, x in zip(scenario.features.tolist(), sols)]
+        train, test = samples[:m], samples[m:]
         hyps = ThresholdClass([s.features for s in train], k, config["depth"])
         h, phi, C_h, out["centers_method"], capped = two_step_learn(hyps, train, k, scenario.norm)
         if capped:
@@ -304,26 +301,12 @@ def cmd_report(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    from .metric import L2
-    from .oracle import HiddenInstance
-
     checks = 0
-    inst = HiddenInstance(1, Point.of(0.0), Point.of(7.0), L2)
-    _, total = run_parallel_k(inst, [Point.of(0.0), Point.of(10.0)])
+    total, _, _ = parallel_search([search_steps(p, Point.of(7.0), L2) for p in (Point.of(0.0), Point.of(10.0))])
     assert total == 6, f"parallel-k sanity: expected 6, got {total}"
     checks += 1
 
-    scen = Scenario.of_days(
-        name="selftest",
-        seed=0,
-        dim=1,
-        norm=L2,
-        days=[
-            HiddenInstance(1, origin(1), Point.of(0.0), L2),
-            HiddenInstance(2, origin(1), Point.of(3.0), L2),
-            HiddenInstance(3, origin(1), Point.of(5.0), L2),
-        ],
-    )
+    scen = Scenario("selftest", 0, 1, L2, [[0.0]] * 3, [[0.0], [3.0], [5.0]])
     lg = predict_yesterday(scen)
     assert lg.total_radius == 6, f"predict-yesterday sanity: got {lg.total_radius}"
     assert CostLedger.from_json_text(lg.to_json_text()).to_json_text() == lg.to_json_text()

@@ -22,14 +22,13 @@ from . import baselines
 from .errors import CapExceeded, InvariantViolation
 from .kmedians import learn_centers
 from .ledger import CostLedger, DayLedger
-from .metric import Point, distance_matrix, origin
+from .metric import Point, distance_matrix, origin, search_steps
 from .metric import distance  # noqa: F401  traced by bench/tracing.py until ROADMAP item 5
 from .oracle import (
     HiddenInstance,
     SearchThread,
     hidden_solution,
     parallel_search,
-    run_parallel_k_detail,
     table_steps,
 )
 
@@ -406,17 +405,20 @@ def parallel_k(scenario, k: int) -> CostLedger:
     """Search each day in parallel from k fixed predictions: the k-medians
     centers learned offline from all of the scenario's solutions.  When
     subset ERM is over its cap and local search found the centers,
-    ``params["centers_method"]`` says so."""
-    C, method = learn_centers(scenario.points[1:], k, scenario.norm)
+    ``params["centers_method"]`` says so.  The centers are not scenario
+    points, so each day's step counts come from ``search_steps``, not from
+    the scenario's distance table."""
+    solutions = scenario.points[1:]
+    C, method = learn_centers(solutions, k, scenario.norm)
     params = {"k": k}
     if method == "local-search":
         params["centers_method"] = method
     days = []
-    for inst in scenario.days:
-        _, total, _, sweeps = run_parallel_k_detail(inst, list(C.centers))
+    for t, solution in enumerate(solutions, start=1):
+        total, _, sweeps = parallel_search([search_steps(c, solution, scenario.norm) for c in C.centers])
         days.append(
             DayLedger(
-                day=inst.day,
+                day=t,
                 radius_searched=total,
                 overhead_work=0,
                 virtual_radius=sweeps,

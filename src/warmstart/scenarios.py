@@ -18,8 +18,7 @@ import operator
 import numpy as np
 
 from .ledger import _reject_constant
-from .metric import L2, NORMS, Point, distance_matrix, origin
-from .oracle import HiddenInstance, hidden_solution
+from .metric import L2, NORMS, Point, distance_matrix
 from .trajectories import TrajectorySet, trajectory_cost
 
 SCHEMA_VERSION = 1
@@ -62,8 +61,7 @@ class Scenario:
     """Days 1..T in one dimension and one norm, each with a hidden solution,
     held as arrays: ``features`` (T, dim), and ``coords`` (T + 1, dim), the
     origin and then the solutions of days 1..T, over which ``distances`` is
-    the table.  ``points`` and ``solutions()`` (Points of ``coords``) and
-    ``days`` (the days' ``HiddenInstance``s, which hold those Points) are
+    the table.  ``points`` and ``solutions()`` (Points of ``coords``) are
     built on first use.
 
     Construction from the ``features`` and ``solutions`` arrays raises
@@ -71,8 +69,7 @@ class Scenario:
     norm in ``NORMS``, both arrays (T, dim) with T >= 1 and finite, ``meta``
     a dict, and ``meta["planted"]``, if any, a trajectory set with an
     integer k over days 1..t (1 <= t <= T) in dimension ``dim``, parsed into
-    ``planted``.  ``of_days`` builds a scenario from its days, and
-    ``from_json_text`` from a file's text.
+    ``planted``.  ``from_json_text`` builds a scenario from a file's text.
     """
 
     def __init__(self, name: str, seed: int, dim: int, norm: str, features, solutions, meta=None):
@@ -111,30 +108,9 @@ class Scenario:
                 )
             self.planted = planted
 
-    @classmethod
-    def of_days(cls, name: str, seed: int, dim: int, norm: str, days: list[HiddenInstance], meta=None) -> "Scenario":
-        """The scenario of ``days``, which must be numbered 1..T by integers
-        and each lie in dimension ``dim`` and norm ``norm``."""
-        days = list(days)
-        _check_numbering([inst.day for inst in days])
-        for inst in days:
-            if len(inst.features.coords) != dim or len(hidden_solution(inst).coords) != dim or inst.norm != norm:
-                raise ValueError(f"day {inst.day} is not in dimension {dim} and norm {norm}")
-        features = [inst.features.coords for inst in days]
-        solutions = [hidden_solution(inst).coords for inst in days]
-        return cls(name, seed, dim, norm, features, solutions, meta)
-
     @property
     def T(self) -> int:
         return len(self.features)
-
-    @functools.cached_property
-    def days(self) -> list[HiddenInstance]:
-        points = self.points
-        return [
-            HiddenInstance(t, Point(f), points[t], self.norm)
-            for t, f in enumerate(self.features.tolist(), start=1)
-        ]
 
     def solutions(self) -> dict[int, Point]:
         return dict(enumerate(self.points[1:], start=1))
@@ -272,7 +248,7 @@ class _Philox:
 
     def uniform(self, low: float, high: float, size: int) -> np.ndarray:
         """``size`` draws of ``low + (high - low) * u`` with u in [0, 1).  A
-        non-finite span gives non-finite draws, which ``Point`` rejects."""
+        non-finite span gives non-finite draws, which ``Scenario`` rejects."""
         span = high - low
         return np.array([low + span * ((self._next64() >> 11) * 2.0**-53) for _ in range(size)])
 
@@ -302,37 +278,34 @@ def _uniform_point(rng, center: np.ndarray, radius: float) -> np.ndarray:
     return center + rng.uniform(-radius / dim, radius / dim, dim)
 
 
-def _pt(arr: np.ndarray) -> Point:
-    return Point(tuple(float(x) for x in arr))
-
-
 def gen_static_clusters(
     seed: int, k: int, sep: float, spread: float, T: int, dim: int, norm: str = L2
 ) -> Scenario:
     """k cluster centers at mutual distance >= sep; each day draws a cluster
     uniformly and a solution within ``spread`` of its center.  Features track
     the solution closely, so threshold partitions can succeed."""
+    if k < 1:
+        raise ValueError("need k >= 1")
     if sep <= 0 or spread < 0:
         raise ValueError("need sep > 0 and spread >= 0")
     rng = _Philox(seed)
     centers = np.zeros((k, dim))
     for j in range(k):
         centers[j, 0] = (j + 1) * sep
-    labels = []
-    days = []
-    for t in range(1, T + 1):
+    labels, features, solutions = [], [], []
+    for _ in range(T):
         lab = int(rng.integers(k))
         labels.append(lab + 1)
         sol = _uniform_point(rng, centers[lab], spread)
-        feat = _uniform_point(rng, sol, 0.01 * max(spread, 1.0))
-        days.append(HiddenInstance(t, _pt(feat), _pt(sol), norm))
+        features.append(_uniform_point(rng, sol, 0.01 * max(spread, 1.0)))
+        solutions.append(sol)
     meta = {
         "generator": "static_clusters",
         "params": {"k": k, "sep": sep, "spread": spread, "T": T, "dim": dim},
         "centers": [list(map(float, c)) for c in centers],
         "labels": labels,
     }
-    return Scenario.of_days(f"static_clusters_k{k}_s{seed}", seed, dim, norm, days, meta)
+    return Scenario(f"static_clusters_k{k}_s{seed}", seed, dim, norm, features, solutions, meta)
 
 
 def gen_drifting_trajectories(
@@ -360,18 +333,16 @@ def gen_drifting_trajectories(
         pos[j, 0] += 15.0 * j
     assignment: dict[int, int] = {}
     predictions: dict[int, Point] = {}
-    days = []
+    features, solutions = [], []
     for t in range(1, T + 1):
         for j in range(k):
             pos[j] = _uniform_point(rng, pos[j], drift_per_day)
         i = ((t - 1) % k) + 1
-        pred = _pt(pos[i - 1])
-        sol_arr = _uniform_point(rng, pos[i - 1], noise)
-        sol = _pt(sol_arr)
-        feat = _uniform_point(rng, sol_arr, 0.01)
-        days.append(HiddenInstance(t, _pt(feat), sol, norm))
+        predictions[t] = Point(pos[i - 1])
+        sol = _uniform_point(rng, pos[i - 1], noise)
+        features.append(_uniform_point(rng, sol, 0.01))
+        solutions.append(sol)
         assignment[t] = i
-        predictions[t] = pred
     planted = TrajectorySet(k=k, assignment=assignment, predictions=predictions)
     meta = {
         "generator": "drifting_trajectories",
@@ -384,7 +355,7 @@ def gen_drifting_trajectories(
         },
         "planted": traj_to_jsonable(planted),
     }
-    return Scenario.of_days(f"drifting_k{k}_s{seed}", seed, dim, norm, days, meta)
+    return Scenario(f"drifting_k{k}_s{seed}", seed, dim, norm, features, solutions, meta)
 
 
 def gen_planted_lower_bound(
@@ -392,26 +363,23 @@ def gen_planted_lower_bound(
 ) -> Scenario:
     """k far-apart planted solutions; each day picks one uniformly.  Features
     are constant (uninformative), exhibiting the parallel-search lower bound."""
+    if k < 1:
+        raise ValueError("need k >= 1")
     if sep <= 1:
         raise ValueError("need sep >> 1")
     rng = _Philox(seed)
     planted = np.zeros((k, dim))
     for j in range(k):
         planted[j, 0] = (j + 1) * sep
-    feat = origin(dim)
-    days = []
-    choices = []
-    for t in range(1, T + 1):
-        c = int(rng.integers(k))
-        choices.append(c + 1)
-        days.append(HiddenInstance(t, feat, _pt(planted[c]), norm))
+    draws = [int(rng.integers(k)) for _ in range(T)]
     meta = {
         "generator": "planted_lower_bound",
         "params": {"k": k, "sep": sep, "T": T, "dim": dim},
         "planted_points": [list(map(float, p)) for p in planted],
-        "choices": choices,
+        "choices": [c + 1 for c in draws],
     }
-    return Scenario.of_days(f"planted_lb_k{k}_s{seed}", seed, dim, norm, days, meta)
+    features = np.zeros((len(draws), dim))
+    return Scenario(f"planted_lb_k{k}_s{seed}", seed, dim, norm, features, planted[draws], meta)
 
 
 def gen_adversarial_switch(
@@ -429,15 +397,17 @@ def gen_adversarial_switch(
     in a recency-ordered thread list, stressing rank promotion."""
     if phases < 1 or T < phases:
         raise ValueError("need 1 <= phases <= T")
+    if jitter < 0:
+        raise ValueError("need jitter >= 0")
     rng = _Philox(seed)
-    days = []
+    features, solutions = [], []
     for t in range(1, T + 1):
         p = min(phases - 1, (t - 1) * phases // T)
         center = np.zeros(dim)
         center[0] = (p + 1) * jump
         sol = _uniform_point(rng, center, jitter)
-        feat = _uniform_point(rng, sol, 0.01)
-        days.append(HiddenInstance(t, _pt(feat), _pt(sol), norm))
+        features.append(_uniform_point(rng, sol, 0.01))
+        solutions.append(sol)
     meta = {
         "generator": "adversarial_switch",
         "params": {
@@ -448,7 +418,7 @@ def gen_adversarial_switch(
             "jitter": jitter,
         },
     }
-    return Scenario.of_days(f"switch_p{phases}_s{seed}", seed, dim, norm, days, meta)
+    return Scenario(f"switch_p{phases}_s{seed}", seed, dim, norm, features, solutions, meta)
 
 
 GENERATORS = {
@@ -460,9 +430,12 @@ GENERATORS = {
 
 
 def generate(generator: str, **params) -> Scenario:
+    """The named generator's scenario.  A draw that overflows is inf or nan,
+    which ``Scenario`` rejects, and numpy warns of none of them."""
     if generator not in GENERATORS:
         raise ValueError(f"unknown generator {generator!r}")
-    return GENERATORS[generator](**params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return GENERATORS[generator](**params)
 
 
 def default_corpus() -> list[Scenario]:

@@ -16,7 +16,7 @@ import pytest
 import warmstart as ws
 from warmstart.kmedians import cost_of_centers, learn_centers_subset_erm, median_point_detail
 from warmstart.metric import L1, L2, NORMS, Point, distance, origin, search_steps
-from warmstart.oracle import HiddenInstance, hidden_solution, run_parallel_k
+from warmstart.oracle import HiddenInstance, run_parallel_k
 from warmstart.partition import (
     CenterSet,
     LabeledSample,
@@ -50,10 +50,7 @@ def _rand_point(rng, dim, spread=50.0):
 
 def _inline_scenario(sols, norm=L2):
     dim = sols[0].dim
-    days = [
-        HiddenInstance(t + 1, origin(dim), s, norm) for t, s in enumerate(sols)
-    ]
-    return Scenario.of_days("inline", 0, dim, norm, days, {})
+    return Scenario("inline", 0, dim, norm, np.zeros((len(sols), dim)), [s.coords for s in sols])
 
 
 def test_criterion_01_parallel_radius_bound():
@@ -112,15 +109,15 @@ def test_criterion_03_planted_lower_bound_exhibit():
     scen = gen_planted_lower_bound(seed=555, k=k, sep=10**6, T=1000, dim=1)
     preds = [Point(tuple(p)) for p in scen.meta["planted_points"]]
     total = 0
-    for inst in scen.days:
-        _, r = run_parallel_k(inst, preds)
+    for t, sol in enumerate(scen.points[1:], start=1):
+        _, r = run_parallel_k(HiddenInstance(t, origin(scen.dim), sol, scen.norm), preds)
         total += r
     mean_parallel = total / scen.T
     assert k <= mean_parallel <= 2 * k
 
     best_single, _ = median_point_detail(scen.points[1:], scen.norm)
     mean_single = sum(
-        distance(best_single, hidden_solution(i), scen.norm) for i in scen.days
+        distance(best_single, sol, scen.norm) for sol in scen.points[1:]
     ) / scen.T
     assert mean_single >= 10**5
     _ok(3)
@@ -258,8 +255,7 @@ def test_criterion_12_kserver_reduction_bound_and_k1_equality():
                     if alg == "wfa"
                     else None
                 )
-                for inst, day in zip(scen.days, lg.days):
-                    sol = hidden_solution(inst)
+                for sol, day in zip(scen.points[1:], lg.days):
                     nearest = min(
                         distance(s, sol, scen.norm) for s in servers
                     )

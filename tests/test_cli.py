@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -19,9 +20,8 @@ from hypothesis import strategies as st
 from warmstart import cli, kmedians, metric
 from warmstart.cli import build_parser, main
 from warmstart.ledger import CostLedger
-from warmstart.metric import origin, search_steps
+from warmstart.metric import search_steps
 from warmstart.online import NEEDS_K, STRATEGIES
-from warmstart.oracle import hidden_solution
 from warmstart.scenarios import Scenario, gen_adversarial_switch, gen_drifting_trajectories, gen_static_clusters
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -215,6 +215,22 @@ BAD_INPUTS = [
     ),
     (
         "simulate",
+        {
+            "strategy": "predict-yesterday",
+            "scenario": {"generator": "planted_lower_bound", "params": {"k": 0, "sep": 10.0, "T": 3, "dim": 1, "seed": 1}},
+        },
+        None,
+    ),
+    (
+        "simulate",
+        {
+            "strategy": "predict-yesterday",
+            "scenario": {"generator": "adversarial_switch", "params": {"phases": 2, "T": 4, "dim": 1, "jitter": -1.0, "seed": 1}},
+        },
+        None,
+    ),
+    (
+        "simulate",
         {"strategy": "predict-yesterday"},
         [(["norm"], "L1"), (["meta"], {}), (["days"], OVERFLOWING_DAYS)],
     ),
@@ -306,6 +322,8 @@ BAD_INPUT_IDS = [
     "generator-seed-null",
     "generator-k-0",
     "drifting-k-0",
+    "planted-lb-k-0",
+    "switch-jitter-negative",
     "distances-overflow",
     "strategy-not-string",
     "meta-not-object",
@@ -374,6 +392,25 @@ def test_bad_input_exits_one_with_one_line(tmp_path, capsys, command, config, pa
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out.json")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "jump, jitter, dim",
+    [(1e3, 1e308, 1), (-1e308, 1e308, 1), (1.7e308, 1e308, 2)],
+    ids=["jitter-overflows", "inf-minus-inf", "center-plus-offset-overflows"],
+)
+def test_a_generator_spec_that_overflows_exits_one_without_a_warning(tmp_path, capsys, jump, jitter, dim):
+    # Draws that overflow to inf or nan are rejected by Scenario; a numpy
+    # warning of them would be a second line on standard error.
+    params = {"seed": 1, "phases": 2, "T": 4, "dim": dim, "jump": jump, "jitter": jitter}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": {"generator": "adversarial_switch", "params": params}, "strategy": "predict-yesterday"}))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad scenario spec: ") and err.count("\n") == 1
 
 
 # The scenario-side cases of BAD_INPUTS that Scenario's structure rules do
@@ -884,7 +921,7 @@ def test_decay_over_a_billion_unit_jump_finishes(strategy, tmp_path):
     rc = main(["simulate", "--scenario", str(scen_file), "--strategy", strategy, "--out", str(out)])
     assert rc == 0 and time.perf_counter() - start < 2.0
     days = CostLedger.from_json_text(out.read_text()).days
-    sols = [origin(2)] + [hidden_solution(inst) for inst in scen.days]
+    sols = scen.points
     needed = search_steps(sols[0], sols[1], scen.norm)
     assert needed >= 10**9
     assert days[0].radius_searched == days[0].overhead_work == needed

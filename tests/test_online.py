@@ -3,6 +3,7 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from warmstart import kmedians, online, oracle
@@ -22,16 +23,29 @@ from warmstart.online import (
     subsume_check,
 )
 from warmstart.oracle import HiddenInstance, hidden_solution, required_steps, run_parallel_k_detail
-from warmstart.scenarios import Scenario, gen_adversarial_switch, gen_drifting_trajectories
+from warmstart.scenarios import (
+    Scenario,
+    default_corpus,
+    gen_adversarial_switch,
+    gen_drifting_trajectories,
+    gen_static_clusters,
+)
+
+
+def _scenario(name, seed, dim, norm, sols):
+    """The scenario whose day t has the solution Point ``sols[t - 1]`` and
+    its features at the origin."""
+    return Scenario(name, seed, dim, norm, np.zeros((len(sols), dim)), [s.coords for s in sols])
 
 
 def _scen(solutions, norm=L2):
-    dim = 1
-    days = [
-        HiddenInstance(t + 1, origin(dim), Point.of(s), norm)
-        for t, s in enumerate(solutions)
-    ]
-    return Scenario.of_days("inline", 0, dim, norm, days, {})
+    return _scenario("inline", 0, 1, norm, [Point.of(s) for s in solutions])
+
+
+def _instances(scen):
+    """Each day of ``scen`` as the oracle's one-day instance."""
+    days = zip(scen.features.tolist(), scen.points[1:])
+    return [HiddenInstance(t, Point(f), x, scen.norm) for t, (f, x) in enumerate(days, start=1)]
 
 
 def test_rate_values():
@@ -144,15 +158,11 @@ def test_kserver_k1_matches_predict_yesterday():
 
 
 def test_kserver_per_day_bound_greedy():
-    from warmstart.metric import distance
-    from warmstart.oracle import hidden_solution
-
     scen = gen_drifting_trajectories(88, k=3, drift_per_day=1.0, noise=0.5, T=20, dim=2)
     for k in (1, 2, 3):
         lg = kserver_reduction(scen, "greedy", k)
         servers = [origin(scen.dim) for _ in range(k)]
-        for inst, day in zip(scen.days, lg.days):
-            sol = hidden_solution(inst)
+        for sol, day in zip(scen.points[1:], lg.days):
             nearest = min(distance(s, sol, scen.norm) for s in servers)
             assert day.radius_searched <= k * max(1.0, nearest) + k
             # replay the greedy move
@@ -167,7 +177,7 @@ def test_invalid_strategy_arguments():
     with pytest.raises(ValueError):
         kserver_reduction(scen, "lru", 2)
     with pytest.raises(ValueError):  # an empty scenario cannot be built, so no strategy meets one
-        predict_yesterday(Scenario.of_days("empty", 0, 1, L2, [], {}))
+        predict_yesterday(_scen([]))
 
 
 def test_wfa_fallback_day_is_recorded():
@@ -194,7 +204,7 @@ def reference_kserver_reduction(scenario, server_alg, k):
     wfa_state = WorkFunctionState(k, scenario.dim, scenario.norm) if server_alg == "wfa" else None
     params = {"k": k, "server_alg": server_alg}
     days = []
-    for inst in scenario.days:
+    for inst in _instances(scenario):
         solution, total, winner, sweeps = run_parallel_k_detail(inst, servers)
         days.append(DayLedger(inst.day, total, 0, sweeps, winner + 1))
         idx = None
@@ -221,8 +231,7 @@ def test_kserver_reduction_matches_the_full_server_list():
         T = rng.randint(1, 12)
         half = rng.choice((1, 2, 4))
         sols = [Point(tuple(float(rng.randint(-half, half)) for _ in range(dim))) for _ in range(T)]
-        days = [HiddenInstance(t + 1, origin(dim), s, norm) for t, s in enumerate(sols)]
-        scen = Scenario.of_days("grid", case, dim, norm, days, {})
+        scen = _scenario("grid", case, dim, norm, sols)
         for alg, ks in (("greedy", range(1, T + 4)), ("wfa", range(1, 4))):
             for k in ks:
                 got = kserver_reduction(scen, alg, k).to_json_text()
@@ -366,8 +375,8 @@ def test_decay_matches_the_tick_by_tick_reference(monkeypatch):
     kills = ranks = 0
     for case in range(1000):
         kind, dim, norm, sols = _fuzz_solutions(rng, case)
-        days = [HiddenInstance(t + 1, origin(dim), s, norm) for t, s in enumerate(sols)]
-        scen = Scenario.of_days(kind, case, dim, norm, days, {})
+        scen = _scenario(kind, case, dim, norm, sols)
+        days = _instances(scen)
         for mode in ("quadratic", "harmonic"):
             history, ref_days = [], []
             for inst in days:
@@ -429,15 +438,35 @@ def test_parallel_k_records_a_local_search_fallback(monkeypatch):
     lg = parallel_k(scen, 2)
     assert lg.params == {"k": 2, "centers_method": "local-search"}
     centers = kmedians.learn_centers_local_search(scen.points[1:], 2, L2).centers
-    assert [d.radius_searched for d in lg.days] == [
-        run_parallel_k_detail(inst, list(centers))[1] for inst in scen.days
-    ]
+    assert lg.days == _oracle_parallel_k_days(scen, centers)
+
+
+def _oracle_parallel_k_days(scen, centers):
+    """Parallel-k's days as the oracle runs them: each day's instance built
+    here and searched from ``centers`` by ``run_parallel_k_detail``."""
+    days = []
+    for inst in _instances(scen):
+        _, total, _, sweeps = run_parallel_k_detail(inst, list(centers))
+        days.append(DayLedger(inst.day, total, 0, sweeps, 0))
+    return days
 
 
 def test_parallel_k_params_stay_k_under_the_cap():
+    # Every day's ledger is also the oracle's, over the default corpus and
+    # generator scenarios in L1 and Linf.
+    scens = [_scen([1.0, 5.0, 9.0, 2.0]), gen_adversarial_switch(7, phases=3, T=9, dim=2), *default_corpus()]
+    for norm in ("L1", "Linf"):
+        scens += [
+            gen_drifting_trajectories(5, k=2, drift_per_day=0.5, noise=0.5, T=8, dim=2, norm=norm),
+            gen_static_clusters(6, k=3, sep=100.0, spread=1.0, T=8, dim=2, norm=norm),
+            gen_adversarial_switch(7, phases=4, T=8, dim=3, norm=norm),
+        ]
     for k in (1, 2, 3):
-        for scen in (_scen([1.0, 5.0, 9.0, 2.0]), gen_adversarial_switch(7, phases=3, T=9, dim=2)):
-            assert parallel_k(scen, k).params == {"k": k}
+        for scen in scens:
+            lg = parallel_k(scen, k)
+            assert lg.params == {"k": k}
+            centers = kmedians.learn_centers_subset_erm(scen.points[1:], k, scen.norm).centers
+            assert lg.days == _oracle_parallel_k_days(scen, centers), (scen.name, k)
 
 
 class _RecordingRow(list):

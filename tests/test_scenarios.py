@@ -155,22 +155,19 @@ def test_generators_and_direct_construction_check_the_structure():
         gen_static_clusters(1, k=2, sep=10.0, spread=1.0, T=0, dim=1)
     scen = gen_drifting_trajectories(2, k=2, drift_per_day=1.0, noise=0.5, T=6, dim=2)
     assert gen_planted_lower_bound(3, k=2, sep=1000.0, T=4, dim=1).planted is None
+    fields = dict(
+        name=scen.name, seed=scen.seed, dim=scen.dim, norm=scen.norm,
+        features=scen.features, solutions=scen.coords[1:], meta=scen.meta,
+    )
+    assert Scenario(**fields).to_json_text() == scen.to_json_text()
     for bad in (
         {"dim": 2.0},
         {"dim": True},
+        {"dim": 3},
         {"norm": "L3"},
-        {"norm": "Linf"},  # the days stay in L2
         {"name": None},
-        {"days": scen.days[1:]},
         {"meta": []},
         {"meta": {"planted": {"k": 0, "assignment": {}, "predictions": {}}}},
-    ):
-        fields = dict(name=scen.name, seed=scen.seed, dim=scen.dim, norm=scen.norm, days=scen.days, meta=scen.meta)
-        with pytest.raises(ValueError):
-            Scenario.of_days(**{**fields, **bad})
-    arrays = dict(features=scen.features, solutions=scen.coords[1:])
-    assert Scenario(scen.name, scen.seed, scen.dim, scen.norm, meta=scen.meta, **arrays).to_json_text() == scen.to_json_text()
-    for bad in (
         {"features": scen.features[:0], "solutions": scen.coords[1:1]},
         {"solutions": scen.coords[2:]},
         {"solutions": scen.coords[1:, :1]},
@@ -178,7 +175,20 @@ def test_generators_and_direct_construction_check_the_structure():
         {"solutions": [[float("inf"), 1.0]] * scen.T},
     ):
         with pytest.raises(ValueError):
-            Scenario(scen.name, scen.seed, scen.dim, scen.norm, **{**arrays, **bad})
+            Scenario(**{**fields, **bad})
+
+
+def test_generators_reject_k_0_and_a_negative_jitter():
+    # k = 0 once failed inside the random stream ("high <= 0"), and a
+    # negative jitter wrote every solution at its phase's center while the
+    # meta recorded the jitter.
+    with pytest.raises(ValueError, match="need k >= 1"):
+        gen_static_clusters(1, k=0, sep=10.0, spread=1.0, T=3, dim=1)
+    with pytest.raises(ValueError, match="need k >= 1"):
+        gen_planted_lower_bound(1, k=0, sep=10.0, T=3, dim=1)
+    with pytest.raises(ValueError, match="need jitter >= 0"):
+        gen_adversarial_switch(1, phases=2, T=4, dim=1, jitter=-5.0)
+    assert gen_adversarial_switch(1, phases=2, T=4, dim=1, jitter=0.0).coords[1:, 0].tolist() == [1e3, 1e3, 2e3, 2e3]
 
 
 def test_static_cluster_geometry():
@@ -186,17 +196,15 @@ def test_static_cluster_geometry():
     from warmstart.metric import Point
 
     centers = [Point(tuple(c)) for c in scen.meta["centers"]]
-    for inst, lab in zip(scen.days, scen.meta["labels"]):
-        sol = scen.solutions()[inst.day]
+    for f, sol, lab in zip(scen.features.tolist(), scen.points[1:], scen.meta["labels"]):
         assert distance(sol, centers[lab - 1], scen.norm) <= 2.0 + 1e-12
         # features hug the solution
-        assert distance(inst.features, sol, scen.norm) <= 0.1
+        assert distance(Point(f), sol, scen.norm) <= 0.1
 
 
 def test_planted_lower_bound_features_uninformative():
     scen = gen_planted_lower_bound(9, k=4, sep=1000.0, T=10, dim=1)
-    feats = {inst.features.coords for inst in scen.days}
-    assert len(feats) == 1
+    assert scen.features.tolist() == [[0.0]] * scen.T
     planted = {tuple(p) for p in scen.meta["planted_points"]}
     for sol in scen.points[1:]:
         assert sol.coords in planted
@@ -217,8 +225,8 @@ def test_norm_parameter_respected():
     for norm in NORMS:
         s = gen_drifting_trajectories(6, k=1, drift_per_day=1.0, noise=0.5, T=6, dim=2, norm=norm)
         assert s.norm == norm
-        for inst in s.days:
-            assert inst.norm == norm
+        assert Scenario.from_json_text(s.to_json_text()).norm == norm
+        assert s.distances[0, 1] == distance(s.points[0], s.points[1], norm)
 
 
 def test_golden_scenario_unchanged():
