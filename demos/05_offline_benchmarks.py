@@ -14,6 +14,8 @@ holds as ``distances``; a repeated solution is one more row of it.
 
 import random
 
+import numpy as np
+
 from warmstart import (
     Point,
     WorkFunctionState,
@@ -30,8 +32,8 @@ sols = [
     Point.of((0.0 if t % 2 == 0 else 60.0) + rng.uniform(-2, 2)) for t in range(6)
 ]
 print("solutions:", [round(s[0], 2) for s in sols])
-points = [origin(1)] + sols  # index t is day t, as in Scenario.points
-D = distance_matrix(points, "L1")
+coords = np.array([p.coords for p in [origin(1)] + sols])  # row t is day t, as in Scenario.coords
+D = distance_matrix(coords, "L1")
 
 for k in (1, 2, 3):
     server = offline_opt_kserver(D, [k])[0]
@@ -43,10 +45,10 @@ for k in (1, 2, 3):
     )
 
 print("\nonline work-function algorithm with 2 servers:")
-state = WorkFunctionState(2, 1, "L1")
+state = WorkFunctionState(2, D, coords)
 moved = 0.0
 for t, s in enumerate(sols, 1):
-    idx, move = wfa_step(state, s)
+    idx, move = wfa_step(state, t)
     moved += move
     print(f"  day {t}: request {s[0]:7.2f} -> server {idx} moves {move:6.2f}")
 print(f"total online movement: {moved:.2f}  "

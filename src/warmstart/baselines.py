@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from .errors import CapExceeded
-from .metric import Point, distance_matrix, origin
 
 TRAJ_MAX_T = 8
 TRAJ_MAX_K = 3
@@ -201,48 +200,35 @@ def brute_force_best_trajectories(D: np.ndarray, k: int) -> float:
 class WorkFunctionState:
     """Work-function table over configurations of k points.
 
-    Points are the origin (id 0), then every distinct request in order of
-    first arrival.  ``table`` is one symmetric float64 array of shape (n,)*k
+    ``D`` is the distance table over ``coords``, the origin and then the
+    requests, as ``Scenario.distances`` is.  Point ids index ``ids``, the
+    row where each point's coordinates first occur (``first``; -0.0 equals
+    0.0): the origin (id 0), then every distinct request in order of first
+    arrival.  ``table`` is one symmetric float64 array of shape (n,)*k
     over the n point ids: ``table[X]`` is the current work function at the
     configuration X, in any order of X's ids.  A new point's configurations
     get their values when the point is added (``_extend_table``), and
-    ``wfa_step`` advances the table by one request.
-    The caps (k <= WFA_MAX_K, at most WFA_MAX_POINTS distinct requests)
-    bound the table's size; exceeding one raises CapExceeded so callers can
-    fall back to a greedy server rule.  ``dist`` is the ``distance_matrix``
-    over the points, recomputed when one is added.
+    ``wfa_step`` advances the table by one request.  The caps (k <=
+    WFA_MAX_K, at most WFA_MAX_POINTS distinct requests) bound the table's
+    size; exceeding one raises CapExceeded so callers can fall back to a
+    greedy server rule.
     """
 
-    def __init__(self, k: int, dim: int, norm: str):
+    def __init__(self, k: int, D, coords: np.ndarray):
         if k > WFA_MAX_K:
             raise CapExceeded(f"work function capped at k<={WFA_MAX_K}")
         self.k = k
-        self.norm = norm
-        o = origin(dim)
-        self.points: list[Point] = [o]
-        self._ids = {o.coords: 0}
-        self.dist = distance_matrix(self.points, norm)
+        self.D = D
+        seen: dict[tuple, int] = {}
+        self.first = [seen.setdefault(tuple(row), i) for i, row in enumerate(coords.tolist())]
+        self.ids = [0]
         self.config: tuple[int, ...] = (0,) * k  # current server point ids
         self.table = np.zeros((1,) * k)
 
-    def _point_id(self, p: Point) -> int:
-        i = self._ids.get(p.coords)
-        if i is not None:
-            return i
-        if len(self.points) - 1 >= WFA_MAX_POINTS:
-            raise CapExceeded(
-                f"work function capped at {WFA_MAX_POINTS} distinct requests"
-            )
-        self.dist = distance_matrix(self.points + [p], self.norm)
-        self._ids[p.coords] = len(self.points)
-        self.points.append(p)
-        self._extend_table()
-        return len(self.points) - 1
-
-    def _extend_table(self) -> None:
+    def _extend_table(self, d: np.ndarray) -> None:
         """Give the work function values on the configurations that hold the
         newest point p, by the one-point rule w(X) = min_y w(X - p + y) + d(y, p)
-        over the old points y.
+        over the old points y, whose distances to p are ``d``.
 
         A work function is 1-Lipschitz under matching distance, so this
         equals the minimum over every old configuration Y of w(Y) plus the
@@ -251,10 +237,10 @@ class WorkFunctionState:
         every face at p, and pass m fixes the configurations that hold p m
         times, since X - p + y holds p once less.
         """
-        p, k = len(self.points) - 1, self.k
+        p, k = len(d), self.k
         W = np.full((p + 1,) * k, math.inf)
         W[(slice(p),) * k] = self.table
-        d = self.dist[:p, p].reshape((p,) + (1,) * (k - 1))
+        d = d.reshape((p,) + (1,) * (k - 1))
         for _ in range(k):
             new = (W[:p] + d).min(axis=0)
             for j in range(k):
@@ -262,8 +248,9 @@ class WorkFunctionState:
         self.table = W
 
 
-def wfa_step(state: WorkFunctionState, request: Point) -> tuple[int, float]:
-    """Advance the work function by one request and pick the server to move.
+def wfa_step(state: WorkFunctionState, t: int) -> tuple[int, float]:
+    """Advance the work function by the request at row ``t`` of the state's
+    table and pick the server to move.
 
     A configuration X that holds the request r keeps its value,
     w_t(X) = w_{t-1}(X); any other takes w_t(X) = min_x w_t(X - x + r) + d(x, r)
@@ -275,9 +262,18 @@ def wfa_step(state: WorkFunctionState, request: Point) -> tuple[int, float]:
     movement; ties break to the lowest server index.  Returns (server index,
     movement cost) and updates the state.
     """
-    r = state._point_id(request)
+    s = state.first[t]
+    added = s not in state.ids
+    if added:
+        if len(state.ids) > WFA_MAX_POINTS:
+            raise CapExceeded(f"work function capped at {WFA_MAX_POINTS} distinct requests")
+        state.ids.append(s)
+    dist = state.D[state.ids, s]  # the distances from every point to the request
+    if added:
+        state._extend_table(dist[:-1])
+    r = state.ids.index(s)
     k, face = state.k, state.table[r]
-    A = state.dist[:, r].reshape((-1,) + (1,) * (k - 1)) + face
+    A = dist.reshape((-1,) + (1,) * (k - 1)) + face
     new = A
     for j in range(1, k):
         new = np.minimum(new, A.swapaxes(0, j))
@@ -286,7 +282,7 @@ def wfa_step(state: WorkFunctionState, request: Point) -> tuple[int, float]:
     # choose the server to move from the current configuration
     best_idx, best_val, best_move = 0, math.inf, 0.0
     for idx, x in enumerate(state.config):
-        move = state.dist.item(x, r)
+        move = dist.item(x)
         v = new.item(state.config[:idx] + (r,) + state.config[idx + 1 :]) + move
         if v < best_val - _EPS:
             best_idx, best_val, best_move = idx, v, move

@@ -23,7 +23,7 @@ from .baselines import brute_force_best_trajectories, offline_opt_kserver
 from .errors import CapExceeded, InvariantViolation
 from .kmedians import MEDIAN_MAX_ITER, cost_of_centers, learn_centers
 from .ledger import CostLedger, dumps_strict
-from .metric import L2, Point, distance_matrix, origin, search_steps
+from .metric import L2, Point, distance_matrix, search_steps
 from .online import NEEDS_K, STRATEGIES, predict_yesterday, run_quadratic_decay
 from .oracle import parallel_search
 from .partition import (
@@ -127,9 +127,9 @@ def _check_magnitudes(scenario: Scenario, search: bool) -> float:
     """
     D = scenario.distances
     d_max = float(D.max())
-    planted = list(scenario.planted.predictions.values()) if scenario.planted else []
+    planted = scenario.planted
     with np.errstate(over="ignore"):
-        r = float(distance_matrix(planted, scenario.norm, [origin(scenario.dim)]).max()) if planted else 0.0
+        r = float(distance_matrix(planted.predictions, scenario.norm, scenario.coords[:1]).max()) if planted else 0.0
     d_min = min(float(D.min(where=D > 0, initial=1.0)), r or 1.0)
     f_max = float(np.abs(scenario.features).max())
     bound = (scenario.T + 1) ** 3 * scenario.dim * max(d_max + 2 * r, f_max, 1.0) / d_min
@@ -382,3 +382,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -89,25 +89,29 @@ def distance(u: Point, v: Point, norm: str = L2) -> float:
 def distance_matrix(X, norm: str, Y=None) -> np.ndarray:
     """Float64 table with ``D[i, j] = distance(X[i], Y[j], norm)``; ``Y``
     defaults to ``X``.  Each of ``X`` and ``Y`` is a sequence of Points or
-    an array of their coordinates, one point per row.
-
-    The table is accumulated one coordinate column at a time, in the same
-    order and with the same operations as ``distance``, so every entry is
-    bit-identical to the direct call.  One temporary of the table's shape is
-    reused for every column.
+    an array of their coordinates, one point per row (``row_distances``).
     """
     A = _coordinate_rows(X)
     B = A if Y is None else _coordinate_rows(Y)
-    acc = np.zeros((len(A), len(B)))
-    if acc.size == 0:
-        return acc
+    if not (len(A) and len(B)):
+        return np.zeros((len(A), len(B)))
     if A.shape[1] != B.shape[1]:
         raise DimensionMismatch(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
+    return row_distances(A[:, None], B[None], norm)
+
+
+def row_distances(A: np.ndarray, B: np.ndarray, norm: str) -> np.ndarray:
+    """``distance`` between the rows of two coordinate arrays, the other
+    axes broadcast, accumulated one coordinate column at a time in the same
+    order and with the same operations as ``distance``, so every one is
+    bit-identical to the direct call.  One temporary is reused per column.
+    """
     if norm not in NORMS:
         raise ValueError(f"unknown norm {norm!r}; expected one of {NORMS}")
+    acc = np.zeros(np.broadcast_shapes(A.shape[:-1], B.shape[:-1]))
     tmp = np.empty_like(acc)
-    for c in range(A.shape[1]):
-        np.subtract(A[:, c, None], B[None, :, c], out=tmp)
+    for c in range(A.shape[-1]):
+        np.subtract(A[..., c], B[..., c], out=tmp)
         if norm == L2:
             np.multiply(tmp, tmp, out=tmp)
             acc += tmp

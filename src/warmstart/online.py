@@ -442,7 +442,8 @@ def kserver_reduction(scenario, server_alg: str, k: int) -> CostLedger:
     table outgrows its cap the run falls back to greedy for the remaining
     days, and ``params["wfa_fallback_day"]`` records the day it did.  Servers
     are scenario points, the origin or past solutions, kept as their indices
-    in the scenario's distance table; the work function keeps its own points.
+    in the scenario's distance table, and the work function reads its
+    distances from that table too, after the day's search.
 
     Only the first min(k, T) servers are tracked, so a huge k costs what
     k = T costs.  Servers still at the origin tie with each other, and ties
@@ -456,7 +457,7 @@ def kserver_reduction(scenario, server_alg: str, k: int) -> CostLedger:
         raise ValueError(f"unknown server algorithm {server_alg!r}")
     D = scenario.distances
     servers = [ORIGIN_DAY] * min(k, scenario.T)
-    wfa_state = baselines.WorkFunctionState(k, scenario.dim, scenario.norm) if server_alg == "wfa" else None
+    wfa_state = baselines.WorkFunctionState(k, D, scenario.coords) if server_alg == "wfa" else None
     params = {"k": k, "server_alg": server_alg}
     days = []
     for t in range(1, scenario.T + 1):
@@ -465,7 +466,7 @@ def kserver_reduction(scenario, server_alg: str, k: int) -> CostLedger:
         idx = None
         if wfa_state is not None:
             try:
-                idx, _ = baselines.wfa_step(wfa_state, scenario.points[t])
+                idx, _ = baselines.wfa_step(wfa_state, t)
             except CapExceeded:
                 wfa_state = None
                 params["wfa_fallback_day"] = t

@@ -61,8 +61,7 @@ class Scenario:
     """Days 1..T in one dimension and one norm, each with a hidden solution,
     held as arrays: ``features`` (T, dim), and ``coords`` (T + 1, dim), the
     origin and then the solutions of days 1..T, over which ``distances`` is
-    the table.  ``points`` and ``solutions()`` (Points of ``coords``) are
-    built on first use.
+    the table.  ``points`` (Points of ``coords``) are built on first use.
 
     Construction from the ``features`` and ``solutions`` arrays raises
     ``ValueError`` unless the name is a string, ``dim`` an integer >= 1, the
@@ -97,23 +96,16 @@ class Scenario:
         self.planted: TrajectorySet | None = None
         if "planted" in meta:
             try:
-                planted = traj_from_jsonable(meta["planted"])
-            except (AttributeError, KeyError, TypeError, ValueError) as e:
+                planted = traj_from_jsonable(meta["planted"], dim)
+            except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as e:
                 raise ValueError(f"bad planted trajectory in scenario meta: {e!r}") from e
-            dims = {p.dim for p in planted.predictions.values()}
-            if not _is_int(planted.k) or not 1 <= planted.T <= self.T or dims != {dim}:
-                raise ValueError(
-                    f"the planted trajectory must have an integer k and cover days 1..t, "
-                    f"t in 1..{self.T}, in dimension {dim}"
-                )
+            if not 1 <= planted.T <= self.T:
+                raise ValueError(f"the planted trajectory must cover days 1..t, t in 1..{self.T}")
             self.planted = planted
 
     @property
     def T(self) -> int:
         return len(self.features)
-
-    def solutions(self) -> dict[int, Point]:
-        return dict(enumerate(self.points[1:], start=1))
 
     @functools.cached_property
     def points(self) -> list[Point]:
@@ -170,26 +162,33 @@ class Scenario:
 def traj_to_jsonable(traj: TrajectorySet) -> dict:
     return {
         "k": traj.k,
-        "assignment": {str(t): i for t, i in traj.assignment.items()},
-        "predictions": {
-            str(t): list(p.coords) for t, p in traj.predictions.items()
-        },
+        "assignment": {str(t): i for t, i in enumerate(traj.assignment.tolist(), start=1)},
+        "predictions": {str(t): p for t, p in enumerate(traj.predictions.tolist(), start=1)},
     }
 
 
-def traj_from_jsonable(d: dict) -> TrajectorySet:
-    """The trajectory set of its JSON form; each prediction must be an array
-    of numbers and each assignment an integer (``TypeError`` if not), and
-    each day key the day as ``str`` writes it (``ValueError`` if not: ``int``
-    would also read ``"01"``, ``" 1"``, ``"+1"`` and ``"0_1"`` as day 1)."""
-    _check_numbers(list(d["predictions"].values()), "each planted prediction")
-    if not set(map(type, d["assignment"].values())) <= {int}:
+def traj_from_jsonable(d: dict, dim: int) -> TrajectorySet:
+    """The trajectory set of its JSON form in dimension ``dim``.  Its keys
+    must be the same days 1..t, each written as ``str`` writes it
+    (``ValueError`` if not: ``int`` would also read ``"01"``, ``" 1"``,
+    ``"+1"`` and ``"0_1"`` as day 1), k an integer, each assignment an
+    integer (``TypeError`` if not) in 1..k, and each prediction an array of
+    ``dim`` numbers (``TypeError`` if not numbers) that are finite floats."""
+    assignment, predictions = d["assignment"], d["predictions"]
+    days = sorted(map(_day, assignment))
+    if days != list(range(1, len(days) + 1)):
+        raise ValueError("assignment must cover days 1..T exactly")
+    if predictions.keys() != assignment.keys():
+        raise ValueError("the planted predictions must be for the assigned days")
+    labels = [assignment[str(t)] for t in days]
+    if not set(map(type, labels)) <= {int}:
         raise TypeError("planted assignments must be integers")
-    return TrajectorySet(
-        k=d["k"],
-        assignment={_day(t): i for t, i in d["assignment"].items()},
-        predictions={_day(t): Point(c) for t, c in d["predictions"].items()},
-    )
+    if not (_is_int(d["k"]) and all(1 <= i <= d["k"] for i in labels)):
+        raise ValueError("planted assignments must be trajectories 1..k of an integer k")
+    P = _coordinate_array([predictions[str(t)] for t in days], dim, "planted prediction")
+    if not np.isfinite(P).all():
+        raise ValueError("a planted prediction has a non-finite coordinate")
+    return TrajectorySet(d["k"], np.array(labels, dtype=np.intp), P)  # a label past int64 raises OverflowError
 
 
 def _day(key: str) -> int:
@@ -331,19 +330,16 @@ def gen_drifting_trajectories(
     for j in range(k):
         pos[j] = rng.uniform(0.0, 10.0, dim)
         pos[j, 0] += 15.0 * j
-    assignment: dict[int, int] = {}
-    predictions: dict[int, Point] = {}
-    features, solutions = [], []
-    for t in range(1, T + 1):
+    assignment = [t % k + 1 for t in range(T)]
+    predictions, features, solutions = [], [], []
+    for i in assignment:
         for j in range(k):
             pos[j] = _uniform_point(rng, pos[j], drift_per_day)
-        i = ((t - 1) % k) + 1
-        predictions[t] = Point(pos[i - 1])
+        predictions.append(pos[i - 1].copy())
         sol = _uniform_point(rng, pos[i - 1], noise)
         features.append(_uniform_point(rng, sol, 0.01))
         solutions.append(sol)
-        assignment[t] = i
-    planted = TrajectorySet(k=k, assignment=assignment, predictions=predictions)
+    planted = TrajectorySet(k, np.array(assignment), np.array(predictions))
     meta = {
         "generator": "drifting_trajectories",
         "params": {
@@ -430,10 +426,15 @@ GENERATORS = {
 
 
 def generate(generator: str, **params) -> Scenario:
-    """The named generator's scenario.  A draw that overflows is inf or nan,
-    which ``Scenario`` rejects, and numpy warns of none of them."""
+    """The named generator's scenario.  A param that is a ``bool`` raises
+    ``TypeError`` (Python would count ``True`` as 1).  A draw that overflows
+    is inf or nan, which ``Scenario`` rejects, and numpy warns of none of
+    them."""
     if generator not in GENERATORS:
         raise ValueError(f"unknown generator {generator!r}")
+    bools = [name for name, v in params.items() if isinstance(v, bool)]
+    if bools:
+        raise TypeError(f"generator param {bools[0]} must be a number, not a boolean")
     with np.errstate(over="ignore", invalid="ignore"):
         return GENERATORS[generator](**params)
 
@@ -454,5 +455,5 @@ def planted_baseline(scenario: Scenario) -> float | None:
     """The planted trajectory cost, for scenarios that carry one."""
     if scenario.planted is None:
         return None
-    _, _, total = trajectory_cost(scenario.planted, scenario.solutions(), scenario.norm)
+    _, _, total = trajectory_cost(scenario.planted, scenario.coords[1:], scenario.norm)
     return total

@@ -4,59 +4,50 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .metric import Point, distance, origin
+import numpy as np
+
+from .metric import row_distances
 
 
-@dataclass
+@dataclass(eq=False)
 class TrajectorySet:
-    """Assignment of days 1..T to k trajectories, with per-day predictions.
+    """Days 1..t assigned to k trajectories, with a prediction for each day,
+    as arrays in day order: ``assignment`` (t,) holds each day's trajectory,
+    in 1..k, and ``predictions`` (t, dim) its prediction.
 
     Every trajectory implicitly starts at the all-zeros origin point; the
     first move of each trajectory is charged from there.
     """
 
     k: int
-    assignment: dict[int, int]
-    predictions: dict[int, Point]
-
-    def __post_init__(self):
-        days = sorted(self.assignment)
-        if days != list(range(1, len(days) + 1)):
-            raise ValueError("assignment must cover days 1..T exactly")
-        for t, i in self.assignment.items():
-            if not (1 <= i <= self.k):
-                raise ValueError(f"day {t} assigned to invalid trajectory {i}")
-            if t not in self.predictions:
-                raise ValueError(f"missing prediction for assigned day {t}")
+    assignment: np.ndarray
+    predictions: np.ndarray
 
     @property
     def T(self) -> int:
         return len(self.assignment)
 
-    def days_of(self, i: int) -> list[int]:
-        return [t for t in sorted(self.assignment) if self.assignment[t] == i]
-
 
 def trajectory_cost(
-    traj: TrajectorySet, solutions: dict[int, Point], norm: str
+    traj: TrajectorySet, solutions: np.ndarray, norm: str
 ) -> tuple[float, float, float]:
-    """(hit, movement, total) cost of a trajectory set against the solutions.
+    """(hit, movement, total) cost of a trajectory set against the solutions,
+    whose row t - 1 is day t's (``Scenario.coords[1:]``).
 
-    Hit cost sums each day's prediction-to-solution distance; movement cost
-    sums the distance each trajectory travels between its consecutive days,
-    starting from the origin.
+    Hit cost sums each day's prediction-to-solution distance, by day;
+    movement cost sums the distance each trajectory travels between its
+    consecutive days, starting from the origin, trajectory by trajectory.
+    Both sums run left to right, as a scalar ``total +=`` loop adds.
     """
-    dim = next(iter(traj.predictions.values())).dim
-    start = origin(dim)
-    hit = 0.0
-    movement = 0.0
-    for t in sorted(traj.assignment):
-        if t not in solutions:
-            raise ValueError(f"missing solution for day {t}")
-        hit += distance(traj.predictions[t], solutions[t], norm)
-    for i in range(1, traj.k + 1):
-        prev = start
-        for t in traj.days_of(i):
-            movement += distance(prev, traj.predictions[t], norm)
-            prev = traj.predictions[t]
+    P = traj.predictions
+    if len(solutions) < len(P):
+        raise ValueError(f"missing solution for day {len(solutions) + 1}")
+    order = np.argsort(traj.assignment, kind="stable")  # by trajectory, then day
+    path = P[order]
+    prev = np.zeros_like(path)
+    prev[1:] = path[:-1]
+    a = traj.assignment[order]
+    prev[1:][a[1:] != a[:-1]] = 0.0  # each trajectory's first day moves from the origin
+    hit = float(np.cumsum(row_distances(P, solutions[: len(P)], norm))[-1])
+    movement = float(np.cumsum(row_distances(prev, path, norm))[-1])
     return hit, movement, hit + movement

@@ -251,7 +251,7 @@ def test_criterion_12_kserver_reduction_bound_and_k1_equality():
                 lg = ws.kserver_reduction(scen, alg, k)
                 servers = [origin(scen.dim) for _ in range(k)]
                 wfa_state = (
-                    ws.WorkFunctionState(k, scen.dim, scen.norm)
+                    ws.WorkFunctionState(k, scen.distances, scen.coords)
                     if alg == "wfa"
                     else None
                 )
@@ -262,7 +262,7 @@ def test_criterion_12_kserver_reduction_bound_and_k1_equality():
                     assert day.radius_searched <= k * max(1.0, nearest) + k
                     if wfa_state is not None:
                         try:
-                            idx, _ = ws.wfa_step(wfa_state, sol)
+                            idx, _ = ws.wfa_step(wfa_state, day.day)
                         except ws.CapExceeded:
                             wfa_state = None
                             idx = min(

@@ -631,31 +631,39 @@ def test_trajectory_optimum_never_exceeds_the_kserver_optimum():
             assert traj <= server, (case, k, norm, sols)
 
 
+def _wfa_state(k, norm, requests):
+    """The work-function state over the table of the origin and the Points
+    ``requests``, as a scenario's; ``wfa_step(state, t)`` serves request t."""
+    coords = np.array([origin(requests[0].dim).coords] + [r.coords for r in requests])
+    return WorkFunctionState(k, distance_matrix(coords, norm), coords)
+
+
 def test_wfa_single_server_chases_requests():
-    state = WorkFunctionState(1, 1, L1)
-    reqs = [Point.of(5.0), Point.of(2.0), Point.of(9.0)]
-    moves = [wfa_step(state, r) for r in reqs]
+    state = _wfa_state(1, L1, [Point.of(5.0), Point.of(2.0), Point.of(9.0)])
+    moves = [wfa_step(state, t) for t in (1, 2, 3)]
     assert [m[0] for m in moves] == [0, 0, 0]
     assert [m[1] for m in moves] == pytest.approx([5.0, 3.0, 7.0])
 
 
 def test_wfa_two_servers_split_far_clusters():
-    state = WorkFunctionState(2, 1, L1)
+    reqs = [Point.of(0.0), Point.of(100.0), Point.of(1.0), Point.of(99.0)]
+    state = _wfa_state(2, L1, reqs)
     total = 0.0
-    for r in [Point.of(0.0), Point.of(100.0), Point.of(1.0), Point.of(99.0)]:
-        _, move = wfa_step(state, r)
+    for t in range(1, 5):
+        _, move = wfa_step(state, t)
         total += move
     # after warmup, one server stays near each cluster
     assert total <= 102.0 + 1e-9
-    assert sorted(state.points[i][0] for i in state.config) == [1.0, 99.0]
+    points = [origin(1)] + reqs
+    assert sorted(points[state.ids[i]][0] for i in state.config) == [1.0, 99.0]
 
 
 def test_wfa_work_function_values_stay_sane():
     rng = random.Random(83)
-    state = WorkFunctionState(2, 1, L2)
+    state = _wfa_state(2, L2, [Point.of(rng.uniform(-10, 10)) for _ in range(8)])
     prev_min = 0.0
-    for _ in range(8):
-        wfa_step(state, Point.of(rng.uniform(-10, 10)))
+    for t in range(1, 9):
+        wfa_step(state, t)
         values = state.table.ravel()
         assert all(v >= -1e-9 for v in values)
         cur_min = min(values)
@@ -664,22 +672,30 @@ def test_wfa_work_function_values_stay_sane():
 
 
 def test_wfa_cached_distances_are_the_direct_ones():
+    # The state's points are the first occurrences of their coordinates,
+    # and each move is the direct distance from the moved server's point.
     rng = random.Random(89)
     for norm in NORMS:
-        state = WorkFunctionState(2, 2, norm)
-        for _ in range(6):
-            wfa_step(state, Point.of(float(rng.randint(-3, 3)), rng.uniform(-5, 5)))
-        pts = state.points
-        assert state.dist.tolist() == [[distance(a, b, norm) for b in pts] for a in pts]
+        reqs = [Point.of(float(rng.randint(-1, 1)), float(rng.randint(-1, 1))) for _ in range(12)]
+        reqs[3] = Point.of(-0.0, 0.0)
+        state = _wfa_state(2, norm, reqs)
+        points = [origin(2)] + reqs
+        for t in range(1, len(points)):
+            before = state.config
+            idx, move = wfa_step(state, t)
+            assert move == distance(points[state.ids[before[idx]]], points[t], norm)
+        assert [points[i] for i in state.ids] == list(dict.fromkeys(points))
+        assert state.ids == sorted(points.index(p) for p in set(points))
 
 
 def test_wfa_caps():
     with pytest.raises(CapExceeded):
-        WorkFunctionState(4, 1, L2)
-    state = WorkFunctionState(1, 1, L2)
+        _wfa_state(4, L2, [Point.of(1.0)])
+    state = _wfa_state(1, L2, [Point.of(float(i + 1)) for i in range(20)])
     with pytest.raises(CapExceeded):
-        for i in range(20):
-            wfa_step(state, Point.of(float(i + 1)))
+        for t in range(1, 21):
+            wfa_step(state, t)
+    assert len(state.ids) == WFA_MAX_POINTS + 1 and state.table.shape == (WFA_MAX_POINTS + 1,)
 
 
 def _grid_points(rng, T, dim, half, step):
@@ -917,10 +933,10 @@ def _check_wfa_against_reference(k, dim, norm, requests):
     every table value equal in ``repr`` to the dict table's at every
     permutation of its configuration, and within 1e-15 relative of the
     matching reference's; return the index of the capped request."""
-    state = WorkFunctionState(k, dim, norm)
+    state = _wfa_state(k, norm, requests)
     exact = DictWorkFunction(k, dim, norm)
     ref = ReferenceWorkFunction(k, dim, norm)
-    got = _run_wfa(lambda r: wfa_step(state, r), requests)
+    got = _run_wfa(lambda t: wfa_step(state, t), range(1, len(requests) + 1))
     assert repr(got) == repr(_run_wfa(exact.step, requests)), (norm, k, requests)
     exp = _run_wfa(ref.step, requests)
     assert got == exp, (norm, k, requests)
@@ -939,7 +955,8 @@ def test_wfa_matches_matching_reference():
     # more than 12 distinct requests run into the cap.  The reference's
     # table extension costs about n^6 steps for k = 3 and n points, so k = 3
     # requests repeat a pool of at most 7 points (the next test covers the
-    # cap at k = 3).
+    # cap at k = 3).  Every fourth case also requests the origin, as -0.0 in
+    # its first coordinate, and one of its requests a second time.
     rng = random.Random(103)
     capped = 0
     for case in range(1000):
@@ -953,6 +970,9 @@ def test_wfa_matches_matching_reference():
         else:
             pool = _rand_points(rng, n, dim)
         reqs = pool if k < 3 else [rng.choice(pool) for _ in range(T)]
+        if case % 4 == 1:
+            reqs.insert(rng.randint(0, len(reqs)), Point((-0.0,) + (0.0,) * (dim - 1)))
+            reqs.insert(rng.randint(1, len(reqs)), rng.choice(reqs))
         capped += _check_wfa_against_reference(k, dim, norm, reqs) is not None
     assert capped >= 50
 

@@ -22,7 +22,7 @@ from warmstart.cli import build_parser, main
 from warmstart.ledger import CostLedger
 from warmstart.metric import search_steps
 from warmstart.online import NEEDS_K, STRATEGIES
-from warmstart.scenarios import Scenario, gen_adversarial_switch, gen_drifting_trajectories, gen_static_clusters
+from warmstart.scenarios import Scenario, gen_adversarial_switch, gen_drifting_trajectories, gen_static_clusters, generate
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -296,6 +296,25 @@ BAD_INPUTS = [
         {"strategy": "predict-yesterday"},
         [(["meta", "planted", "assignment", "0_1"], 1), (["meta", "planted", "predictions", "0_1"], [500.0])],
     ),
+    (
+        "simulate",
+        {"strategy": "predict-yesterday"},
+        [(["meta", "planted", "predictions", "0"], [500.0]), (["meta", "planted", "predictions", "99"], [500.0])],
+    ),
+    *[
+        (
+            "simulate",
+            {"strategy": "predict-yesterday", "scenario": {"generator": generator, "params": dict(params, **{name: True})}},
+            None,
+        )
+        for generator, params, name in [
+            ("static_clusters", {"k": 2, "sep": 10.0, "spread": 1.0, "T": 3, "dim": 1, "seed": 1}, "T"),
+            ("drifting_trajectories", GENERATED["params"], "k"),
+            ("adversarial_switch", {"phases": 2, "T": 3, "dim": 1, "seed": 1}, "phases"),
+            ("adversarial_switch", {"phases": 2, "T": 3, "dim": 1, "seed": 1}, "jitter"),
+            ("planted_lower_bound", {"k": 2, "sep": 10.0, "T": 3, "dim": 1, "seed": 1}, "seed"),
+        ]
+    ],
 ]
 BAD_INPUT_IDS = [
     "unknown-norm",
@@ -363,6 +382,12 @@ BAD_INPUT_IDS = [
     "huge-int-feature",
     "planted-huge-int-prediction",
     "planted-day-key-not-canonical",
+    "planted-prediction-outside-the-assignment",
+    "generator-bool-T",
+    "generator-bool-k",
+    "generator-bool-phases",
+    "generator-bool-jitter",
+    "generator-bool-seed",
 ]
 
 
@@ -413,10 +438,10 @@ def test_a_generator_spec_that_overflows_exits_one_without_a_warning(tmp_path, c
     assert err.startswith("error: bad scenario spec: ") and err.count("\n") == 1
 
 
-# The scenario-side cases of BAD_INPUTS that Scenario's structure rules do
-# not reject with a ValueError: a JSON value of the wrong type, which parsing
-# meets first (TypeError), and the magnitude rule of a run, which the CLI
-# applies to a well-formed scenario.
+# The scenario-side cases of BAD_INPUTS that Scenario's structure rules or
+# scenarios.generate do not reject with a ValueError: a JSON value of the
+# wrong type, which parsing meets first (TypeError), and the magnitude rule
+# of a run, which the CLI applies to a well-formed scenario.
 WRONG_TYPE = {
     "features-not-a-list",
     "null-coordinate",
@@ -425,6 +450,12 @@ WRONG_TYPE = {
     "features-a-string",
     "bool-coordinate",
     "object-for-a-vector",
+    "generator-seed-null",
+    "generator-bool-T",
+    "generator-bool-k",
+    "generator-bool-phases",
+    "generator-bool-jitter",
+    "generator-bool-seed",
 }
 MAGNITUDES = {
     "distances-overflow",
@@ -454,6 +485,22 @@ def test_scenario_rejects_what_the_cli_rejects(command, patch, case):
     else:
         with pytest.raises(TypeError if case in WRONG_TYPE else ValueError):
             Scenario.from_json_text(text)
+
+
+# The generator-spec cases of BAD_INPUTS that the CLI leaves to
+# scenarios.generate (it checks a spec's params object and its dim itself).
+GENERATE_REJECTS = [
+    case
+    for case in BAD_INPUT_IDS
+    if case.startswith("generator-") and case not in ("generator-dim-0", "generator-params-not-object")
+] + ["drifting-k-0", "planted-lb-k-0", "switch-jitter-negative"]
+
+
+@pytest.mark.parametrize("case", GENERATE_REJECTS)
+def test_generate_rejects_what_the_cli_rejects(case):
+    spec = BAD_INPUTS[BAD_INPUT_IDS.index(case)][1]["scenario"]
+    with pytest.raises(TypeError if case in WRONG_TYPE else ValueError):
+        generate(spec["generator"], **spec["params"])
 
 
 @pytest.mark.parametrize(
@@ -689,6 +736,16 @@ def test_report_ratios_recomputable(scen_file, tmp_path):
 def test_selftest_exits_zero(capsys):
     assert main(["selftest"]) == 0
     assert "selftest ok" in capsys.readouterr().out
+
+
+def test_the_cli_module_runs_as_a_script():
+    # python -m warmstart.cli once exited 0 having done nothing.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "warmstart.cli", "selftest"],
+        capture_output=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"selftest ok (4 checks)\n", b"")
 
 
 def test_parallel_k_strategy(scen_file, tmp_path):

@@ -201,7 +201,7 @@ def test_wfa_fallback_day_is_recorded():
 def reference_kserver_reduction(scenario, server_alg, k):
     """Reference: the k-server reduction over a list of all k servers."""
     servers = [origin(scenario.dim) for _ in range(k)]
-    wfa_state = WorkFunctionState(k, scenario.dim, scenario.norm) if server_alg == "wfa" else None
+    wfa_state = WorkFunctionState(k, scenario.distances, scenario.coords) if server_alg == "wfa" else None
     params = {"k": k, "server_alg": server_alg}
     days = []
     for inst in _instances(scenario):
@@ -210,7 +210,7 @@ def reference_kserver_reduction(scenario, server_alg, k):
         idx = None
         if wfa_state is not None:
             try:
-                idx, _ = wfa_step(wfa_state, solution)
+                idx, _ = wfa_step(wfa_state, inst.day)
             except CapExceeded:
                 wfa_state = None
                 params["wfa_fallback_day"] = inst.day
@@ -484,13 +484,19 @@ class _RecordingRow(list):
 
 class _RecordingTable:
     """A scenario's distance table whose rows, taken by index or all at once
-    by ``tolist``, log their reads."""
+    by ``tolist``, log their reads, and whose column entries, taken as
+    ``D[rows, s]`` (the work function's reads), log each as
+    ("column", row, s, whether the oracle read it)."""
 
     def __init__(self, D, log, in_oracle):
         self.rows = D.tolist()
         self.log, self.in_oracle = log, in_oracle
 
     def __getitem__(self, t):
+        if isinstance(t, tuple):
+            rows, s = t
+            self.log.extend(("column", i, s, self.in_oracle[0]) for i in rows)
+            return np.array([self.rows[i][s] for i in rows])
         return _RecordingRow(self.rows[t], t, self.log, self.in_oracle)
 
     def tolist(self):
@@ -502,7 +508,9 @@ def test_no_strategy_reads_a_day_before_its_search_completes(monkeypatch):
     # reads row t of the table only through the oracle's step answer, for a
     # source it has already found, and reads nothing of the days after t.
     # Each day's search completes when the decay's day ends or the parallel
-    # search that the other strategies run returns.
+    # search that the other strategies run returns.  The work function of
+    # kserver-wfa reads its columns of the table only for days up to the
+    # one just solved.
     log, in_oracle = [], [False]
     table_steps = online.table_steps
 
@@ -534,7 +542,7 @@ def test_no_strategy_reads_a_day_before_its_search_completes(monkeypatch):
         gen_adversarial_switch(301, phases=4, T=20, dim=1),
         gen_drifting_trajectories(103, k=3, drift_per_day=0.5, noise=0.5, T=40, dim=2),
     ]
-    oracle_reads = other_reads = 0
+    oracle_reads = other_reads = column_reads = 0
     for scen in scens:
         for run in runs:
             scen.__dict__.pop("distances", None)
@@ -547,7 +555,8 @@ def test_no_strategy_reads_a_day_before_its_search_completes(monkeypatch):
                 if event == ("solved",):
                     solved += 1
                     continue
-                _, i, j, by_oracle = event
+                kind, i, j, by_oracle = event
+                column_reads += kind == "column"
                 if by_oracle:
                     assert i == solved + 1 and j <= solved, (scen.name, event, solved)
                     oracle_reads += 1
@@ -555,4 +564,4 @@ def test_no_strategy_reads_a_day_before_its_search_completes(monkeypatch):
                     assert max(i, j) <= solved, (scen.name, event, solved)
                     other_reads += 1
             assert solved == scen.T
-    assert oracle_reads > 500 and other_reads > 500, (oracle_reads, other_reads)
+    assert oracle_reads > 500 and other_reads > 500 and column_reads > 500, (oracle_reads, other_reads, column_reads)

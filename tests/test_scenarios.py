@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from warmstart import scenarios
-from warmstart.metric import NORMS, distance, origin, pairwise_max_distance
+from warmstart.metric import NORMS, Point, distance, origin, pairwise_max_distance
 from warmstart.scenarios import (
     Scenario,
     _Philox,
@@ -79,7 +79,7 @@ def test_d_max_is_the_largest_distance_between_solutions():
     for scen in scens:
         expected = pairwise_max_distance(scen.points[1:], scen.norm)
         assert repr(scen.d_max) == repr(expected), scen.name
-        assert scen.points == [origin(scen.dim)] + list(scen.solutions().values())
+        assert scen.points == [Point(x) for x in [[0.0] * scen.dim] + scen.coords[1:].tolist()]
         assert scen.distances.shape == (scen.T + 1, scen.T + 1)
 
 
@@ -109,25 +109,27 @@ def test_a_scenario_with_a_non_finite_number_is_not_written():
 
 def running_planted_cost(planted, solutions, norm):
     """The planted cost as the drifting generator once summed it, day by
-    day into one running total of hits and one of moves."""
+    day into one running total of hits and one of moves; ``solutions`` are
+    the Points of days 1..T."""
     hit = movement = 0.0
-    prev = {i: origin(planted.predictions[1].dim) for i in range(1, planted.k + 1)}
-    for t in range(1, planted.T + 1):
-        i, pred = planted.assignment[t], planted.predictions[t]
+    prev = {i: origin(planted.predictions.shape[1]) for i in range(1, planted.k + 1)}
+    for i, pred, solution in zip(planted.assignment.tolist(), map(Point, planted.predictions.tolist()), solutions):
         movement += distance(prev[i], pred, norm)
         prev[i] = pred
-        hit += distance(pred, solutions[t], norm)
+        hit += distance(pred, solution, norm)
     return hit + movement
 
 
 def test_planted_cost_matches_trajectory_cost():
     for seed, k in [(2, 1), (2, 2), (5, 3)]:
         scen = gen_drifting_trajectories(seed, k=k, drift_per_day=1.0, noise=0.5, T=15, dim=2)
-        planted = traj_from_jsonable(scen.meta["planted"])
-        _, _, total = trajectory_cost(planted, scen.solutions(), scen.norm)
-        assert total == pytest.approx(running_planted_cost(planted, scen.solutions(), scen.norm), abs=1e-6)
+        planted = traj_from_jsonable(scen.meta["planted"], scen.dim)
+        _, _, total = trajectory_cost(planted, scen.coords[1:], scen.norm)
+        assert total == pytest.approx(running_planted_cost(planted, scen.points[1:], scen.norm), abs=1e-6)
         assert planted_baseline(scen) == pytest.approx(total, abs=1e-12)
-        assert scen.planted == planted
+        assert (scen.planted.k, scen.planted.assignment.tolist(), scen.planted.predictions.tolist()) == (
+            planted.k, planted.assignment.tolist(), planted.predictions.tolist()
+        )
         assert "planted_cost" not in scen.meta  # planted_baseline is the one sum
 
 
@@ -137,16 +139,16 @@ def test_planted_day_keys_are_canonical(key):
     # the planted day 1 of the canonical key "1".
     planted = {"k": 1, "assignment": {"1": 1, key: 1}, "predictions": {"1": [0.0], key: [500.0]}}
     with pytest.raises(ValueError, match="planted day key"):
-        traj_from_jsonable(planted)
+        traj_from_jsonable(planted, 1)
     planted = {"k": 1, "assignment": {key: 1}, "predictions": {key: [0.0]}}
     with pytest.raises(ValueError, match="planted day key"):
-        traj_from_jsonable(planted)
+        traj_from_jsonable(planted, 1)
 
 
 def test_planted_baseline_reads_the_trajectory_parsed_with_the_scenario(monkeypatch):
     scen = gen_drifting_trajectories(2, k=2, drift_per_day=1.0, noise=0.5, T=6, dim=2)
-    expected = running_planted_cost(scen.planted, scen.solutions(), scen.norm)
-    monkeypatch.setattr(scenarios, "traj_from_jsonable", lambda d: pytest.fail("parsed again"))
+    expected = running_planted_cost(scen.planted, scen.points[1:], scen.norm)
+    monkeypatch.setattr(scenarios, "traj_from_jsonable", lambda d, dim: pytest.fail("parsed again"))
     assert planted_baseline(scen) == pytest.approx(expected, abs=1e-9)
 
 
@@ -193,8 +195,6 @@ def test_generators_reject_k_0_and_a_negative_jitter():
 
 def test_static_cluster_geometry():
     scen = gen_static_clusters(9, k=3, sep=100.0, spread=2.0, T=20, dim=2)
-    from warmstart.metric import Point
-
     centers = [Point(tuple(c)) for c in scen.meta["centers"]]
     for f, sol, lab in zip(scen.features.tolist(), scen.points[1:], scen.meta["labels"]):
         assert distance(sol, centers[lab - 1], scen.norm) <= 2.0 + 1e-12
